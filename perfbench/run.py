@@ -6,8 +6,8 @@ Run from the root of a checkout::
 
 ``--trace 0`` repeats untraced pipeline passes for ``--seconds`` and
 reports the end-to-end metrics (medians over passes).  ``--trace 1``
-runs one untraced and one traced pass, prints the per-layer table and
-reports the per-layer metrics.  Either way the last line of standard
+runs a traced pass between two untraced ones, prints the per-layer
+table and reports the per-layer metrics.  Either way the last line of standard
 output is ``{"correct", "attempted", "failed", "metrics"}``.  See
 README.md next to this file.
 """
@@ -138,8 +138,11 @@ def traced(args, inputs, checks) -> dict:
     from repro.lint import proof
     from repro.obs.runtime import instrumented
 
-    reference = workloads.run_pass(inputs)
-    check_pass(checks, inputs, reference)
+    # Untraced passes before and after the traced one: the overhead is
+    # measured against their mean, so drift of the machine's speed
+    # during the run does not land on the overhead alone.
+    before = workloads.run_pass(inputs)
+    check_pass(checks, inputs, before)
     recorder = tracing.SpanRecorder()
     with tracing.patched(recorder):
         with instrumented() as session:
@@ -156,6 +159,9 @@ def traced(args, inputs, checks) -> dict:
                         run.schedules["solution1"][0].schedule, probe_beyond=False
                     )
     check_pass(checks, inputs, result)
+    after = workloads.run_pass(inputs)
+    check_pass(checks, inputs, after)
+    untraced_wall_s = (before.wall_s + after.wall_s) / 2
     counters = session.registry.counter_value
 
     def proving(top) -> float:
@@ -165,7 +171,7 @@ def traced(args, inputs, checks) -> dict:
 
     metrics, names = tracing.per_layer(
         recorder, root, counters, result,
-        untraced_wall_s=reference.wall_s,
+        untraced_wall_s=untraced_wall_s,
         beyond_s=proving(root) - proving(probe),
         nominal_gap=workloads.nominal_response_gap(result),
     )
@@ -175,7 +181,8 @@ def traced(args, inputs, checks) -> dict:
     print(tracing.render_table(names, root.duration))
     print(
         f"tracing overhead: {metrics['trace.overhead_s']:.4f} s "
-        f"(traced {root.duration:.4f} s, untraced {reference.wall_s:.4f} s)"
+        f"(traced {root.duration:.4f} s, untraced {before.wall_s:.4f} s before "
+        f"and {after.wall_s:.4f} s after)"
     )
     for name, value in metrics.items():
         print(f"  {name:<34} {value:.6g}")
