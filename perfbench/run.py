@@ -2,10 +2,11 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload compile-p2p132 --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload compile-p2p132 --seed 1 --seconds 58 --trace 0
 
 ``--trace 0`` repeats untraced pipeline passes for ``--seconds`` and
-reports the end-to-end metrics (medians over passes).  ``--trace 1``
+reports the end-to-end metrics (medians over passes; pass times are
+host-normalised, see ``hostspeed.py``).  ``--trace 1``
 runs a traced pass between two untraced ones, prints the per-layer
 table and reports the per-layer metrics.  Either way the last line of standard
 output is ``{"correct", "attempted", "failed", "metrics"}``.  See
@@ -15,6 +16,7 @@ README.md next to this file.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -64,7 +66,8 @@ def commit() -> str:
 
 
 def measure_setup(args: argparse.Namespace) -> float:
-    """Median time from process start to inputs ready over fresh processes."""
+    """Median host-normalised time from process start to inputs ready
+    over fresh processes."""
     samples = []
     for _ in range(SETUP_PROBES):
         started = time.time()
@@ -76,7 +79,8 @@ def measure_setup(args: argparse.Namespace) -> float:
             ],
             capture_output=True, text=True, timeout=170, check=True,
         )
-        samples.append(float(child.stdout.split()[-1]) - started)
+        ready, slowdown = map(float, child.stdout.split()[-2:])
+        samples.append((ready - started) / slowdown)
     return statistics.median(samples)
 
 
@@ -99,15 +103,20 @@ def result_line(checks, metrics: dict, kind: str) -> str:
 def untraced(args, inputs, checks, setup_s: float) -> dict:
     import workloads
     from checks import check_pass
+    from hostspeed import SpeedProbe
 
     # Only a summary of each pass is kept, so peak RSS is that of one
     # pass whatever the number of passes.
-    walls, stages, quality = [], [], []
+    walls, normalised, slowdowns, stages, quality = [], [], [], [], []
     started = time.perf_counter()
     while not walls or time.perf_counter() - started + walls[-1] <= args.seconds:
-        result = workloads.run_pass(inputs)
+        gc.collect()
+        with SpeedProbe() as probe:
+            result = workloads.run_pass(inputs)
         check_pass(checks, inputs, result)
         walls.append(result.wall_s)
+        slowdowns.append(probe.slowdown())
+        normalised.append(result.wall_s / slowdowns[-1])
         stages.append({**result.stages, "check_s": result.check_s})
         quality.append(workloads.quality(result))
         del result
@@ -117,7 +126,11 @@ def untraced(args, inputs, checks, setup_s: float) -> dict:
             f"{name} differs between passes",
         )
     print(
-        f"passes: {len(walls)}  stage medians: "
+        f"passes: {len(walls)}  median wall: {statistics.median(walls):.4f} s  "
+        f"median host slowdown: {statistics.median(slowdowns):.4f}"
+    )
+    print(
+        "stage medians: "
         + "  ".join(
             f"{stage}={statistics.median(s[stage] for s in stages):.4f}"
             for stage in stages[0]
@@ -125,7 +138,7 @@ def untraced(args, inputs, checks, setup_s: float) -> dict:
     )
     return {
         "setup_s": setup_s,
-        "wall_s": statistics.median(walls),
+        "wall_norm_s": statistics.median(normalised),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         **quality[0],
     }
@@ -193,7 +206,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seconds", type=float, default=58.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--family", type=int, default=0,
@@ -205,14 +218,18 @@ def main(argv=None) -> int:
     if args.seed < 0:
         parser.error("--seed must be >= 0")
 
-    import_program()
-    import workloads
+    from hostspeed import SpeedProbe
 
-    if args.workload not in workloads.WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r}")
-    inputs = workloads.build_inputs(args.workload, args.seed, args.family)
+    with SpeedProbe() as probe:
+        import_program()
+        import workloads
+
+        if args.workload not in workloads.WORKLOADS:
+            parser.error(f"unknown workload {args.workload!r}")
+        inputs = workloads.build_inputs(args.workload, args.seed, args.family)
+        ready = time.time()
     if args.setup_probe:
-        print(repr(time.time()))
+        print(repr(ready), repr(probe.slowdown()))
         return 0
 
     from checks import Checks, check_paper_pins

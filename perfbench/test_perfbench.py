@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
 import workloads  # noqa: E402
 from checks import PAPER_PINS, Checks, check_paper_pins  # noqa: E402
+from hostspeed import SpeedProbe  # noqa: E402
 
 TIME_UNITS = ("s", "us")
 
@@ -84,6 +86,19 @@ def test_wrong_expected_makespan_raises_the_error_rate():
     wrong = Checks()
     check_paper_pins(wrong, {**PAPER_PINS, "fig17.solution1": PAPER_PINS["fig17.solution1"] + 0.1})
     assert wrong.error_rate > 0
+
+
+def test_speed_probe_samples_only_while_open():
+    with SpeedProbe() as probe:
+        deadline = time.perf_counter() + 0.2
+        while time.perf_counter() < deadline:
+            pass
+    taken = len(probe.samples)
+    assert taken and probe.slowdown() > 0
+    time.sleep(0.1)
+    assert len(probe.samples) == taken
+    with pytest.raises(RuntimeError):
+        SpeedProbe().slowdown()
 
 
 def test_without_the_program_it_fails_and_prints_no_result(tmp_path):

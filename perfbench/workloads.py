@@ -75,11 +75,9 @@ def _bus(operations: int, processors: int, failures: int, seed: int):
 #: Problem generators by name; each takes the ``family`` offset.
 PROBLEMS: Dict[str, Callable[[int], Problem]] = {
     "p2p132": _p2p132,
-    "bus24k1": _bus(24, 5, 1, seed=1),
+    "bus20k1": _bus(20, 5, 1, seed=1),
     "bus12k2": _bus(12, 4, 2, seed=1),
     "bus10k2": _bus(10, 4, 2, seed=0),
-    "bus24k2": _bus(24, 5, 2, seed=1),
-    "bus16k2": _bus(16, 5, 2, seed=1),
 }
 
 
@@ -101,14 +99,9 @@ WORKLOADS: Dict[str, Workload] = {
         simulate=True,
     ),
     "verify-bus": Workload(
-        problems=("bus24k1", "bus12k2", "bus10k2"),
+        problems=("bus20k1", "bus12k2", "bus10k2"),
         methods=("baseline", "solution1"),
         prove=True,
-        campaign=True,
-    ),
-    "campaign-bus-k2": Workload(
-        problems=("bus24k2", "bus16k2"),
-        methods=("baseline", "solution1"),
         campaign=True,
     ),
 }
