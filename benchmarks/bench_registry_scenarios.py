@@ -1,10 +1,10 @@
 """The ``repro.obs.bench`` scenario registry under pytest-benchmark.
 
-The registration shim: the scenarios the ``repro bench`` CLI snapshots
-into ``BENCH_*.json`` are executed here through the pytest-benchmark
-harness, so both runners share one definition — a scenario edited in
-:mod:`repro.obs.bench.scenarios` changes the paper-table benchmark and
-the longitudinal snapshot together, and the quantities the dashboard
+The registration shim: the scenarios the ``repro bench`` CLI records
+into ``BENCH_*.jsonl`` slices are executed here through the
+pytest-benchmark harness, so both runners share one definition — a
+scenario edited in :mod:`repro.obs.bench.scenarios` changes the
+paper-table benchmark and the longitudinal record together, and the quantities the dashboard
 tracks are the quantities a green benchmark run certifies.
 """
 

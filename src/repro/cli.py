@@ -20,9 +20,9 @@ Usage (installed as ``repro-scheduler``, or ``python -m repro``):
         [--op NAME] [--full]
     repro-scheduler lint [PROBLEM ...] [--paper all] [--method auto] \
         [--format text|json|sarif] [--suppress FT214,...] [--fail-on error]
-    repro-scheduler bench run [--suite quick] [--out BENCH_quick.json]
+    repro-scheduler bench run [--suite quick] [--out BENCH_quick.jsonl]
     repro-scheduler bench compare BASELINE [CURRENT] [--no-timings]
-    repro-scheduler bench report [SNAPSHOT ...] [--out bench_dashboard.html]
+    repro-scheduler bench report [SLICE ...] [--out bench_dashboard.html]
     repro-scheduler bench list
     repro-scheduler campaign run [PROBLEM] [--paper fig17] [--suite smoke] \
         [--repro FILE] [--jobs N] [--out CAMPAIGN.json] [--html page.html] \
@@ -58,10 +58,11 @@ them *before* the subcommand) set the ``repro`` log level to
 INFO/DEBUG/ERROR; see ``docs/observability.md``.
 
 Benchmark tracking: ``bench run`` executes a registered scenario suite
-under instrumentation and writes a ``BENCH_<suite>.json`` snapshot;
-``bench compare`` diffs two snapshots and exits non-zero on regression
-verdicts (the CI gate, like ``lint``); ``bench report`` renders a
-snapshot series as an HTML/SVG dashboard; see ``docs/benchmarks.md``.
+under instrumentation and writes a ``BENCH_<suite>.jsonl`` slice of run
+records (one per scenario); ``bench compare`` diffs two slices and
+exits non-zero on regression verdicts (the CI gate, like ``lint``);
+``bench report`` renders slices as the HTML/SVG dashboard ``runs
+report`` also uses; see ``docs/benchmarks.md``.
 
 Fault-injection campaigns: ``campaign run`` enumerates the crash
 scenario space of a schedule (critical instants, ≤K subsets, random
@@ -83,10 +84,10 @@ content-addressed ledger under ``.repro/ledger/`` — command, canonical
 problem/schedule hashes, environment fingerprint, metrics, exit code,
 and every written artifact deduplicated by digest.  ``repro runs``
 queries the history: ``list``/``show``/``query`` browse it, ``diff``
-compares two runs with the direction-aware bench comparator (exit 1 on
-regression), ``drift`` scans every problem lineage, ``gc`` applies
-retention, ``report`` renders the longitudinal HTML dashboard; see
-``docs/ledger.md``.
+compares two runs with the direction-aware record comparator that
+``bench compare`` also uses (exit 1 on regression), ``drift`` scans
+every problem lineage, ``gc`` applies retention, ``report`` renders
+the longitudinal HTML dashboard; see ``docs/ledger.md``.
 """
 
 from __future__ import annotations
@@ -921,10 +922,11 @@ def _cmd_export_example(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from .obs.bench import run_suite, save_snapshot
+    from .obs.bench import run_suite
+    from .obs.ledger import save_slice
 
     try:
-        snapshot = run_suite(
+        records = run_suite(
             args.suite,
             repeat=max(args.repeat, 1),
             only=args.only or None,
@@ -933,29 +935,31 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    out = args.out or f"BENCH_{args.suite}.json"
-    save_snapshot(snapshot, out)
-    print(
-        f"wrote {len(snapshot.scenarios)} scenario(s) "
-        f"[suite {snapshot.suite}] to {out}"
-    )
-    for name, run in sorted(snapshot.scenarios.items()):
-        wall = run.metrics["wall_s"].value
-        print(f"  {name}: {len(run.metrics)} metrics, wall {wall:.4f}s")
+    out = args.out or f"BENCH_{args.suite}.jsonl"
+    save_slice(records, out)
+    print(f"wrote {len(records)} scenario(s) [suite {args.suite}] to {out}")
+    for record in records:
+        if record.verdict == "fail":
+            print(f"  {record.scenario}: FAILED ({record.error})")
+        else:
+            print(
+                f"  {record.scenario}: {len(record.metrics)} metrics, "
+                f"wall {record.wall_s:.4f}s"
+            )
     return 0
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .obs.bench import compare_snapshots, load_snapshot
+    from .obs.ledger import compare_records, load_slice
 
     try:
-        baseline = load_snapshot(args.baseline)
-        current_path = args.current or f"BENCH_{baseline.suite}.json"
-        current = load_snapshot(current_path)
+        baseline = load_slice(args.baseline)
+        current_path = args.current or f"BENCH_{baseline[0].suite}.jsonl"
+        current = load_slice(current_path)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    report = compare_snapshots(
+    report = compare_records(
         baseline,
         current,
         include_timings=not args.no_timings,
@@ -966,29 +970,27 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from .obs.bench import load_snapshot, render_dashboard
+    from .obs.ledger import load_slice, render_dashboard
 
-    paths = list(args.snapshots)
+    paths = list(args.slices)
     if not paths:
-        paths = sorted(str(p) for p in Path(".").glob("BENCH_*.json"))
+        paths = sorted(str(p) for p in Path(".").glob("BENCH_*.jsonl"))
     if not paths:
         print(
-            "error: no snapshots given and no BENCH_*.json found here; "
+            "error: no slices given and no BENCH_*.jsonl found here; "
             "run `repro bench run` first",
             file=sys.stderr,
         )
         return 2
     try:
-        snapshots = [load_snapshot(path) for path in paths]
+        records = [record for path in paths for record in load_slice(path)]
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    document = render_dashboard(snapshots, title=args.title)
+    document = render_dashboard(records, title=args.title)
     with open(args.out, "w") as handle:
         handle.write(document)
-    print(
-        f"wrote dashboard over {len(snapshots)} snapshot(s) to {args.out}"
-    )
+    print(f"wrote dashboard over {len(paths)} slice(s) to {args.out}")
     return 0
 
 
@@ -1404,7 +1406,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
 def _cmd_runs_query(args: argparse.Namespace) -> int:
     _, records = _runs_records(args)
     for record in records:
-        print(json.dumps(record.to_dict(), sort_keys=True))
+        print(record.to_json_line())
     return 0
 
 
@@ -1489,7 +1491,7 @@ def _cmd_runs_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_report(args: argparse.Namespace) -> int:
-    from .obs.ledger import render_ledger_dashboard
+    from .obs.ledger import render_dashboard
 
     store, records = _runs_records(args)
     if not records:
@@ -1499,7 +1501,7 @@ def _cmd_runs_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    document = render_ledger_dashboard(records, title=args.title)
+    document = render_dashboard(records, title=args.title)
     with open(args.out, "w") as handle:
         handle.write(document)
     print(f"wrote ledger dashboard over {len(records)} run(s) to {args.out}")
@@ -1835,12 +1837,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help="longitudinal benchmark tracking: run suites into "
-        "BENCH_*.json snapshots, gate on regressions, render dashboards",
+        "BENCH_*.jsonl slices, gate on regressions, render dashboards",
     )
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     pb_run = bench_sub.add_parser(
-        "run", help="run a scenario suite and write a snapshot"
+        "run", help="run a scenario suite and write a slice"
     )
     pb_run.add_argument(
         "--suite", default="quick",
@@ -1856,23 +1858,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pb_run.add_argument(
         "--out", default="", metavar="FILE",
-        help="snapshot path (default: BENCH_<suite>.json)",
+        help="slice path (default: BENCH_<suite>.jsonl)",
     )
     pb_run.add_argument(
         "--label", default="", metavar="TEXT",
-        help="free-form label stored in the snapshot (e.g. a tag name)",
+        help="free-form label stored on the records (e.g. a tag name)",
     )
     pb_run.set_defaults(func=_cmd_bench_run)
 
     pb_cmp = bench_sub.add_parser(
         "compare",
-        help="diff a current snapshot against a baseline; exit 1 on "
-        "regression verdicts (the CI gate)",
+        help="diff a current slice against a baseline; exit 1 on "
+        "regression verdicts or a failed scenario (the CI gate)",
     )
-    pb_cmp.add_argument("baseline", help="baseline BENCH_*.json")
+    pb_cmp.add_argument("baseline", help="baseline BENCH_*.jsonl")
     pb_cmp.add_argument(
         "current", nargs="?", default="",
-        help="current snapshot (default: BENCH_<suite>.json of the "
+        help="current slice (default: BENCH_<suite>.jsonl of the "
         "baseline's suite, in the working directory)",
     )
     pb_cmp.add_argument(
@@ -1890,11 +1892,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb_cmp.set_defaults(func=_cmd_bench_compare)
 
     pb_report = bench_sub.add_parser(
-        "report", help="render snapshots as an HTML/SVG dashboard"
+        "report", help="render slices as an HTML/SVG dashboard"
     )
     pb_report.add_argument(
-        "snapshots", nargs="*", metavar="SNAPSHOT",
-        help="BENCH_*.json files, any order (default: glob the "
+        "slices", nargs="*", metavar="SLICE",
+        help="BENCH_*.jsonl files, any order (default: glob the "
         "working directory)",
     )
     pb_report.add_argument(
@@ -2060,7 +2062,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr_diff = runs_sub.add_parser(
         "diff",
-        help="compare two runs with the direction-aware bench "
+        help="compare two runs with the direction-aware record "
         "comparator; exit 1 on regression (the CI gate)",
     )
     add_runs_dir(pr_diff)

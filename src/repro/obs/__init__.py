@@ -16,14 +16,14 @@ Three complementary views on a run, all stdlib-only:
 disabled (the default).  See ``docs/observability.md``.
 
 :mod:`repro.obs.bench` builds on all three: it runs registered
-benchmark scenarios under instrumentation into ``BENCH_<suite>.json``
-snapshots, gates on regressions, and renders trajectory dashboards
-(``repro bench``, ``docs/benchmarks.md``).  :mod:`repro.obs.campaign`
-is its runtime-side sibling: systematic fault-injection campaigns
-with coverage accounting and trace-level failure diagnosis (``repro
-campaign``, ``docs/campaigns.md``).  Neither is re-exported here —
-they import :mod:`repro.core`, and ``repro.obs`` proper must stay a
-leaf the schedulers can import.
+benchmark scenarios under instrumentation into run records written as
+``BENCH_<suite>.jsonl`` slices, gates on regressions, and renders
+trajectory dashboards (``repro bench``, ``docs/benchmarks.md``).
+:mod:`repro.obs.campaign` is its runtime-side sibling: systematic
+fault-injection campaigns with coverage accounting and trace-level
+failure diagnosis (``repro campaign``, ``docs/campaigns.md``).
+Neither is re-exported here — they import :mod:`repro.core`, and
+``repro.obs`` proper must stay a leaf the schedulers can import.
 """
 
 from .decisions import (

@@ -1,35 +1,25 @@
 """``repro.obs.bench`` — longitudinal benchmark tracking.
 
-PR 2's observability layer measures a run; this package *remembers*
-runs.  It turns the experiments under ``benchmarks/`` into named,
-parameterized scenarios (one registry shared with the pytest-benchmark
-harness), executes them under :mod:`repro.obs` instrumentation, writes
-canonical ``BENCH_<suite>.json`` snapshots with an environment
-fingerprint, diffs snapshots with direction-aware noise-thresholded
-verdicts, and renders the trajectory as an HTML/SVG dashboard.
+:mod:`repro.obs` measures one run; this package turns the
+experiments under ``benchmarks/`` into named, parameterized scenarios
+(one registry shared with the pytest-benchmark harness) and executes
+them under :mod:`repro.obs` instrumentation.  Each scenario run is one
+:class:`~repro.obs.ledger.LedgerRecord`; a suite run is written as a
+``BENCH_<suite>.jsonl`` slice of records.  Comparing slices and
+rendering their trajectory is the run ledger's job
+(:func:`~repro.obs.ledger.compare_records`,
+:func:`~repro.obs.ledger.render_dashboard`).
 
 Surface: ``repro bench run | compare | report | list`` — ``compare``
 is exit-code gated like ``repro lint``, so CI fails on a quality or
 complexity regression.  See ``docs/benchmarks.md``.
 
 This subpackage imports :mod:`repro.core`/:mod:`repro.sim` (for the
-scenario bodies) and therefore is **not** imported from
-``repro.obs.__init__`` — the rest of ``repro.obs`` stays a leaf the
-schedulers can depend on.
+scenario bodies) and :mod:`repro.obs.ledger`, and therefore is **not**
+imported from ``repro.obs.__init__`` — the rest of ``repro.obs`` stays
+a leaf the schedulers can depend on.
 """
 
-from .compare import ComparisonReport, MetricDelta, compare_snapshots
-from .dashboard import render_dashboard
-from .model import (
-    SCHEMA_ID,
-    Metric,
-    ScenarioRun,
-    Snapshot,
-    environment_fingerprint,
-    load_snapshot,
-    save_snapshot,
-    validate_snapshot,
-)
 from .registry import (
     Scenario,
     all_scenarios,
@@ -41,24 +31,12 @@ from .registry import (
 from .runner import run_scenario, run_suite
 
 __all__ = [
-    "SCHEMA_ID",
-    "ComparisonReport",
-    "Metric",
-    "MetricDelta",
     "Scenario",
-    "ScenarioRun",
-    "Snapshot",
     "all_scenarios",
-    "compare_snapshots",
-    "environment_fingerprint",
     "get_scenario",
-    "load_snapshot",
-    "render_dashboard",
     "run_scenario",
     "run_suite",
-    "save_snapshot",
     "scenario",
     "scenarios_for_suite",
     "suite_names",
-    "validate_snapshot",
 ]

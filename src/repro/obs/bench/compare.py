@@ -1,210 +1,23 @@
-"""Snapshot comparison: direction-aware, noise-thresholded verdicts.
+"""Comparing benchmark slices, which is the run ledger's comparator.
 
-The comparator is the regression gate: ``repro bench compare`` exits
-non-zero exactly when it finds a *regression* — a metric that moved
-against its declared direction by more than its declared noise
-threshold.  ``"exact"`` metrics regress on any drift beyond noise
-(both directions); improvements in ``"lower"``/``"higher"`` metrics
-are reported but never gate.  Scenarios or metrics that disappear
-between snapshots are reported as ``removed`` and gate by default —
-silently dropping a tracked number is itself a regression of the
-benchmark suite.
+``repro bench compare`` pairs the records of two slices by scenario
+and gates on :func:`~repro.obs.ledger.compare_records` — the same
+direction-aware, noise-thresholded comparison behind ``runs diff``
+and ``runs drift``.  This module re-exports it under the bench
+package so existing callers can keep importing it from here; it
+defines nothing of its own.
 """
 
-from __future__ import annotations
+from ..ledger.compare import (
+    ComparisonReport,
+    MetricDelta,
+    compare_records,
+    record_metrics,
+)
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-from ...analysis.report import Table
-from .model import Metric, Snapshot
-
-__all__ = ["MetricDelta", "ComparisonReport", "compare_snapshots"]
-
-#: Relative epsilon under which two values count as identical even
-#: with a zero noise threshold (float formatting / JSON round-trips).
-_EXACT_EPS = 1e-9
-
-#: Verdicts, in decreasing severity; ``regressed``/``removed`` gate.
-VERDICTS = ("regressed", "removed", "added", "improved", "ok")
-
-
-@dataclass(frozen=True)
-class MetricDelta:
-    """One metric's movement between two snapshots."""
-
-    scenario: str
-    metric: str
-    baseline: Optional[Metric]
-    current: Optional[Metric]
-    verdict: str
-
-    @property
-    def relative_change(self) -> Optional[float]:
-        if self.baseline is None or self.current is None:
-            return None
-        base = self.baseline.value
-        if base == 0:
-            return None if self.current.value == 0 else float("inf")
-        return (self.current.value - base) / abs(base)
-
-    def describe(self) -> str:
-        """One human line naming the metric and what happened."""
-        label = f"{self.scenario}:{self.metric}"
-        if self.verdict == "removed":
-            return f"{label} removed (was {self.baseline.value:g})"
-        if self.verdict == "added":
-            return f"{label} added ({self.current.value:g})"
-        change = self.relative_change
-        arrow = (
-            f"{self.baseline.value:g} -> {self.current.value:g}"
-            f" ({change:+.2%})" if change is not None
-            else f"{self.baseline.value:g} -> {self.current.value:g}"
-        )
-        return f"{label} {self.verdict}: {arrow}"
-
-
-def _judge(baseline: Metric, current: Metric) -> str:
-    base, cur = baseline.value, current.value
-    scale = max(abs(base), abs(cur), _EXACT_EPS)
-    rel = (cur - base) / scale
-    noise = max(baseline.noise, current.noise, _EXACT_EPS)
-    if abs(rel) <= noise:
-        return "ok"
-    direction = baseline.direction
-    if direction == "exact":
-        return "regressed"
-    worse = rel > 0 if direction == "lower" else rel < 0
-    return "regressed" if worse else "improved"
-
-
-@dataclass
-class ComparisonReport:
-    """Every metric delta between a baseline and a current snapshot."""
-
-    baseline_label: str
-    current_label: str
-    deltas: List[MetricDelta] = field(default_factory=list)
-    #: True when the two snapshots came from different environments —
-    #: timing verdicts are then advisory at best.
-    environments_differ: bool = False
-
-    def with_verdict(self, verdict: str) -> List[MetricDelta]:
-        return [d for d in self.deltas if d.verdict == verdict]
-
-    @property
-    def regressions(self) -> List[MetricDelta]:
-        return self.with_verdict("regressed")
-
-    @property
-    def removed(self) -> List[MetricDelta]:
-        return self.with_verdict("removed")
-
-    def gate(self, fail_on_removed: bool = True) -> int:
-        """CI exit code: 1 on regression (or removal), else 0."""
-        if self.regressions:
-            return 1
-        if fail_on_removed and self.removed:
-            return 1
-        return 0
-
-    def to_table(self) -> Table:
-        table = Table(
-            headers=("scenario", "metric", "baseline", "current",
-                     "change", "verdict"),
-            title=(
-                f"bench compare: {self.baseline_label} (baseline) vs "
-                f"{self.current_label}"
-            ),
-        )
-        order = {verdict: i for i, verdict in enumerate(VERDICTS)}
-        for delta in sorted(
-            self.deltas,
-            key=lambda d: (order[d.verdict], d.scenario, d.metric),
-        ):
-            change = delta.relative_change
-            table.add(
-                delta.scenario,
-                delta.metric,
-                delta.baseline.value if delta.baseline else None,
-                delta.current.value if delta.current else None,
-                f"{change:+.2%}" if change is not None else "-",
-                delta.verdict if delta.verdict != "ok" else "ok",
-            )
-        return table
-
-    def render(self) -> str:
-        lines = [self.to_table().render()]
-        if self.environments_differ:
-            lines.append(
-                "note: snapshots come from different environments; "
-                "timing verdicts are advisory"
-            )
-        for delta in self.regressions + self.removed:
-            lines.append(f"REGRESSION: {delta.describe()}")
-        if not self.regressions and not self.removed:
-            lines.append("no regressions")
-        return "\n".join(lines)
-
-
-def compare_snapshots(
-    baseline: Snapshot,
-    current: Snapshot,
-    include_timings: bool = True,
-    noise_scale: float = 1.0,
-) -> ComparisonReport:
-    """Diff ``current`` against ``baseline`` metric by metric.
-
-    ``include_timings=False`` drops ``kind == "timing"`` metrics from
-    the comparison entirely (the CI mode: machines differ).
-    ``noise_scale`` multiplies every noise threshold — ``2.0`` halves
-    the gate's sensitivity without editing the snapshots.
-    """
-    def keep(metric: Metric) -> bool:
-        return include_timings or metric.kind != "timing"
-
-    def scaled(metric: Metric) -> Metric:
-        if noise_scale == 1.0:
-            return metric
-        return Metric(
-            value=metric.value, unit=metric.unit,
-            direction=metric.direction, kind=metric.kind,
-            noise=metric.noise * noise_scale,
-        )
-
-    report = ComparisonReport(
-        baseline_label=baseline.label or baseline.suite,
-        current_label=current.label or current.suite,
-        environments_differ=(
-            baseline.environment.get("platform")
-            != current.environment.get("platform")
-            or baseline.environment.get("python")
-            != current.environment.get("python")
-        ),
-    )
-    names = sorted(set(baseline.scenarios) | set(current.scenarios))
-    for name in names:
-        base_run = baseline.scenarios.get(name)
-        cur_run = current.scenarios.get(name)
-        base_metrics = base_run.metrics if base_run else {}
-        cur_metrics = cur_run.metrics if cur_run else {}
-        for metric_name in sorted(set(base_metrics) | set(cur_metrics)):
-            base = base_metrics.get(metric_name)
-            cur = cur_metrics.get(metric_name)
-            if base is not None and not keep(base):
-                continue
-            if base is None and cur is not None and not keep(cur):
-                continue
-            if base is None:
-                verdict = "added"
-            elif cur is None:
-                verdict = "removed"
-            else:
-                verdict = _judge(scaled(base), scaled(cur))
-            report.deltas.append(
-                MetricDelta(
-                    scenario=name, metric=metric_name,
-                    baseline=base, current=cur, verdict=verdict,
-                )
-            )
-    return report
+__all__ = [
+    "ComparisonReport",
+    "MetricDelta",
+    "compare_records",
+    "record_metrics",
+]

@@ -1,235 +1,15 @@
-"""The benchmark data model: metrics, scenario runs, snapshots.
+"""The benchmark's data model, which is the run ledger's record model.
 
-A *snapshot* is the canonical machine-readable record of one benchmark
-suite execution — written to ``BENCH_<suite>.json`` at the repo root —
-and the unit every other part of :mod:`repro.obs.bench` consumes: the
-comparator diffs two snapshots, the dashboard renders a trajectory of
-them.  The schema is versioned (``repro.obs.bench/1``) and validated
-on load, so a stale or hand-mangled baseline fails loudly instead of
-producing nonsense verdicts.
-
-Every metric carries its comparison semantics with it:
-
-* ``direction`` — which way is better: ``"lower"`` (makespan, wall
-  time), ``"higher"`` (availability), or ``"exact"`` (deterministic
-  quantities where *any* drift beyond noise is a regression);
-* ``kind`` — ``"quality"`` (paper quantities), ``"counter"`` (obs
-  counters, exactly reproducible), ``"timing"`` (wall clock, noisy by
-  nature and skippable in CI via ``--no-timings``);
-* ``noise`` — the relative change tolerated before the comparator
-  calls a verdict, so thresholds live next to the numbers they guard.
+A scenario run is one :class:`~repro.obs.ledger.LedgerRecord` whose
+metrics are :class:`~repro.obs.ledger.Metric` objects; a suite run is
+a ``BENCH_<suite>.jsonl`` slice of those records, written and read by
+:func:`~repro.obs.ledger.save_slice` and
+:func:`~repro.obs.ledger.load_slice`.  This module re-exports those
+names under the bench package so scenario code and existing callers
+can keep importing them from here; it defines nothing of its own.
 """
 
-from __future__ import annotations
+from ..ledger.model import LedgerRecord, Metric
+from ..ledger.store import load_slice, save_slice
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
-
-from ..environment import environment_fingerprint, utc_now
-from ..schema import stamp_problems
-
-__all__ = [
-    "SCHEMA_ID",
-    "Metric",
-    "ScenarioRun",
-    "Snapshot",
-    "environment_fingerprint",
-    "load_snapshot",
-    "save_snapshot",
-    "utc_now",
-    "validate_snapshot",
-]
-
-#: Schema identifier stamped into (and required of) every snapshot.
-SCHEMA_ID = "repro.obs.bench/1"
-
-_DIRECTIONS = ("lower", "higher", "exact")
-_KINDS = ("quality", "counter", "timing")
-
-
-@dataclass(frozen=True)
-class Metric:
-    """One measured quantity plus how to compare it across runs."""
-
-    value: float
-    unit: str = ""
-    direction: str = "lower"
-    kind: str = "quality"
-    noise: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"direction {self.direction!r} not in {_DIRECTIONS}")
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind {self.kind!r} not in {_KINDS}")
-        if self.noise < 0:
-            raise ValueError("noise threshold cannot be negative")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "value": self.value,
-            "unit": self.unit,
-            "direction": self.direction,
-            "kind": self.kind,
-            "noise": self.noise,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Metric":
-        return cls(
-            value=float(data["value"]),
-            unit=str(data.get("unit", "")),
-            direction=str(data.get("direction", "lower")),
-            kind=str(data.get("kind", "quality")),
-            noise=float(data.get("noise", 0.0)),
-        )
-
-
-@dataclass
-class ScenarioRun:
-    """The outcome of running one registered scenario once."""
-
-    name: str
-    params: Dict[str, Any] = field(default_factory=dict)
-    metrics: Dict[str, Metric] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "params": dict(self.params),
-            "metrics": {
-                name: metric.to_dict()
-                for name, metric in sorted(self.metrics.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, name: str, data: Mapping[str, Any]) -> "ScenarioRun":
-        return cls(
-            name=name,
-            params=dict(data.get("params", {})),
-            metrics={
-                metric_name: Metric.from_dict(metric_data)
-                for metric_name, metric_data in data.get("metrics", {}).items()
-            },
-        )
-
-
-@dataclass
-class Snapshot:
-    """One suite execution: environment fingerprint + scenario runs."""
-
-    suite: str
-    environment: Dict[str, Any] = field(default_factory=dict)
-    scenarios: Dict[str, ScenarioRun] = field(default_factory=dict)
-    created: str = ""
-    label: str = ""
-
-    def add(self, run: ScenarioRun) -> None:
-        self.scenarios[run.name] = run
-
-    def metric(self, scenario: str, name: str) -> Optional[Metric]:
-        run = self.scenarios.get(scenario)
-        return run.metrics.get(name) if run else None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": SCHEMA_ID,
-            "suite": self.suite,
-            "created": self.created,
-            "label": self.label,
-            "environment": dict(self.environment),
-            "scenarios": {
-                name: run.to_dict()
-                for name, run in sorted(self.scenarios.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Snapshot":
-        problems = validate_snapshot(data)
-        if problems:
-            raise ValueError(
-                "invalid benchmark snapshot: " + "; ".join(problems)
-            )
-        return cls(
-            suite=data["suite"],
-            environment=dict(data.get("environment", {})),
-            scenarios={
-                name: ScenarioRun.from_dict(name, run_data)
-                for name, run_data in data["scenarios"].items()
-            },
-            created=str(data.get("created", "")),
-            label=str(data.get("label", "")),
-        )
-
-
-def validate_snapshot(data: Any) -> List[str]:
-    """Schema problems of a would-be snapshot dict ([] when valid)."""
-    problems = stamp_problems(data, SCHEMA_ID)
-    if not isinstance(data, Mapping):
-        return problems
-    if not isinstance(data.get("suite"), str) or not data.get("suite"):
-        problems.append("missing or empty 'suite'")
-    if not isinstance(data.get("environment"), Mapping):
-        problems.append("missing 'environment' object")
-    scenarios = data.get("scenarios")
-    if not isinstance(scenarios, Mapping) or not scenarios:
-        problems.append("missing or empty 'scenarios' object")
-        return problems
-    for name, run in scenarios.items():
-        if not isinstance(run, Mapping):
-            problems.append(f"scenario {name!r} is not an object")
-            continue
-        metrics = run.get("metrics")
-        if not isinstance(metrics, Mapping) or not metrics:
-            problems.append(f"scenario {name!r} has no metrics")
-            continue
-        for metric_name, metric in metrics.items():
-            if not isinstance(metric, Mapping):
-                problems.append(
-                    f"metric {name}.{metric_name} is not an object"
-                )
-                continue
-            if not isinstance(metric.get("value"), (int, float)):
-                problems.append(
-                    f"metric {name}.{metric_name} has no numeric value"
-                )
-            if metric.get("direction") not in _DIRECTIONS:
-                problems.append(
-                    f"metric {name}.{metric_name} direction "
-                    f"{metric.get('direction')!r} not in {_DIRECTIONS}"
-                )
-            if metric.get("kind") not in _KINDS:
-                problems.append(
-                    f"metric {name}.{metric_name} kind "
-                    f"{metric.get('kind')!r} not in {_KINDS}"
-                )
-    return problems
-
-
-def save_snapshot(snapshot: Snapshot, path: Union[str, Path]) -> Path:
-    """Write ``snapshot`` as canonical JSON; returns the path."""
-    path = Path(path)
-    with open(path, "w") as handle:
-        json.dump(snapshot.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    # Route the snapshot through the run ledger's content-addressed
-    # store when a recording session is active (no-op otherwise).
-    from ..ledger.session import notify_artifact
-
-    notify_artifact("bench-snapshot", path)
-    return path
-
-
-def load_snapshot(path: Union[str, Path]) -> Snapshot:
-    """Load and validate a ``BENCH_*.json`` snapshot."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path} is not valid JSON: {error}") from error
-    try:
-        return Snapshot.from_dict(data)
-    except ValueError as error:
-        raise ValueError(f"{path}: {error}") from error
+__all__ = ["LedgerRecord", "Metric", "load_slice", "save_slice"]

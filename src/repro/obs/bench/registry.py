@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
-from .model import Metric
+from ..ledger.model import Metric
 
 __all__ = [
     "Scenario",

@@ -21,6 +21,7 @@ lazily on first query.
 
 from __future__ import annotations
 
+import tempfile
 import time
 from typing import Dict
 
@@ -30,9 +31,11 @@ from ...core.solution1 import Solution1Scheduler
 from ...core.syndex import SyndexScheduler
 from ...graphs.architecture import fully_connected_architecture
 from ...graphs.generators import layered, random_bus_problem, random_problem
+from ...graphs.io import canonical_problem_json
 from ...paper import examples, expected
 from ...sim import FailureScenario, simulate
 from ...sim.montecarlo import estimate_availability
+from ..ledger import ArtifactRef, LedgerSession, LedgerStore, detect_drift
 from .model import Metric
 from .registry import scenario
 
@@ -464,13 +467,6 @@ def causal_paper_examples(obs, crash_at: float) -> Dict[str, Metric]:
     failures=1,
 )
 def ledger_paper_examples(obs, failures: int) -> Dict[str, Metric]:
-    # Import here: repro.obs.bench must stay importable without pulling
-    # the ledger subsystem (same leaf discipline as repro.obs).
-    import tempfile
-
-    from ...graphs.io import canonical_problem_json
-    from ..ledger import ArtifactRef, LedgerSession, LedgerStore, detect_drift
-
     targets = (
         ("paper:first", examples.first_example_problem(failures=failures),
          schedule_solution1),

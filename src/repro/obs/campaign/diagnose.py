@@ -14,7 +14,7 @@ backup stands down on a takeover frame that is later lost
 mid-transmission, so a survivor holds the data but never sends it.
 Diagnosed, that renders as a sender-candidate list ("survivor holding
 the data ... never sent") plus a never-fired ladder entry ("stood
-down on a frame ... that was lost") instead of a bare falsified
+down on the frame ..., which was LOST") instead of a bare falsified
 property.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...core.schedule import Schedule, TimeoutEntry
+from ...core.schedule import Schedule
 from ...sim.faults import FailureScenario
 from ...sim.trace import FrameRecord, IterationTrace
 
@@ -33,13 +33,13 @@ from ...sim.trace import FrameRecord, IterationTrace
 # consistent by construction.
 from ...sim.verify import _availability as availability_map
 
-# The nominal-vs-fault differ (repro.obs.causal is a sibling leaf of
-# the obs tree: it imports core+sim only, so this edge is acyclic).
-from ..causal.diff import TraceDiff, diff_traces
+# The nominal-vs-fault differ and its stand-down forensics
+# (repro.obs.causal is a sibling leaf of the obs tree: it imports
+# core+sim only, so this edge is acyclic).
+from ..causal.diff import LadderState, TraceDiff, diff_traces, ladder_states
 
 __all__ = [
     "SenderCandidate",
-    "LadderEntryReport",
     "MissingInput",
     "StarvedReplica",
     "Diagnosis",
@@ -74,30 +74,6 @@ class SenderCandidate:
 
 
 @dataclass
-class LadderEntryReport:
-    """One Solution-1 timeout-table line and what became of it."""
-
-    watcher: str
-    candidate: str
-    rank: int
-    deadline: float
-    #: ``fired`` | ``skipped`` (candidate already known dead) |
-    #: ``watcher-dead`` | ``never-fired``.
-    state: str
-    detail: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "watcher": self.watcher,
-            "candidate": self.candidate,
-            "rank": self.rank,
-            "deadline": self.deadline,
-            "state": self.state,
-            "detail": self.detail,
-        }
-
-
-@dataclass
 class MissingInput:
     """An input dependency that never reached a starved replica."""
 
@@ -107,7 +83,7 @@ class MissingInput:
     #: operation (the gap is upstream).
     kind: str
     senders: List[SenderCandidate] = field(default_factory=list)
-    ladder: List[LadderEntryReport] = field(default_factory=list)
+    ladder: List[LadderState] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -229,13 +205,7 @@ class Diagnosis:
                         f"    timeout ladder for ({src}, {dst}):"
                     )
                     for entry in missing.ladder:
-                        detail = f" — {entry.detail}" if entry.detail else ""
-                        lines.append(
-                            f"      - watcher {entry.watcher} on candidate "
-                            f"{entry.candidate} (rank {entry.rank}, "
-                            f"deadline {entry.deadline:g}): "
-                            f"{entry.state}{detail}"
-                        )
+                        lines.append(f"      - {entry.describe()}")
             if replica.blocked_behind:
                 lines.append(
                     f"  blocked behind it on {replica.processor}: "
@@ -319,7 +289,7 @@ def diagnose(
                         senders=_sender_candidates(
                             dep, proc, trace, schedule, scenario, completed_on
                         ),
-                        ladder=_ladder_report(dep, trace, schedule, scenario),
+                        ladder=ladder_states(dep, trace, schedule, scenario),
                     )
                 )
             if starved.missing:
@@ -408,75 +378,3 @@ def _sender_candidates(
             )
         )
     return candidates
-
-
-def _ladder_report(
-    dep: DependencyKey,
-    trace: IterationTrace,
-    schedule: Schedule,
-    scenario: FailureScenario,
-) -> List[LadderEntryReport]:
-    """What became of every timeout-table line guarding ``dep``."""
-    entries: List[TimeoutEntry] = [
-        entry for entry in schedule.timeouts if entry.dependency == dep
-    ]
-    entries.sort(key=lambda e: (e.watcher, e.rank))
-    dispatches = [
-        frame for frame in trace.frames if frame.dependency == dep
-    ]
-    reports: List[LadderEntryReport] = []
-    for entry in entries:
-        declared = [
-            d for d in trace.detections
-            if d.watcher == entry.watcher
-            and d.suspect == entry.candidate
-            and d.time <= entry.deadline + 1e-6
-        ]
-        fired = next((d for d in declared if d.op == entry.op), None)
-        if fired is not None:
-            state, detail = "fired", f"detected at {fired.time:g}"
-        elif declared:
-            # The watcher's fail flag was already set by an earlier
-            # detection for another message — the executive skips the
-            # wait and acts at the static point (Figure 18(b) style).
-            earliest = min(declared, key=lambda d: d.time)
-            state = "skipped"
-            detail = (
-                f"candidate already declared dead at {earliest.time:g} "
-                f"(for {earliest.op!r})"
-            )
-        elif entry.candidate in scenario.known_failed:
-            state, detail = "skipped", "candidate known dead at start"
-        elif not scenario.alive_at(entry.watcher, entry.deadline):
-            state, detail = "watcher-dead", (
-                f"{entry.watcher} itself dead by the deadline"
-            )
-        else:
-            state = "never-fired"
-            stand_down = next(
-                (f for f in dispatches if f.start <= entry.deadline + 1e-6),
-                None,
-            )
-            if stand_down is not None and not stand_down.delivered:
-                detail = (
-                    f"stood down on a frame dispatched at "
-                    f"{stand_down.start:g} that was LOST"
-                )
-            elif stand_down is not None:
-                detail = (
-                    f"stood down on a frame dispatched at "
-                    f"{stand_down.start:g} (delivered elsewhere)"
-                )
-            else:
-                detail = "no detection and no dispatch before the deadline"
-        reports.append(
-            LadderEntryReport(
-                watcher=entry.watcher,
-                candidate=entry.candidate,
-                rank=entry.rank,
-                deadline=entry.deadline,
-                state=state,
-                detail=detail,
-            )
-        )
-    return reports

@@ -29,6 +29,7 @@ from .diff import (
     PoisonedAvailability,
     TraceDiff,
     diff_traces,
+    ladder_states,
 )
 from .report import (
     SCHEMA_ID,
@@ -55,6 +56,7 @@ __all__ = [
     "FatalDivergence",
     "TraceDiff",
     "diff_traces",
+    "ladder_states",
     "SCHEMA_ID",
     "CausalReport",
     "analyze_trace",

@@ -41,6 +41,7 @@ __all__ = [
     "FatalDivergence",
     "TraceDiff",
     "diff_traces",
+    "ladder_states",
 ]
 
 DependencyKey = Tuple[str, str]
@@ -376,14 +377,15 @@ def _align_events(
 
 
 # ----------------------------------------------------------------------
-# Stand-down forensics (mirrors the campaign diagnoser's semantics)
+# Stand-down forensics (shared with the campaign diagnoser)
 # ----------------------------------------------------------------------
-def _ladder_states(
+def ladder_states(
     dep: DependencyKey,
     faulty: IterationTrace,
     schedule: Schedule,
     scenario: FailureScenario,
 ) -> List[LadderState]:
+    """What became of every timeout-table rung guarding ``dep``."""
     entries = sorted(
         (e for e in schedule.timeouts if e.dependency == dep),
         key=lambda e: (e.watcher, e.rank),
@@ -401,10 +403,14 @@ def _ladder_states(
         if fired is not None:
             state, detail = "fired", f"detected at {fired.time:g}"
         elif declared:
+            # The watcher's fail flag was already set by an earlier
+            # detection for another message — the executive skips the
+            # wait and acts at the static point (Figure 18(b) style).
             earliest = min(declared, key=lambda d: d.time)
             state = "skipped"
             detail = (
-                f"candidate already declared dead at {earliest.time:g}"
+                f"candidate already declared dead at {earliest.time:g} "
+                f"(for {earliest.op!r})"
             )
         elif entry.candidate in scenario.known_failed:
             state, detail = "skipped", "candidate known dead at start"
@@ -542,7 +548,7 @@ def _fatal_divergence(
             ),
         )
     ladder = (
-        _ladder_states(dep, faulty, schedule, scenario)
+        ladder_states(dep, faulty, schedule, scenario)
         if dep is not None else []
     )
     return FatalDivergence(

@@ -1,16 +1,12 @@
 """Where a run happened: one environment fingerprint for every artifact.
 
-Every persisted observability artifact — bench snapshots, campaign
-results, proof artifacts, ledger records — stamps the *same*
-fingerprint, so any two of them can answer "were these taken on
-comparable machines?" with plain equality.  Extracted from
-:mod:`repro.obs.bench.model` (which re-exports it for backward
-compatibility) once the campaign, proof, and ledger subsystems started
-needing it too.
+Every persisted observability artifact — campaign results, proof
+artifacts, ledger and bench records — stamps the *same* fingerprint,
+so any two of them can answer "were these taken on comparable
+machines?" with plain equality.
 
-Timings are only comparable between matching fingerprints; consumers
-(the bench comparator, the ledger drift detector) warn — never gate —
-when fingerprints differ.
+Timings are only comparable between matching fingerprints; the record
+comparator warns — never gates — when fingerprints differ.
 """
 
 from __future__ import annotations

@@ -1,35 +1,39 @@
-"""The longitudinal ledger dashboard: record history -> standalone HTML.
+"""The longitudinal dashboard: record history -> standalone HTML.
 
 One self-contained HTML page (no external assets, viewable from a CI
-artifact or ``file://``) charting how each tracked problem behaved
-over real run history:
+artifact or ``file://``) charting how each lineage behaved over its
+history.  It renders both ``repro runs report`` (ledger records) and
+``repro bench report`` (the records of ``BENCH_<suite>.jsonl``
+slices):
 
 * a header card with record count, time span, distinct problems, and
   the latest environment fingerprint;
-* a run summary table (one row per run, like ``repro runs list``);
-* per (problem hash, command) lineage, one table with each metric's
-  latest value, change since the lineage's first run, an inline SVG
-  sparkline (:func:`repro.analysis.svg.sparkline`) over the whole
-  history, and a drift badge from the latest-vs-previous comparison
+* a run summary table (one row per record, like ``repro runs list``);
+* per lineage (:func:`repro.obs.ledger.drift.group_lineages`: one per
+  problem and command, or per benchmark scenario), one table with each
+  metric's latest value, change since the lineage's first record, an
+  inline SVG sparkline (:func:`repro.analysis.svg.sparkline`) over the
+  whole history, and a badge from the latest-vs-previous comparison
   via :func:`repro.obs.ledger.drift.diff_records`.
 
-Wall clock is always charted (``wall_s`` per run) even though timing
-metrics never gate drift — watching it trend is the point of keeping
-history.
+Wall clock is always charted even though timing metrics never gate
+drift — watching it trend is the point of keeping history.  A record
+without a ``wall_s`` metric contributes its own ``wall_s`` field.
 """
 
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ...analysis.report import HtmlCell, Table, format_value
 from ...analysis.svg import sparkline
-from .drift import diff_records, record_metrics
-from .model import LedgerRecord
+from .compare import record_metrics
+from .drift import Lineage, diff_records, group_lineages
+from .model import LedgerRecord, Metric
 from .query import runs_table
 
-__all__ = ["render_ledger_dashboard"]
+__all__ = ["render_dashboard"]
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', sans-serif; margin: 2rem;
@@ -68,72 +72,45 @@ def _badge(verdict: str) -> HtmlCell:
     )
 
 
-def _lineages(
-    records: Sequence[LedgerRecord],
-) -> Dict[Tuple[str, str], List[LedgerRecord]]:
-    lineages: Dict[Tuple[str, str], List[LedgerRecord]] = {}
-    for record in records:
-        if not record.problem_hash and not record.metrics:
-            continue
-        lineages.setdefault(
-            (record.problem_hash, record.command), []
-        ).append(record)
-    for history in lineages.values():
-        history.sort(key=lambda r: r.run_id)
-    return lineages
+def _charted(record: LedgerRecord) -> Dict[str, Metric]:
+    """The metrics charted for one record: one ``wall_s`` at most."""
+    metrics = record_metrics(record)
+    metrics.setdefault(
+        "wall_s", Metric(record.wall_s, unit="s", kind="timing")
+    )
+    return metrics
 
 
-def _lineage_table(
-    key: Tuple[str, str], history: Sequence[LedgerRecord]
-) -> Table:
+def _lineage_table(key: Lineage, history: Sequence[LedgerRecord]) -> Table:
     problem, command = key
-    latest = history[-1]
     verdicts: Dict[str, str] = {}
     if len(history) > 1:
-        report = diff_records(history[-2], latest, include_timings=True)
+        report = diff_records(history[-2], history[-1], include_timings=True)
         verdicts = {d.metric: d.verdict for d in report.deltas}
 
-    title = (
-        f"{command} — problem {problem[:12]}" if problem
-        else f"{command} (no problem)"
-    )
+    title = f"{command} — problem {problem[:12]}" if problem else command
     table = Table(
         headers=("metric", "latest", "unit", "vs first", "trend", "status"),
         title=f"{title} · {len(history)} run(s)",
     )
-
-    names = sorted(
-        {name for record in history for name in record_metrics(record)}
-    )
-    for name in [*names, "wall_s"]:
-        series: List[float] = []
-        unit = "s" if name == "wall_s" else ""
-        for record in history:
-            if name == "wall_s":
-                series.append(record.wall_s)
-                continue
-            metric = record_metrics(record).get(name)
-            if metric is not None:
-                series.append(metric.value)
-                unit = metric.unit or unit
-        if not series:
-            continue
+    charted = [_charted(record) for record in history]
+    for name in sorted({name for metrics in charted for name in metrics}):
+        points = [metrics[name] for metrics in charted if name in metrics]
+        series: List[float] = [metric.value for metric in points]
         latest_value, first = series[-1], series[0]
         vs_first = (
             f"{(latest_value - first) / abs(first):+.2%}" if first else "-"
         )
-        verdict = (
-            verdicts.get(name, "new") if name != "wall_s" else "ok"
-        )
-        color = _VERDICT_COLOR.get(verdict, "#888")
+        # A record's own wall clock is charted, never judged.
+        verdict = verdicts.get(name, "ok" if name == "wall_s" else "new")
         table.add(
             name,
             latest_value,
-            unit,
+            points[-1].unit,
             vs_first,
             HtmlCell(
                 markup=sparkline(
-                    series, color=color,
+                    series, color=_VERDICT_COLOR.get(verdict, "#888"),
                     label=f"{command}:{name} over runs",
                 ),
                 text=" ".join(format_value(v) for v in series),
@@ -143,7 +120,7 @@ def _lineage_table(
     return table
 
 
-def render_ledger_dashboard(
+def render_dashboard(
     records: Sequence[LedgerRecord],
     title: str = "repro run ledger",
 ) -> str:
@@ -153,24 +130,34 @@ def render_ledger_dashboard(
     ordered = sorted(records, key=lambda r: r.run_id)
     latest = ordered[-1]
 
-    lineages = _lineages(ordered)
-    drift_count = 0
+    lineages = group_lineages(ordered)
+    drift_count = pairs = 0
     for history in lineages.values():
         if len(history) > 1:
+            pairs += 1
             report = diff_records(history[-2], history[-1])
-            drift_count += len(report.regressions) + len(report.removed)
+            drift_count += (
+                len(report.regressions) + len(report.removed)
+                + len(report.failures)
+            )
 
     env = latest.environment
     env_line = ", ".join(
         f"{key}={env.get(key, '?')}"
         for key in ("platform", "python", "commit")
     )
-    status = (
-        f'<span class="badge regressed">{drift_count} drifted metric(s) '
-        "in the latest runs</span>"
-        if drift_count
-        else '<span class="badge ok">no drift in the latest runs</span>'
-    )
+    if drift_count:
+        status = (
+            f'<span class="badge regressed">{drift_count} drifted '
+            "metric(s) in the latest runs</span>"
+        )
+    elif pairs:
+        status = '<span class="badge ok">no drift in the latest runs</span>'
+    else:
+        status = (
+            '<span class="badge new">one run per lineage — no comparison '
+            "basis</span>"
+        )
     span = (
         f"{ordered[0].created} → {latest.created}"
         if len(ordered) > 1

@@ -1,13 +1,11 @@
-"""Drift detection over ledger records, via the bench comparator.
+"""Drift detection over record histories, via the record comparator.
 
-Two records of the *same problem and command* should agree on their
-quality metrics (makespan, pass rate, ``subsets_checked``); when they
-do not, something drifted — the code, the environment, or the
-determinism claim itself.  Rather than invent a second comparison
-engine, each record's metrics are folded into a synthetic one-scenario
-bench :class:`~repro.obs.bench.model.Snapshot` and handed to the
-direction-aware, noise-thresholded
-:func:`~repro.obs.bench.compare.compare_snapshots`.
+Two records of the *same lineage* — the same problem and command, or
+the same benchmark scenario — should agree on their quality metrics
+(makespan, pass rate, ``subsets_checked``); when they do not,
+something drifted — the code, the environment, or the determinism
+claim itself.  Each consecutive pair of a lineage goes through
+:func:`~repro.obs.ledger.compare.compare_records`.
 
 Timing metrics (``kind == "timing"``) are excluded by default: two
 byte-identical runs still differ in wall clock, and "identical config
@@ -19,48 +17,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-from ..bench.compare import ComparisonReport, compare_snapshots
-from ..bench.model import Metric, ScenarioRun, Snapshot
+from .compare import ComparisonReport, compare_records
 from .model import LedgerRecord
 
-__all__ = ["DriftReport", "detect_drift", "diff_records", "record_metrics"]
+__all__ = ["DriftReport", "detect_drift", "diff_records", "group_lineages"]
 
-#: Obs counters folded into the comparison alongside explicit metrics.
-#: Counters are exactly reproducible by design, so any movement in
-#: them between identical configs is drift worth flagging.
-_COUNTER_DIRECTION = "exact"
+Lineage = Tuple[str, str]
 
 
-def record_metrics(record: LedgerRecord) -> Dict[str, Metric]:
-    """A record's comparator-ready metrics: explicit + obs counters."""
-    metrics: Dict[str, Metric] = {}
-    for name, entry in record.metrics.items():
-        try:
-            metrics[name] = Metric.from_dict(entry)
-        except (KeyError, TypeError, ValueError):
+def group_lineages(
+    records: Iterable[LedgerRecord],
+) -> Dict[Lineage, List[LedgerRecord]]:
+    """Records by (problem hash, scenario or command), oldest first.
+
+    Records with no problem hash, no metrics and no scenario are
+    skipped — there is nothing to track.
+    """
+    lineages: Dict[Lineage, List[LedgerRecord]] = {}
+    for record in records:
+        if not (record.problem_hash or record.metrics or record.scenario):
             continue
-    for name, value in record.obs.get("counters", {}).items():
-        key = f"obs.{name}"
-        if key not in metrics and isinstance(value, (int, float)):
-            metrics[key] = Metric(
-                value=float(value),
-                direction=_COUNTER_DIRECTION,
-                kind="counter",
-            )
-    return metrics
-
-
-def _as_snapshot(record: LedgerRecord, scenario: str) -> Snapshot:
-    snapshot = Snapshot(
-        suite="ledger",
-        environment=dict(record.environment),
-        created=record.created,
-        label=record.run_id,
-    )
-    snapshot.add(
-        ScenarioRun(name=scenario, metrics=record_metrics(record))
-    )
-    return snapshot
+        key = (record.problem_hash, record.scenario or record.command)
+        lineages.setdefault(key, []).append(record)
+    for history in lineages.values():
+        history.sort(key=lambda r: r.run_id)
+    return lineages
 
 
 def diff_records(
@@ -71,14 +52,13 @@ def diff_records(
 ) -> ComparisonReport:
     """Compare two records metric-by-metric; baseline first.
 
-    Returns the same :class:`ComparisonReport` the bench comparator
-    produces, so ``.gate()`` gives the CI exit code and ``.render()``
-    the human table.  The scenario axis is collapsed to a single
-    ``run`` row: the records themselves name what ran.
+    ``.gate()`` on the report gives the CI exit code and ``.render()``
+    the human table.  A CLI record is the single row ``run``: the
+    records themselves name what ran.
     """
-    return compare_snapshots(
-        _as_snapshot(baseline, "run"),
-        _as_snapshot(current, "run"),
+    return compare_records(
+        [baseline],
+        [current],
         include_timings=include_timings,
         noise_scale=noise_scale,
     )
@@ -88,9 +68,8 @@ def diff_records(
 class DriftReport:
     """All drift found across a record history, grouped by lineage."""
 
-    #: (problem_hash, command) -> consecutive-pair comparison reports
-    #: that contain at least one regression or removal.
-    drifted: Dict[Tuple[str, str], List[ComparisonReport]] = field(
+    #: lineage -> consecutive-pair comparison reports that gate.
+    drifted: Dict[Lineage, List[ComparisonReport]] = field(
         default_factory=dict
     )
     pairs_compared: int = 0
@@ -114,11 +93,11 @@ class DriftReport:
                 f"  problem {problem[:12] or '(none)'} / {command}:"
             )
             for report in reports:
+                pair = f"{report.baseline_label} -> {report.current_label}"
+                for row, error in sorted(report.failures.items()):
+                    lines.append(f"    {pair}: {row} failed: {error}")
                 for delta in report.regressions + report.removed:
-                    lines.append(
-                        f"    {report.baseline_label} -> "
-                        f"{report.current_label}: {delta.describe()}"
-                    )
+                    lines.append(f"    {pair}: {delta.describe()}")
         return "\n".join(lines)
 
 
@@ -129,22 +108,11 @@ def detect_drift(
 ) -> DriftReport:
     """Scan a record history for drift within each lineage.
 
-    Records are grouped by (problem hash, command) and each
-    consecutive pair inside a group is diffed; pairs with regressions
-    or removals land in the report.  Records with no problem hash and
-    no metrics are skipped — there is nothing to drift.
+    Each consecutive pair inside a lineage is diffed; pairs whose
+    comparison gates land in the report.
     """
-    lineages: Dict[Tuple[str, str], List[LedgerRecord]] = {}
-    for record in records:
-        if not record.problem_hash and not record.metrics:
-            continue
-        lineages.setdefault(
-            (record.problem_hash, record.command), []
-        ).append(record)
-
     report = DriftReport()
-    for key, history in lineages.items():
-        history.sort(key=lambda r: r.run_id)
+    for key, history in group_lineages(records).items():
         for baseline, current in zip(history, history[1:]):
             comparison = diff_records(
                 baseline, current,
@@ -152,6 +120,6 @@ def detect_drift(
                 noise_scale=noise_scale,
             )
             report.pairs_compared += 1
-            if comparison.regressions or comparison.removed:
+            if comparison.gate():
                 report.drifted.setdefault(key, []).append(comparison)
     return report

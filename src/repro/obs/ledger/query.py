@@ -73,7 +73,7 @@ def runs_table(records: Iterable[LedgerRecord]) -> Table:
         table.add(
             record.run_id,
             record.created,
-            record.command,
+            f"{record.command} {record.scenario}".strip(),
             record.problem_hash[:12] if record.problem_hash else "-",
             record.verdict,
             f"{record.wall_s:.3f}",
@@ -94,6 +94,17 @@ def render_record(record: LedgerRecord) -> str:
     ]
     if record.label:
         lines.append(f"  label        {record.label}")
+    if record.scenario:
+        lines.append(
+            f"  scenario     {record.scenario} (suite {record.suite})"
+        )
+    if record.params:
+        params = ", ".join(
+            f"{key}={value}" for key, value in sorted(record.params.items())
+        )
+        lines.append(f"  params       {params}")
+    if record.error:
+        lines.append(f"  error        {record.error}")
     if record.problem_hash:
         lines.append(f"  problem      {record.problem_hash}")
     for extra in record.problem_hashes:
@@ -109,13 +120,11 @@ def render_record(record: LedgerRecord) -> str:
         lines.append(f"  environment  {env}")
     if record.metrics:
         lines.append("  metrics:")
-        for name, entry in sorted(record.metrics.items()):
-            unit = entry.get("unit", "")
+        for name, metric in sorted(record.metrics.items()):
             lines.append(
-                f"    {name:<28s} {entry.get('value')}"
-                + (f" {unit}" if unit else "")
-                + f"  [{entry.get('kind', 'quality')}/"
-                + f"{entry.get('direction', 'lower')}]"
+                f"    {name:<28s} {metric.value}"
+                + (f" {metric.unit}" if metric.unit else "")
+                + f"  [{metric.kind}/{metric.direction}]"
             )
     counters = record.obs.get("counters", {})
     if counters:

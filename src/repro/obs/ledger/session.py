@@ -8,10 +8,10 @@ eventual record without threading a handle through every call site:
 * :func:`note_problem` / :func:`note_schedule` — canonical content
   hashes of what the run operated on and produced,
 * :func:`note_metric` — comparator-ready quality/counter/timing
-  metrics (same shape as bench :class:`~repro.obs.bench.model.Metric`),
-* :func:`notify_artifact` — called by the proof/campaign/bench/causal
-  savers after writing a file; the session copies the bytes into the
-  content-addressed blob store.
+  :class:`~repro.obs.ledger.model.Metric` values,
+* :func:`notify_artifact` — called by the proof/campaign/causal and
+  bench-slice savers after writing a file; the session copies the
+  bytes into the content-addressed blob store.
 
 All four are cheap no-ops when no session is active, mirroring the
 disabled-by-default discipline of :mod:`repro.obs.runtime`.
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from ..environment import environment_fingerprint, utc_now
-from .model import ArtifactRef, LedgerRecord
+from .model import ArtifactRef, LedgerRecord, Metric
 from .store import LedgerStore, new_run_id
 
 __all__ = [
@@ -90,14 +90,10 @@ class LedgerSession:
         kind: str = "quality",
         noise: float = 0.0,
     ) -> None:
-        """Record one comparator-ready metric (bench ``Metric`` shape)."""
-        self.record.metrics[name] = {
-            "value": value,
-            "unit": unit,
-            "direction": direction,
-            "kind": kind,
-            "noise": noise,
-        }
+        """Record one comparator-ready metric."""
+        self.record.metrics[name] = Metric(
+            value, unit=unit, direction=direction, kind=kind, noise=noise
+        )
 
     def add_artifact(self, kind: str, path: Union[str, Path]) -> None:
         """Copy an artifact's bytes into the blob store, dedup by digest."""
@@ -188,7 +184,8 @@ def notify_artifact(kind: str, path: Union[str, Path]) -> None:
     """Ingest a just-written artifact into the active record, if any.
 
     Artifact writers (:func:`repro.lint.proof.model.save_proof`,
-    campaign/bench/causal savers) call this unconditionally; the cost
+    the campaign/causal savers, :func:`~repro.obs.ledger.store.save_slice`)
+    call this unconditionally; the cost
     when the ledger is off is one ``None`` check.
     """
     if _SESSION is not None:

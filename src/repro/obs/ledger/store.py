@@ -15,6 +15,12 @@ blob can always be integrity-checked against its own name.
 Garbage collection (:meth:`LedgerStore.gc`) is the only mutation:
 drop records beyond a retention policy (count and/or age), then sweep
 blobs no surviving record references.
+
+A *slice* is a plain file of records outside the store, one JSON line
+per record — the format ``repro runs query`` prints.  ``repro bench
+run`` writes its ``BENCH_<suite>.jsonl`` files as slices
+(:func:`save_slice`), and every consumer reads them back through
+:func:`load_slice`.
 """
 
 from __future__ import annotations
@@ -24,16 +30,23 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from ..environment import utc_now
 from .model import LedgerRecord
 
-__all__ = ["DEFAULT_LEDGER_DIR", "GcReport", "LedgerStore", "new_run_id"]
+__all__ = [
+    "DEFAULT_LEDGER_DIR",
+    "GcReport",
+    "LedgerStore",
+    "load_slice",
+    "new_run_id",
+    "save_slice",
+]
 
 #: Where the ledger lives unless ``REPRO_LEDGER`` / ``--ledger-dir``
 #: says otherwise — relative to the working directory, like the bench
-#: snapshots.
+#: slices.
 DEFAULT_LEDGER_DIR = ".repro/ledger"
 
 
@@ -219,3 +232,40 @@ class LedgerStore:
             for digest in orphans:
                 self._blob_path(digest).unlink()
         return report
+
+
+def save_slice(
+    records: Iterable[LedgerRecord], path: Union[str, Path]
+) -> Path:
+    """Write ``records`` as a JSON-lines slice; returns the path."""
+    path = Path(path)
+    path.write_text(
+        "".join(record.to_json_line() + "\n" for record in records)
+    )
+    # Route the slice through the ledger's content-addressed store
+    # when a recording session is active (no-op otherwise).
+    from .session import notify_artifact
+
+    notify_artifact("bench-slice", path)
+    return path
+
+
+def load_slice(path: Union[str, Path]) -> List[LedgerRecord]:
+    """Load and validate a JSON-lines slice (at least one record)."""
+    records = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise ValueError(
+                f"{path}:{number} is not valid JSON: {error}"
+            ) from error
+        try:
+            records.append(LedgerRecord.from_dict(data))
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"{path}:{number}: {error}") from error
+    if not records:
+        raise ValueError(f"{path} holds no records")
+    return records

@@ -1,9 +1,9 @@
 """Schema stamping and validation shared by every JSON artifact.
 
 Every machine-readable artifact the project persists carries a
-versioned ``schema`` field (``repro.obs.bench/1``,
-``repro.obs.campaign/1``, ``repro.lint.proof/1``, ``repro.obs.causal/1``,
-``repro.obs.ledger/1``, ...).  Four subsystems grew four hand-rolled
+versioned ``schema`` field (``repro.obs.campaign/1``,
+``repro.lint.proof/1``, ``repro.obs.causal/1``, ``repro.obs.ledger/1``,
+...).  Four subsystems grew four hand-rolled
 validators with four error spellings; this module is the one shared
 implementation, so an unknown schema version or a missing required
 field fails with the *same* message everywhere:
@@ -13,16 +13,15 @@ field fails with the *same* message everywhere:
 * ``missing required field 'name'`` — a structurally required key is
   absent.
 
-:func:`validate_stamp` raises :class:`ValueError`;
-:func:`stamp_problems` returns the problem list instead (for callers
-like the bench snapshot validator that accumulate further checks).
+:func:`validate_stamp` raises :class:`ValueError` listing every
+problem.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
-__all__ = ["stamp", "stamp_problems", "validate_stamp"]
+__all__ = ["stamp", "validate_stamp"]
 
 
 def stamp(schema_id: str, payload: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
@@ -37,22 +36,6 @@ def stamp(schema_id: str, payload: Optional[Mapping[str, Any]] = None) -> Dict[s
     return data
 
 
-def stamp_problems(
-    data: Any, schema_id: str, required: Sequence[str] = ()
-) -> List[str]:
-    """Schema problems of a would-be artifact dict ([] when valid)."""
-    if not isinstance(data, Mapping):
-        return ["not a JSON object"]
-    problems: List[str] = []
-    found = data.get("schema")
-    if found != schema_id:
-        problems.append(f"expected schema {schema_id!r}, got {found!r}")
-    for name in required:
-        if name not in data:
-            problems.append(f"missing required field {name!r}")
-    return problems
-
-
 def validate_stamp(
     data: Any,
     schema_id: str,
@@ -64,7 +47,17 @@ def validate_stamp(
     ``where`` (typically the file path) prefixes the message.  Returns
     ``data`` itself so loaders can validate-and-bind in one line.
     """
-    problems = stamp_problems(data, schema_id, required)
+    if not isinstance(data, Mapping):
+        problems = ["not a JSON object"]
+    else:
+        problems = []
+        found = data.get("schema")
+        if found != schema_id:
+            problems.append(f"expected schema {schema_id!r}, got {found!r}")
+        problems.extend(
+            f"missing required field {name!r}"
+            for name in required if name not in data
+        )
     if problems:
         prefix = f"{where}: " if where else ""
         raise ValueError(prefix + "; ".join(problems))

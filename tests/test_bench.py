@@ -1,5 +1,6 @@
-"""Tests for :mod:`repro.obs.bench` — registry, runner, snapshots,
-comparator, dashboard, and the ``repro bench`` CLI."""
+"""Tests for :mod:`repro.obs.bench` — registry, runner, slices of
+records, the record comparator and dashboard as ``repro bench`` uses
+them, and the ``repro bench`` CLI."""
 
 import json
 
@@ -7,33 +8,62 @@ import pytest
 
 from repro.cli import main
 from repro.obs.bench import (
-    SCHEMA_ID,
-    Metric,
-    ScenarioRun,
-    Snapshot,
     all_scenarios,
-    compare_snapshots,
-    environment_fingerprint,
     get_scenario,
-    load_snapshot,
-    render_dashboard,
     run_scenario,
     run_suite,
-    save_snapshot,
     scenarios_for_suite,
     suite_names,
-    validate_snapshot,
+)
+from repro.obs.bench import registry as registry_module
+from repro.obs.bench.registry import Scenario
+from repro.obs.environment import environment_fingerprint
+from repro.obs.ledger import (
+    LEDGER_SCHEMA_ID,
+    LedgerRecord,
+    Metric,
+    compare_records,
+    load_slice,
+    render_dashboard,
+    save_slice,
 )
 
 
-def make_snapshot(values, suite="quick", created="2026-01-01T00:00:00Z"):
-    """A hand-built snapshot: {scenario: {metric: Metric}}."""
-    snapshot = Snapshot(
-        suite=suite, environment=environment_fingerprint(), created=created
+def make_slice(values, suite="quick", created="2026-01-01T00:00:00Z"):
+    """A hand-built slice: {scenario: {metric: Metric}} -> records."""
+    stamp = created.replace("-", "").replace(":", "")
+    return [
+        LedgerRecord(
+            run_id=f"{stamp}-{index:08d}",
+            created=created,
+            command="bench run",
+            environment=environment_fingerprint(),
+            suite=suite,
+            scenario=scenario_name,
+            metrics=dict(metrics),
+        )
+        for index, (scenario_name, metrics) in enumerate(values.items())
+    ]
+
+
+def row(records, scenario_name):
+    return next(r for r in records if r.scenario == scenario_name)
+
+
+@pytest.fixture
+def broken_scenario(monkeypatch):
+    """A registered quick-suite scenario that always raises."""
+    name = "test.broken.scenario"
+
+    def broken(obs):
+        raise RuntimeError("boom")
+
+    all_scenarios()  # register the builtins first
+    monkeypatch.setitem(
+        registry_module._REGISTRY, name,
+        Scenario(name, "always raises", broken, suites=("quick",)),
     )
-    for scenario_name, metrics in values.items():
-        snapshot.add(ScenarioRun(name=scenario_name, metrics=dict(metrics)))
-    return snapshot
+    return name
 
 
 class TestMetricModel:
@@ -98,87 +128,99 @@ class TestRunner:
         )
 
     def test_run_suite_snapshot_is_schema_valid(self):
-        snapshot = run_suite("quick", only=["fig17.solution1"])
-        assert validate_snapshot(snapshot.to_dict()) == []
-        assert snapshot.environment["python"]
-        assert snapshot.created
+        records = run_suite("quick", only=["fig17.solution1"])
+        (record,) = records
+        assert LedgerRecord.from_dict(record.to_dict()).to_dict() == (
+            record.to_dict()
+        )
+        assert record.command == "bench run" and record.suite == "quick"
+        assert record.scenario == "schedule.fig17.solution1"
+        assert record.params == {"failures": 1}
+        assert record.environment["python"]
+        assert record.created and record.verdict == "ok"
+        assert record.wall_s == record.metrics["wall_s"].value
 
     def test_run_suite_rejects_empty_selection(self):
         with pytest.raises(ValueError):
             run_suite("quick", only=["no-such-scenario"])
 
-    def test_failing_scenario_warns_and_records_failed_entry(self, caplog):
+    def test_failing_scenario_warns_and_records_failed_entry(
+        self, caplog, broken_scenario
+    ):
         """One broken scenario must not lose the rest of the run."""
-        from repro.obs.bench import registry as registry_module
-        from repro.obs.bench.registry import scenario as register
+        with caplog.at_level("WARNING", logger="repro.obs.bench"):
+            records = run_suite(
+                "quick", only=[broken_scenario, "fig17.solution1"]
+            )
 
-        name = "test.broken.scenario"
-
-        @register(name, "always raises", suites=("quick",))
-        def broken(obs):
-            raise RuntimeError("boom")
-
-        try:
-            with caplog.at_level("WARNING", logger="repro.obs.bench"):
-                snapshot = run_suite(
-                    "quick", only=[name, "fig17.solution1"]
-                )
-        finally:
-            del registry_module._REGISTRY[name]
-
-        runs = snapshot.scenarios
-        assert "schedule.fig17.solution1" in runs  # the rest survived
-        failed = runs[name]
-        assert failed.metrics["failed"].value == 1.0
-        assert "RuntimeError: boom" in failed.params["error"]
+        # The rest survived.
+        assert row(records, "schedule.fig17.solution1").verdict == "ok"
+        failed = row(records, broken_scenario)
+        assert failed.verdict == "fail" and failed.exit_code == 1
+        assert failed.error == "RuntimeError: boom"
+        assert failed.metrics == {}
         assert any(
             "boom" in record.getMessage() for record in caplog.records
         )
-        # The failed entry still satisfies the snapshot schema.
-        assert validate_snapshot(snapshot.to_dict()) == []
+        # The failed record still round-trips through the schema.
+        assert LedgerRecord.from_dict(failed.to_dict()).error == failed.error
 
 
 class TestSnapshotIO:
+    """``BENCH_<suite>.jsonl`` slices: one JSON record per line."""
+
     def test_save_load_round_trip(self, tmp_path):
-        snapshot = make_snapshot(
-            {"s": {"m": Metric(1.5, unit="time", direction="lower")}}
+        records = make_slice(
+            {"s": {"m": Metric(1.5, unit="time", direction="lower")},
+             "t": {"n": Metric(3, direction="exact", kind="counter")}}
         )
-        path = save_snapshot(snapshot, tmp_path / "BENCH_quick.json")
-        loaded = load_snapshot(path)
-        assert loaded.suite == "quick"
-        assert loaded.metric("s", "m") == Metric(
+        path = save_slice(records, tmp_path / "BENCH_quick.jsonl")
+        loaded = load_slice(path)
+        assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+        assert row(loaded, "s").suite == "quick"
+        assert row(loaded, "s").metrics["m"] == Metric(
             1.5, unit="time", direction="lower"
         )
 
     def test_schema_id_stamped(self, tmp_path):
-        snapshot = make_snapshot({"s": {"m": Metric(1.0)}})
-        path = save_snapshot(snapshot, tmp_path / "b.json")
-        assert json.loads(path.read_text())["schema"] == SCHEMA_ID
+        records = make_slice({"s": {"m": Metric(1.0)}, "t": {}})
+        path = save_slice(records, tmp_path / "b.jsonl")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2
+        assert all(json.loads(line)["schema"] == LEDGER_SCHEMA_ID
+                   for line in lines)
+        # The same line format `repro runs query` prints.
+        assert lines[0] == records[0].to_json_line()
 
     def test_load_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_snapshot(path)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(make_slice({"s": {}})[0].to_json_line() + "\n{nope\n")
+        with pytest.raises(ValueError, match="bad.jsonl:2 is not valid JSON"):
+            load_slice(path)
 
     def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "wrong.json"
-        path.write_text(json.dumps({"schema": "other/9", "suite": "x"}))
+        path = tmp_path / "wrong.jsonl"
+        path.write_text(json.dumps({"schema": "other/9", "suite": "x"}) + "\n")
         with pytest.raises(ValueError, match="schema"):
-            load_snapshot(path)
+            load_slice(path)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        with pytest.raises(ValueError, match="no records"):
+            load_slice(empty)
 
-    def test_validate_reports_metric_problems(self):
-        data = {
-            "schema": SCHEMA_ID,
-            "suite": "quick",
-            "environment": {},
-            "scenarios": {
-                "s": {"metrics": {"m": {"value": "NaN-ish",
-                                        "direction": "up"}}}
-            },
-        }
-        problems = " ".join(validate_snapshot(data))
-        assert "numeric value" in problems and "direction" in problems
+    def test_validate_reports_metric_problems(self, tmp_path):
+        for entry, problem in (
+            ({"value": "NaN-ish"}, "numeric value"),
+            ({"value": 1.0, "direction": "up"}, "direction"),
+            ({"value": 1.0, "kind": "vibes"}, "kind"),
+            ({"value": 1.0, "noise": -1}, "noise"),
+        ):
+            data = make_slice({"s": {}})[0].to_dict()
+            data["metrics"] = {"m": entry}
+            path = tmp_path / "bad_metric.jsonl"
+            path.write_text(json.dumps(data) + "\n")
+            with pytest.raises(ValueError, match=f"metric 'm'.*{problem}"):
+                load_slice(path)
 
 
 class TestComparator:
@@ -190,16 +232,16 @@ class TestComparator:
                              kind="timing", noise=0.75),
         }
         metrics.update(overrides)
-        return make_snapshot({"scn": metrics})
+        return make_slice({"scn": metrics})
 
     def test_identical_snapshots_pass(self):
-        report = compare_snapshots(self.base(), self.base())
+        report = compare_records(self.base(), self.base())
         assert report.gate() == 0
         assert not report.regressions
 
     def test_exact_metric_gates_in_both_directions(self):
         for drifted in (9.3, 9.5):
-            report = compare_snapshots(
+            report = compare_records(
                 self.base(), self.base(makespan=Metric(drifted, unit="time",
                                                        direction="exact"))
             )
@@ -207,11 +249,11 @@ class TestComparator:
             assert report.regressions[0].metric == "makespan"
 
     def test_higher_is_better_regresses_downward_only(self):
-        worse = compare_snapshots(
+        worse = compare_records(
             self.base(), self.base(avail=Metric(0.80, direction="higher",
                                                 noise=0.01))
         )
-        better = compare_snapshots(
+        better = compare_records(
             self.base(), self.base(avail=Metric(0.99, direction="higher",
                                                 noise=0.01))
         )
@@ -221,7 +263,7 @@ class TestComparator:
         assert better.gate() == 0
 
     def test_noise_threshold_absorbs_small_drift(self):
-        report = compare_snapshots(
+        report = compare_records(
             self.base(), self.base(avail=Metric(0.9495, direction="higher",
                                                 noise=0.01))
         )
@@ -230,15 +272,15 @@ class TestComparator:
     def test_noise_scale_loosens_the_gate(self):
         current = self.base(avail=Metric(0.93, direction="higher",
                                          noise=0.01))
-        strict = compare_snapshots(self.base(), current)
-        loose = compare_snapshots(self.base(), current, noise_scale=10.0)
+        strict = compare_records(self.base(), current)
+        loose = compare_records(self.base(), current, noise_scale=10.0)
         assert strict.gate() == 1 and loose.gate() == 0
 
     def test_timing_regression_gates_only_when_included(self):
         current = self.base(wall_s=Metric(5.0, unit="s", direction="lower",
                                           kind="timing", noise=0.75))
-        with_timings = compare_snapshots(self.base(), current)
-        without = compare_snapshots(self.base(), current,
+        with_timings = compare_records(self.base(), current)
+        without = compare_records(self.base(), current,
                                     include_timings=False)
         assert with_timings.gate() == 1
         assert without.gate() == 0
@@ -246,20 +288,28 @@ class TestComparator:
 
     def test_removed_metric_gates_unless_allowed(self):
         current = self.base()
-        del current.scenarios["scn"].metrics["avail"]
-        report = compare_snapshots(self.base(), current)
+        del row(current, "scn").metrics["avail"]
+        report = compare_records(self.base(), current)
         assert report.removed and report.gate() == 1
         assert report.gate(fail_on_removed=False) == 0
 
     def test_added_metric_never_gates(self):
         current = self.base(extra=Metric(1.0))
-        report = compare_snapshots(self.base(), current)
+        report = compare_records(self.base(), current)
         assert report.gate() == 0
         assert [d.verdict for d in report.deltas
                 if d.metric == "extra"] == ["added"]
 
+    def test_failed_scenario_gates_unless_it_failed_before(self):
+        current = make_slice({"scn": {}})
+        current[0].exit_code, current[0].error = 1, "RuntimeError: boom"
+        report = compare_records(self.base(), current)
+        assert report.failures == {"scn": "RuntimeError: boom"}
+        assert report.gate(fail_on_removed=False) == 1
+        assert compare_records(current, current).gate() == 0
+
     def test_regression_named_in_render(self):
-        report = compare_snapshots(
+        report = compare_records(
             self.base(), self.base(makespan=Metric(9.9, unit="time",
                                                    direction="exact"))
         )
@@ -270,7 +320,7 @@ class TestComparator:
 class TestDashboard:
     def series(self):
         return [
-            make_snapshot(
+            make_slice(
                 {"scn": {"makespan": Metric(9.4, direction="exact"),
                          "avail": Metric(0.94 + i * 0.01,
                                          direction="higher")}},
@@ -280,22 +330,29 @@ class TestDashboard:
         ]
 
     def test_sparkline_per_scenario(self):
-        html = render_dashboard(self.series())
-        assert html.count("<svg") >= 2  # one per metric of the scenario
+        html = render_dashboard([r for s in self.series() for r in s])
+        # One sparkline per metric of the scenario: makespan, avail and
+        # the record's wall clock.
+        assert html.count("<svg") == 3
         assert "scn" in html and "</html>" in html
 
     def test_single_snapshot_renders(self):
-        html = render_dashboard(self.series()[:1])
-        assert "<svg" in html and "single snapshot" in html
+        html = render_dashboard(self.series()[0])
+        assert "<svg" in html and "no comparison basis" in html
 
     def test_regression_badge_vs_previous(self):
         series = self.series()
-        series[-1].scenarios["scn"].metrics["makespan"] = Metric(
+        row(series[-1], "scn").metrics["makespan"] = Metric(
             99.0, direction="exact"
         )
-        html = render_dashboard(series)
-        assert "regression(s) vs previous snapshot" in html
+        html = render_dashboard([r for s in series for r in s])
+        assert "1 drifted metric(s) in the latest runs" in html
         assert 'class="badge regressed"' in html
+        # A scenario that raised in the latest slice is drift too.
+        failed = make_slice({"scn": {}}, created="2026-01-09T00:00:00Z")
+        failed[0].exit_code, failed[0].error = 1, "RuntimeError: boom"
+        html = render_dashboard([*self.series()[0], *failed])
+        assert "drifted metric(s) in the latest runs" in html
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
@@ -303,7 +360,7 @@ class TestDashboard:
 
 
 class TestBenchCli:
-    def run_quick(self, tmp_path, name="BENCH_quick.json"):
+    def run_quick(self, tmp_path, name="BENCH_quick.jsonl"):
         out = tmp_path / name
         code = main([
             "bench", "run", "--suite", "quick",
@@ -314,8 +371,41 @@ class TestBenchCli:
 
     def test_run_writes_schema_valid_snapshot(self, tmp_path, capsys):
         out = self.run_quick(tmp_path)
-        assert validate_snapshot(json.loads(out.read_text())) == []
+        (record,) = load_slice(out)
+        assert record.scenario == "schedule.fig17.solution1"
         assert "wrote 1 scenario(s)" in capsys.readouterr().out
+
+    def test_run_reports_a_failed_scenario(
+        self, tmp_path, capsys, broken_scenario
+    ):
+        out = tmp_path / "BENCH_quick.jsonl"
+        code = main([
+            "bench", "run", "--suite", "quick", "--only", broken_scenario,
+            "--only", "fig17.solution1", "--out", str(out),
+        ])
+        assert code == 0
+        captured = capsys.readouterr().out
+        assert "wrote 2 scenario(s)" in captured
+        assert f"{broken_scenario}: FAILED (RuntimeError: boom)" in captured
+        assert row(load_slice(out), broken_scenario).verdict == "fail"
+
+    def test_compare_failed_scenario_gates_with_allow_removed(
+        self, tmp_path, capsys
+    ):
+        baseline = save_slice(
+            make_slice({"x": {"makespan": Metric(10.0, direction="exact")}}),
+            tmp_path / "base.jsonl",
+        )
+        failed = make_slice({"x": {}})
+        failed[0].exit_code, failed[0].error = 1, "RuntimeError: x raised"
+        current = save_slice(failed, tmp_path / "cur.jsonl")
+        for extra in ([], ["--allow-removed"]):
+            code = main(["bench", "compare", str(baseline), str(current),
+                         *extra])
+            assert code == 1
+            assert "x failed: RuntimeError: x raised" in (
+                capsys.readouterr().out
+            )
 
     def test_compare_identical_exits_zero(self, tmp_path, capsys):
         out = self.run_quick(tmp_path)
@@ -328,10 +418,9 @@ class TestBenchCli:
     ):
         out = self.run_quick(tmp_path)
         data = json.loads(out.read_text())
-        scn = data["scenarios"]["schedule.fig17.solution1"]
-        scn["metrics"]["makespan"]["value"] = 11.0
-        perturbed = tmp_path / "BENCH_perturbed.json"
-        perturbed.write_text(json.dumps(data))
+        data["metrics"]["makespan"]["value"] = 11.0
+        perturbed = tmp_path / "BENCH_perturbed.jsonl"
+        perturbed.write_text(json.dumps(data) + "\n")
         code = main([
             "bench", "compare", str(out), str(perturbed), "--no-timings",
         ])
@@ -340,7 +429,7 @@ class TestBenchCli:
         assert "REGRESSION" in captured and "makespan" in captured
 
     def test_compare_missing_file_is_clean_error(self, tmp_path, capsys):
-        code = main(["bench", "compare", str(tmp_path / "nope.json")])
+        code = main(["bench", "compare", str(tmp_path / "nope.jsonl")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -361,7 +450,7 @@ class TestBenchCli:
         monkeypatch.chdir(tmp_path)
         code = main(["bench", "report"])
         assert code == 2
-        assert "no snapshots" in capsys.readouterr().err
+        assert "no slices" in capsys.readouterr().err
 
     def test_list_names_every_registered_scenario(self, capsys):
         code = main(["bench", "list"])

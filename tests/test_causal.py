@@ -231,6 +231,31 @@ class TestDeliveryGapDivergence:
         assert "takeover frame was lost" in rendered
         assert "stood down" in rendered
 
+    def test_diagnosis_ladder_is_the_differs_ladder(self, gap):
+        """One copy of the stand-down forensics: the campaign diagnosis
+        reports exactly the differ's ladder for the starved input."""
+        schedule, scenario = gap
+        nominal = simulate(schedule, FailureScenario.none())
+        faulty = simulate(schedule, scenario)
+        diff = diff_traces(nominal, faulty, schedule, scenario)
+        diagnosis = diagnose(faulty, schedule, scenario)
+        (missing,) = [
+            m for replica in diagnosis.starved for m in replica.missing
+            if m.dependency == ("L1N2", "L2N0")
+        ]
+        assert missing.ladder == diff.fatal.ladder
+        assert [
+            (e.watcher, e.candidate, e.rank, e.state) for e in missing.ladder
+        ] == [
+            ("P2", "P4", 0, "skipped"),
+            ("P3", "P4", 0, "skipped"),
+            ("P3", "P2", 1, "never-fired"),
+        ]
+        # The skip names the message whose detection set the fail flag.
+        assert "(for 'L0N0')" in missing.ladder[0].detail
+        text = diagnosis.render()
+        assert "stood down" in text and "LOST" in text
+
     def test_frontier_is_the_unreproduced_value_cone(self, gap):
         schedule, scenario = gap
         nominal = simulate(schedule, FailureScenario.none())

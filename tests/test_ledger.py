@@ -8,13 +8,20 @@ regressions gate, and gc drops exactly what the retention policy says.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.obs.ledger import (
     ArtifactRef,
     LedgerRecord,
     LedgerStore,
+    Metric,
     RunFilter,
     current_session,
     detect_drift,
@@ -27,7 +34,7 @@ from repro.obs.ledger import (
     note_schedule,
     notify_artifact,
     record_metrics,
-    render_ledger_dashboard,
+    render_dashboard,
     render_record,
     runs_table,
 )
@@ -46,14 +53,10 @@ def _record(run_id, makespan=9.4, command="schedule", problem="abc123",
         wall_s=wall,
         exit_code=exit_code,
     )
-    record.metrics["makespan"] = {
-        "value": makespan, "unit": "time", "direction": "lower",
-        "kind": "quality", "noise": 0.0,
-    }
-    record.metrics["wall_s"] = {
-        "value": wall, "unit": "s", "direction": "lower",
-        "kind": "timing", "noise": 0.2,
-    }
+    record.metrics["makespan"] = Metric(makespan, unit="time")
+    record.metrics["wall_s"] = Metric(
+        wall, unit="s", kind="timing", noise=0.2
+    )
     if counters:
         record.obs = {"counters": dict(counters)}
     return record
@@ -81,6 +84,24 @@ def test_record_rejects_wrong_schema():
                                 "created": "t", "command": "c"})
     with pytest.raises(ValueError, match="missing required field"):
         LedgerRecord.from_dict({"schema": LEDGER_SCHEMA_ID})
+    data = _record("1-a").to_dict()
+    data["metrics"]["makespan"]["direction"] = "sideways"
+    with pytest.raises(ValueError, match="metric 'makespan'.*direction"):
+        LedgerRecord.from_dict(data)
+
+
+def test_ledger_never_imports_bench():
+    """Imports flow one way: repro.obs.bench builds on the ledger."""
+    code = (
+        "import sys, repro.obs.ledger; "
+        "print([m for m in sys.modules if m.startswith('repro.obs.bench')])"
+    )
+    source_root = Path(repro.__file__).resolve().parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(source_root)},
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 def test_run_ids_sort_chronologically():
@@ -295,12 +316,14 @@ def test_dashboard_renders_history_and_flags_drift():
         _record("2-b", makespan=9.4, counters={"proof.subsets": 7}),
         _record("3-c", makespan=11.0, counters={"proof.subsets": 7}),
     ]
-    page = render_ledger_dashboard(history)
+    page = render_dashboard(history)
     assert page.startswith("<!DOCTYPE html>")
     assert "<svg" in page                      # sparklines present
     assert "makespan" in page and "wall_s" in page
+    # The wall_s metric and the record's own wall_s make one row.
+    assert page.count("<td>wall_s</td>") == 1
     assert "drifted metric(s)" in page         # regression badge
-    clean = render_ledger_dashboard(history[:2])
+    clean = render_dashboard(history[:2])
     assert "no drift" in clean
     with pytest.raises(ValueError, match="no ledger records"):
-        render_ledger_dashboard([])
+        render_dashboard([])

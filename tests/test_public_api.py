@@ -49,11 +49,10 @@ MODULES = [
     "repro.obs.schema",
     "repro.obs.bench",
     "repro.obs.bench.model",
+    "repro.obs.bench.compare",
     "repro.obs.bench.registry",
     "repro.obs.bench.scenarios",
     "repro.obs.bench.runner",
-    "repro.obs.bench.compare",
-    "repro.obs.bench.dashboard",
     "repro.obs.campaign",
     "repro.obs.campaign.model",
     "repro.obs.campaign.space",
@@ -65,6 +64,7 @@ MODULES = [
     "repro.obs.ledger.store",
     "repro.obs.ledger.session",
     "repro.obs.ledger.query",
+    "repro.obs.ledger.compare",
     "repro.obs.ledger.drift",
     "repro.obs.ledger.dashboard",
     "repro.obs.causal",
