@@ -85,6 +85,7 @@ class DeliveryAutomaton:
     _hops: Dict[Tuple[DependencyKey, str, str], tuple] = field(
         default_factory=dict
     )
+    _event_keys: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Memoized static lookups used by the verifier's inner loop
@@ -115,6 +116,22 @@ class DeliveryAutomaton:
             got = tuple(route.hops())
             self._hops[key] = got
         return got
+
+    def event_keys(self) -> tuple:
+        """Keys of one run's event tables, built once: ``(dep, proc)``
+        data arrivals, per-dependency observes, ``(op, proc)`` productions."""
+        if self._event_keys is None:
+            deps = [dep for deps in self.out_deps.values() for dep in deps]
+            self._event_keys = (
+                tuple((dep, proc) for dep in deps for proc in self.processors),
+                tuple(deps),
+                tuple(
+                    (op, proc)
+                    for op in self.predecessors
+                    for proc in self.processors
+                ),
+            )
+        return self._event_keys
 
     def comm_duration(self, dep: DependencyKey, link: str) -> float:
         return self.problem.communication.duration(dep, link)

@@ -24,7 +24,7 @@ must never fire on a schedule FT401 proves safe.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator
 
 from ...core.schedule import Schedule, ScheduleSemantics
 from ..model import Diagnostic, Severity
@@ -35,25 +35,21 @@ from .verifier import prove_delivery
 __all__ = ["proof_for"]
 
 #: One prover run per schedule object: the four FT4xx rules (and
-#: ``repro certify --prove``) share the result.  Keyed by id() with a
-#: liveness-checking weakref because Schedule is not hashable.
-_CACHE: Dict[int, Tuple["weakref.ref", ProofResult]] = {}
+#: ``repro certify --prove``) share the result.  Keyed by id() because
+#: Schedule is not hashable; an entry is dropped when its schedule is
+#: collected, so a key always names the live schedule it was made for.
+_CACHE: Dict[int, ProofResult] = {}
 
 
 def proof_for(schedule: Schedule, **kwargs) -> ProofResult:
     """The (memoized) proof result for ``schedule``."""
+    if kwargs:
+        return prove_delivery(schedule, **kwargs)
     key = id(schedule)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        ref, result = cached
-        if ref() is schedule and not kwargs:
-            return result
-    result = prove_delivery(schedule, **kwargs)
-    if not kwargs:
-        try:
-            _CACHE[key] = (weakref.ref(schedule), result)
-        except TypeError:  # pragma: no cover - weakref-less Schedule
-            pass
+    result = _CACHE.get(key)
+    if result is None:
+        result = _CACHE[key] = prove_delivery(schedule)
+        weakref.finalize(schedule, _CACHE.pop, key, None)
     return result
 
 

@@ -20,7 +20,10 @@ Two ideas make the proof both *sound* and *finite*:
    of the static event windows, made exact: one evaluation typically
    covers many window classes (counted as ``proof.classes_collapsed``),
    and derived dates (e.g. a takeover frame completing mid-window)
-   split windows that the static boundaries cannot see.
+   split windows that the static boundaries cannot see.  A
+   representative that answers every decision of an earlier run in the
+   same subset the same way replays that run from a decision trie
+   instead of executing it again (``proof.replayed``).
 
 Subset-lattice pruning is sound because refutation is monotone in the
 crash *set*: if S fails for dates T, then S ∪ {q} fails for T
@@ -62,77 +65,97 @@ DependencyKey = Tuple[str, str]
 # A minimal deterministic event kernel (mirrors the executive's:
 # time-ordered heap, sequence-number tie-break, one-shot events,
 # synchronous resume on already-fired events, deferred waiter wakeup).
+# Heap entries are ``(time, seq, fn, a, b)`` and run as ``fn(a, b)``.
 # ----------------------------------------------------------------------
 class _Event:
-    __slots__ = ("fired", "_waiters")
+    __slots__ = ("fired", "waiters")
 
     def __init__(self) -> None:
         self.fired = False
-        self._waiters: List = []
+        self.waiters: List[tuple] = []
+
+
+class _Wait:
+    """One pending ``waitany``: the first of its wakers resumes it."""
+
+    __slots__ = ("body", "done")
+
+    def __init__(self, body) -> None:
+        self.body = body
+        self.done = False
 
 
 class _Kernel:
+    __slots__ = ("now", "_heap", "_seq")
+
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: List[tuple] = []
         self._seq = itertools.count()
 
-    def call_at(self, time: float, callback) -> None:
+    def call_at(self, time: float, fn, a=None, b=None) -> None:
+        now = self.now
         heapq.heappush(
-            self._heap, (max(time, self.now), next(self._seq), callback)
+            self._heap, (now if now > time else time, next(self._seq), fn, a, b)
         )
 
     def fire(self, event: _Event) -> None:
         if event.fired:
             return
         event.fired = True
-        waiters, event._waiters = event._waiters, []
-        for callback in waiters:
-            self.call_at(self.now, callback)
+        waiters, event.waiters = event.waiters, []
+        for fn, a, b in waiters:
+            self.call_at(self.now, fn, a, b)
 
     def process(self, body) -> None:
-        self.call_at(self.now, lambda: self._step(body, None))
+        self.call_at(self.now, self._step, body, None)
 
-    def _step(self, body, send_value) -> None:
-        try:
-            command = body.send(send_value)
-        except StopIteration:
-            return
-        kind = command[0]
-        if kind == "delay":
-            self.call_at(self.now + command[1], lambda: self._step(body, None))
-        elif kind == "wait":
-            self._wait_any(body, (command[1],), None, single=True)
-        else:  # "waitany"
-            self._wait_any(body, command[1], command[2], single=False)
-
-    def _wait_any(self, body, events, deadline, single) -> None:
-        done = {"resumed": False}
-
-        def resume(result) -> None:
-            if done["resumed"]:
+    def _step(self, body, value) -> None:
+        # An already-fired event resumes the process synchronously:
+        # loop instead of recursing.
+        while True:
+            try:
+                command = body.send(value)
+            except StopIteration:
                 return
-            done["resumed"] = True
-            self._step(body, result)
-
-        for index, event in enumerate(events):
-            if event.fired:
-                resume(None if single else index)
+            kind = command[0]
+            if kind == "delay":
+                self.call_at(self.now + command[1], self._step, body, None)
                 return
-        for index, event in enumerate(events):
-            def on_fire(idx=index):
-                resume(None if single else idx)
+            if kind == "wait":
+                event = command[1]
+                if event.fired:
+                    value = None
+                    continue
+                event.waiters.append((self._step, body, None))
+                return
+            # "waitany": resume with the index of the first fired
+            # event, or with None at the deadline.
+            events, deadline = command[1], command[2]
+            for index, event in enumerate(events):
+                if event.fired:
+                    value = index
+                    break
+            else:
+                wait = _Wait(body)
+                for index, event in enumerate(events):
+                    event.waiters.append((self._resume, wait, index))
+                if deadline is not None:
+                    self.call_at(deadline, self._resume, wait, None)
+                return
 
-            event._waiters.append(on_fire)
-        if deadline is not None:
-            self.call_at(deadline, lambda: resume(None))
+    def _resume(self, wait: _Wait, value) -> None:
+        if not wait.done:
+            wait.done = True
+            self._step(wait.body, value)
 
     def run(self) -> None:
         heap = self._heap
+        pop = heapq.heappop
         while heap:
-            time, _seq, callback = heapq.heappop(heap)
+            time, _seq, fn, a, b = pop(heap)
             self.now = time
-            callback()
+            fn(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -152,9 +175,10 @@ class _Race:
 class _AbstractRun:
     """Interpret the automaton under permanent crash dates ``crashes``.
 
-    Records, per crashed processor, every date its crash time was
-    compared against (the *guards*), plus the delivery bookkeeping the
-    proof artifact and the FT4xx rules need.
+    Records every comparison of a crash time against a date, in the
+    order first asked (the *decisions*; their dates are the run's
+    *guards*), plus the delivery bookkeeping the proof artifact and the
+    FT4xx rules need.
     """
 
     def __init__(
@@ -165,23 +189,23 @@ class _AbstractRun:
     ) -> None:
         self.auto = auto
         self.crashes = crashes
-        self.guards: Dict[str, Set[float]] = {p: set() for p in crashes}
+        #: ``(proc, date) -> date < crashes[proc]``, in first-asked order.
+        self.decisions: Dict[Tuple[str, float], bool] = {}
         self.kernel = _Kernel()
         self.busy: Dict[str, float] = {link: 0.0 for link in auto.is_bus}
         self.flags: Dict[str, Set[str]] = {
             proc: set(known_failed) for proc in auto.processors
         }
-        self.data: Dict[Tuple[DependencyKey, str], _Event] = {}
-        self.produced: Dict[Tuple[str, str], _Event] = {}
-        self.observed: Dict[DependencyKey, _Event] = {}
-        for op, deps in auto.out_deps.items():
-            for dep in deps:
-                self.observed[dep] = _Event()
-                for proc in auto.processors:
-                    self.data[(dep, proc)] = _Event()
-        for op in auto.predecessors:
-            for proc in auto.processors:
-                self.produced[(op, proc)] = _Event()
+        data_keys, observed_keys, produced_keys = auto.event_keys()
+        self.data: Dict[Tuple[DependencyKey, str], _Event] = {
+            key: _Event() for key in data_keys
+        }
+        self.produced: Dict[Tuple[str, str], _Event] = {
+            key: _Event() for key in produced_keys
+        }
+        self.observed: Dict[DependencyKey, _Event] = {
+            dep: _Event() for dep in observed_keys
+        }
         # Bookkeeping ---------------------------------------------------
         self.outputs_done: Set[str] = set()
         self.delivery_source: Dict[
@@ -192,20 +216,20 @@ class _AbstractRun:
         self.lost_takeovers: List[_Race] = []
         self.detections = 0
 
-    # -- crash predicates (every call records a guard) ------------------
+    # -- crash predicates (every call records a decision) ---------------
     def _alive_at(self, proc: str, time: float) -> bool:
         at = self.crashes.get(proc)
         if at is None:
             return True
-        self.guards[proc].add(time)
-        return time < at
+        alive = self.decisions[(proc, time)] = time < at
+        return alive
 
     def _alive_through(self, proc: str, start: float, end: float) -> bool:
         at = self.crashes.get(proc)
         if at is None:
             return True
-        self.guards[proc].add(end)
-        return end < at
+        alive = self.decisions[(proc, end)] = end < at
+        return alive
 
     # -- processes (mirror the executive's spawn order and branches) ----
     def execute(self) -> "_AbstractRun":
@@ -225,7 +249,7 @@ class _AbstractRun:
 
     def _computation_unit(self, proc: str):
         auto = self.auto
-        outputs = set(auto.outputs)
+        outputs = auto.outputs
         for op, duration in auto.timeline[proc]:
             for pred in auto.predecessors[op]:
                 yield ("wait", self.data[((pred, op), proc)])
@@ -310,7 +334,7 @@ class _AbstractRun:
     ) -> None:
         groups, unicast = self.auto.frame_groups(dep, sender, dests)
         for link, served in groups:
-            self._emit(dep, sender, served, link, takeover, then=None)
+            self._emit(dep, sender, served, link, takeover, route=None)
         for dest in unicast:
             hops = self.auto.route_hops(dep, sender, dest)
             self._forward(dep, hops, 0, takeover)
@@ -320,20 +344,16 @@ class _AbstractRun:
             return
         hop_from, hop_to, link = hops[index]
         is_last = index == len(hops) - 1
-
-        def continue_route(_end):
-            self._forward(dep, hops, index + 1, takeover)
-
         self._emit(
             dep,
             hop_from,
             (hop_to,),
             link,
             takeover,
-            then=None if is_last else continue_route,
+            route=None if is_last else (hops, index + 1),
         )
 
-    def _emit(self, dep, sender, dests, link, takeover, then) -> None:
+    def _emit(self, dep, sender, dests, link, takeover, route) -> None:
         duration = self.auto.comm_duration(dep, link)
         start = max(self.kernel.now, self.busy[link])
         if not self._alive_at(sender, start):
@@ -347,20 +367,23 @@ class _AbstractRun:
                     _Race(dep, sender, self.kernel.now, end)
                 )
             return
+        self.kernel.call_at(
+            end, self._complete, (dep, sender, dests, link, takeover, route), end
+        )
 
-        def complete():
-            if self.auto.observable(link):
-                self._fire_observed(dep, "frame", sender)
-                if self.auto.snoop_recovery:
-                    for flags in self.flags.values():
-                        flags.discard(sender)
-            for dest in dests:
-                if self._alive_at(dest, end):
-                    self._deliver(dep, dest, sender, takeover)
-            if then is not None:
-                then(end)
-
-        self.kernel.call_at(end, complete)
+    def _complete(self, frame, end: float) -> None:
+        """A frame finished transmission: observe, deliver, relay on."""
+        dep, sender, dests, link, takeover, route = frame
+        if self.auto.observable(link):
+            self._fire_observed(dep, "frame", sender)
+            if self.auto.snoop_recovery:
+                for flags in self.flags.values():
+                    flags.discard(sender)
+        for dest in dests:
+            if self._alive_at(dest, end):
+                self._deliver(dep, dest, sender, takeover)
+        if route is not None:
+            self._forward(dep, route[0], route[1], takeover)
 
     def _deliver(self, dep, dest, sender, takeover) -> None:
         event = self.data[(dep, dest)]
@@ -446,6 +469,8 @@ class _SubsetResult:
     subset: Tuple[str, ...]
     status: str  # "safe" | "refuted" | "unproven"
     evaluations: int = 0
+    #: Evaluations answered from the decision trie, without a run.
+    replayed: int = 0
     refuted_cells: List[Tuple[tuple, "_AbstractRun"]] = field(
         default_factory=list
     )
@@ -469,9 +494,19 @@ def _sweep_subset(
     auto: DeliveryAutomaton,
     subset: Tuple[str, ...],
     budget: int,
+    until_refuted: bool = False,
 ) -> _SubsetResult:
     result = _SubsetResult(subset=subset, status="safe")
     boundaries = auto.boundaries
+    # The decision trie of the runs so far.  A node is the list
+    # ``[proc, date, if_dead, if_alive]``: the question a run asked
+    # and the subtree for each answer.  A leaf is ``(ok,
+    # witness_depth, delivery sources, run if refuted)``.  A run sees
+    # its crash dates only through its decisions, so a representative
+    # that answers a whole root-to-leaf path the same way replays that
+    # run exactly: same verdict, same guards (the path's dates).
+    root: list = [None]
+    interned: Dict[tuple, tuple] = {}
     worklist: List[tuple] = [tuple((0.0, math.inf) for _ in subset)]
     while worklist:
         cell = worklist.pop()
@@ -479,17 +514,52 @@ def _sweep_subset(
             result.status = "unproven"
             return result
         reps = {p: interval[0] for p, interval in zip(subset, cell)}
-        run = _AbstractRun(auto, reps).execute()
+        guards: Dict[str, List[float]] = {p: [] for p in subset}
+        parent, slot, walked = root, 0, 0
+        node = root[0]
+        while type(node) is list:
+            proc, date = node[0], node[1]
+            guards[proc].append(date)
+            parent, slot = node, 3 if date < reps[proc] else 2
+            node = node[slot]
+            walked += 1
+        if node is None:
+            # A miss: run it, and hang its unseen decisions below the
+            # walked prefix (which the run repeated, answer for answer).
+            run = _AbstractRun(auto, reps).execute()
+            for (proc, date), alive in itertools.islice(
+                run.decisions.items(), walked, None
+            ):
+                guards[proc].append(date)
+                child = [proc, date, None, None]
+                parent[slot] = child
+                parent, slot = child, 3 if alive else 2
+            if run.ok:
+                sources = tuple(
+                    (dep, chain)
+                    for (dep, _dest), chain in run.delivery_source.items()
+                )
+                node = (
+                    True,
+                    run.witness_depth(),
+                    interned.setdefault(sources, sources),
+                    None,
+                )
+            else:
+                node = (False, 0, (), run)
+            parent[slot] = node
+        else:
+            result.replayed += 1
         result.evaluations += 1
-        # Partition the cell along the recorded guards; the verdict
-        # holds on the representative's (guard-free) sub-cell.
+        ok, depth, sources, run = node
+        # Partition the cell along the guards; the verdict holds on
+        # the representative's (guard-free) sub-cell.
         axes = []
         for proc, (lo, hi) in zip(subset, cell):
             cuts = sorted(
                 cut
                 for cut in (
-                    math.nextafter(date, math.inf)
-                    for date in run.guards.get(proc, ())
+                    math.nextafter(date, math.inf) for date in guards[proc]
                 )
                 if lo < cut < hi
             )
@@ -508,14 +578,16 @@ def _sweep_subset(
             first, last = _cell_windows(boundaries, lo, hi)
             covered *= last - first + 1
         result.classes_collapsed += covered - 1
-        if run.ok:
-            result.witness_depth = max(result.witness_depth, run.witness_depth())
-            for (dep, _dest), chain in run.delivery_source.items():
-                result.chains.setdefault(dep, {})
-                result.chains[dep][chain] = result.chains[dep].get(chain, 0) + 1
+        if ok:
+            result.witness_depth = max(result.witness_depth, depth)
+            for dep, chain in sources:
+                per_dep = result.chains.setdefault(dep, {})
+                per_dep[chain] = per_dep.get(chain, 0) + 1
         else:
             result.status = "refuted"
             result.refuted_cells.append((rep_cell, run))
+            if until_refuted:
+                return result
     return result
 
 
@@ -586,9 +658,18 @@ def prove_delivery(
         and result.verdict == "SAFE"
         and max_failures is None
         and failures + 1 < len(auto.processors)
-        and _choose(len(auto.processors), failures + 1) <= 64
+        and math.comb(len(auto.processors), failures + 1) <= 64
     ):
-        beyond = _prove(auto, failures + 1, max_evals_per_subset, obs, sizes=(failures + 1,))
+        # Only a SAFE probe changes the result: stop at its first
+        # refutation.
+        beyond = _prove(
+            auto,
+            failures + 1,
+            max_evals_per_subset,
+            obs,
+            sizes=(failures + 1,),
+            until_refuted=True,
+        )
         if beyond.verdict == "SAFE":
             result.beyond = {
                 "certified_failures": failures,
@@ -598,25 +679,23 @@ def prove_delivery(
     return result
 
 
-def _choose(n: int, k: int) -> int:
-    return math.comb(n, k) if hasattr(math, "comb") else int(
-        math.factorial(n) / (math.factorial(k) * math.factorial(n - k))
-    )
-
-
 def _prove(
     auto: DeliveryAutomaton,
     failures: int,
     budget: int,
     obs,
     sizes: Optional[Tuple[int, ...]] = None,
+    until_refuted: bool = False,
 ) -> ProofResult:
+    """Sweep every subset of the given sizes (default ``0..failures``);
+    ``until_refuted`` stops at the first refutation."""
     processors = auto.processors
     reaches = _reaches_output(auto)
     dead_roots: List[frozenset] = []
     subsets_checked = 0
     pruned = 0
     evaluations = 0
+    replayed = 0
     classes_collapsed = 0
     witness_depth = 0
     refuted_regions: List[ClassRegion] = []
@@ -627,52 +706,57 @@ def _prove(
     chains: Dict[DependencyKey, Dict[Tuple[str, str, int], int]] = {}
 
     all_sizes = sizes if sizes is not None else tuple(range(failures + 1))
-    for size in all_sizes:
-        for combo in itertools.combinations(processors, size):
-            subset = frozenset(combo)
-            if any(root <= subset for root in dead_roots):
-                pruned += 1
-                continue
-            subsets_checked += 1
-            dead_op = _dead_certificate(auto, combo, reaches)
-            if dead_op is not None:
-                dead_roots.append(subset)
-                region = ClassRegion(
-                    windows={proc: (0, 0) for proc in combo},
-                    subset=combo,
+    for combo in itertools.chain.from_iterable(
+        itertools.combinations(processors, size) for size in all_sizes
+    ):
+        if until_refuted and counterexamples:
+            break
+        subset = frozenset(combo)
+        if any(root <= subset for root in dead_roots):
+            pruned += 1
+            continue
+        subsets_checked += 1
+        dead_op = _dead_certificate(auto, combo, reaches)
+        if dead_op is not None:
+            dead_roots.append(subset)
+            region = ClassRegion(
+                windows={proc: (0, 0) for proc in combo},
+                subset=combo,
+            )
+            refuted_regions.append(region)
+            counterexamples.append(
+                _certificate_counterexample(auto, combo, dead_op)
+            )
+            continue
+        swept = _sweep_subset(auto, combo, budget, until_refuted)
+        evaluations += swept.evaluations
+        replayed += swept.replayed
+        classes_collapsed += swept.classes_collapsed
+        witness_depth = max(witness_depth, swept.witness_depth)
+        for dep, per_chain in swept.chains.items():
+            chains.setdefault(dep, {})
+            for chain, count in per_chain.items():
+                chains[dep][chain] = chains[dep].get(chain, 0) + count
+        if swept.status == "unproven":
+            unproven_subsets.append(combo)
+        elif swept.status == "refuted":
+            dead_roots.append(subset)
+            for cell, run in swept.refuted_cells:
+                windows = {}
+                for proc, (lo, hi) in zip(combo, cell):
+                    windows[proc] = _cell_windows(auto.boundaries, lo, hi)
+                refuted_regions.append(
+                    ClassRegion(windows=windows, subset=combo)
                 )
-                refuted_regions.append(region)
-                counterexamples.append(
-                    _certificate_counterexample(auto, combo, dead_op)
-                )
-                continue
-            swept = _sweep_subset(auto, combo, budget)
-            evaluations += swept.evaluations
-            classes_collapsed += swept.classes_collapsed
-            witness_depth = max(witness_depth, swept.witness_depth)
-            for dep, per_chain in swept.chains.items():
-                chains.setdefault(dep, {})
-                for chain, count in per_chain.items():
-                    chains[dep][chain] = chains[dep].get(chain, 0) + count
-            if swept.status == "unproven":
-                unproven_subsets.append(combo)
-            elif swept.status == "refuted":
-                dead_roots.append(subset)
-                for cell, run in swept.refuted_cells:
-                    windows = {}
-                    for proc, (lo, hi) in zip(combo, cell):
-                        windows[proc] = _cell_windows(auto.boundaries, lo, hi)
-                    refuted_regions.append(
-                        ClassRegion(windows=windows, subset=combo)
-                    )
-                    _collect_race_findings(run, races, never_rearms)
-                counterexamples.append(
-                    _cell_counterexample(auto, combo, swept.refuted_cells[0])
-                )
+                _collect_race_findings(run, races, never_rearms)
+            counterexamples.append(
+                _cell_counterexample(auto, combo, swept.refuted_cells[0])
+            )
 
     obs.count("proof.subsets_checked", subsets_checked)
     obs.count("proof.pruned", pruned)
     obs.count("proof.evaluations", evaluations)
+    obs.count("proof.replayed", replayed)
     obs.count("proof.classes_collapsed", classes_collapsed)
 
     if counterexamples:

@@ -9,6 +9,7 @@ every ≤K crash subset is covered, UNPROVEN when the budget runs out.
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -250,8 +251,28 @@ class TestObsIntegration:
         names = {span.name for span in session.tracer.spans}
         assert {"proof.compile", "proof.verify"} <= names
 
+    def test_replayed_evaluations_are_a_strict_share(self, gap_schedule):
+        """Some cells replay an earlier run from the decision trie;
+        the rest still execute the automaton."""
+        with instrumented() as session:
+            prove_delivery(gap_schedule)
+        registry = session.registry
+        replayed = registry.counter_value("proof.replayed")
+        assert 0 < replayed < registry.counter_value("proof.evaluations")
+
 
 class TestLintIntegration:
+    def test_proof_cache_drops_collected_schedules(self, bus_problem):
+        from repro.lint.proof import rules
+
+        before = len(rules._CACHE)
+        for _ in range(5):
+            schedule = schedule_solution1(bus_problem).schedule
+            assert rules.proof_for(schedule) is rules.proof_for(schedule)
+        del schedule
+        gc.collect()
+        assert len(rules._CACHE) == before
+
     def test_rules_registered(self):
         from repro.lint import all_rules
 
