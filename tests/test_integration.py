@@ -63,36 +63,80 @@ class TestFullPipeline:
             assert trace.completed
 
 
+#: (generator, kwargs, scheduler) per agreement case.  The first three
+#: keep their historical ids; ``baseline-bus10-s3`` is a pattern where
+#: replicas on live processors block behind lost inputs.
+AGREEMENT_CASES = [
+    pytest.param(
+        random_bus_problem,
+        dict(operations=10, processors=4, failures=1, seed=seed),
+        schedule_solution1,
+        id=str(seed),
+    )
+    for seed in range(3)
+] + [
+    pytest.param(
+        random_bus_problem,
+        dict(operations=8, processors=4, failures=2, seed=21),
+        schedule_solution1,
+        id="s1-bus8-k2",
+    ),
+    pytest.param(
+        random_bus_problem,
+        dict(operations=10, processors=4, failures=2, seed=0),
+        schedule_solution1,
+        id="s1-bus10-k2",
+    ),
+    pytest.param(
+        random_p2p_problem,
+        dict(operations=10, processors=4, failures=1, seed=2),
+        schedule_solution2,
+        id="s2-p2p10-k1",
+    ),
+    pytest.param(
+        random_bus_problem,
+        dict(operations=10, processors=4, failures=1, seed=3),
+        schedule_baseline,
+        id="baseline-bus10-s3",
+    ),
+]
+
+
+def _assert_certification_matches_simulation(schedule, report):
+    """Each pattern's verdict and lost operations equal a simulated
+    iteration with the pattern's processors dead from the start."""
+    order = schedule.problem.algorithm.topological_order()
+    for outcome in report.outcomes:
+        scenario = (
+            FailureScenario.dead_from_start(*sorted(outcome.failed))
+            if outcome.failed
+            else FailureScenario.none()
+        )
+        trace = simulate(schedule, scenario)
+        assert trace.completed == outcome.ok, outcome
+        executed = trace.executed_ops()
+        lost = tuple(op for op in order if op not in executed)
+        assert outcome.lost_operations == lost, outcome
+
+
 class TestStaticDynamicAgreement:
     """The exhaustive static certification and the simulator must agree
-    on which failure patterns are survivable."""
+    on which failure patterns are survivable, and on what each loses."""
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_certification_matches_simulation_solution1(self, seed):
-        problem = random_bus_problem(
-            operations=10, processors=4, failures=1, seed=seed
+    @pytest.mark.parametrize("generator, kwargs, scheduler", AGREEMENT_CASES)
+    def test_certification_matches_simulation_solution1(
+        self, generator, kwargs, scheduler
+    ):
+        schedule = scheduler(generator(**kwargs)).schedule
+        _assert_certification_matches_simulation(
+            schedule, certify_fault_tolerance(schedule)
         )
-        schedule = schedule_solution1(problem).schedule
-        report = certify_fault_tolerance(schedule)
-        for outcome in report.outcomes:
-            scenario = (
-                FailureScenario.dead_from_start(*sorted(outcome.failed))
-                if outcome.failed
-                else FailureScenario.none()
-            )
-            trace = simulate(schedule, scenario)
-            assert trace.completed == outcome.ok, outcome
 
     def test_baseline_certification_matches_simulation(self, bus_baseline):
-        report = certify_fault_tolerance(bus_baseline.schedule, failures=1)
-        for outcome in report.outcomes:
-            scenario = (
-                FailureScenario.dead_from_start(*sorted(outcome.failed))
-                if outcome.failed
-                else FailureScenario.none()
-            )
-            trace = simulate(bus_baseline.schedule, scenario)
-            assert trace.completed == outcome.ok, outcome
+        _assert_certification_matches_simulation(
+            bus_baseline.schedule,
+            certify_fault_tolerance(bus_baseline.schedule, failures=1),
+        )
 
 
 class TestArchitectureAppropriateness:
