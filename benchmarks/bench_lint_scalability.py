@@ -9,8 +9,9 @@ well above it.  This bench measures, with pytest-benchmark's timers:
   exhaustive (K+1)-survivability enumeration (``sum C(n, k)``
   patterns) and FT105's lower-bound computation;
 * the FT2xx schedule pass vs graph size — dominated by FT212's
-  exhaustive route-liveness replay (the same pattern enumeration, per
-  schedule) and FT211's timeout-table recomputation;
+  certification (the same pattern enumeration, per schedule, each
+  pattern one run of the compiled delivery automaton) and FT211's
+  timeout-table recomputation;
 * the combined `lint(problem, schedule)` a CI gate pays per target.
 
 Numbers land in pytest-benchmark's JSON (``--benchmark-json=...``)

@@ -449,10 +449,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     )
     lint_report = report.to_lint_report()
     if getattr(args, "prove", False):
-        # Strengthen the route-liveness certificate with the FT4xx
-        # delivery proof: either "tolerates K by construction, proven
-        # for all ≤K subsets" or "refuted, see reproducer".  The
-        # prover run is shared with the rules via proof_for().
+        # Extend the dead-from-start certificate to every crash date
+        # with the FT4xx delivery proof: either "tolerates K by
+        # construction, proven for all ≤K subsets" or "refuted, see
+        # reproducer".  The prover run is shared with the rules via
+        # proof_for().
         from .lint.proof.rules import proof_for
         from .lint.registry import get_rule
 

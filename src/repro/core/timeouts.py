@@ -255,8 +255,8 @@ def audit_timeout_table(
       sound bound of :func:`minimal_timeout_table` (each paired with
       that bound): the watchdog can fire on a healthy main;
     * ``missing`` — ladder keys the schedule should carry but does not:
-      the backup has no watchdog for that message and can never take
-      over.
+      the backup's watchdog skips that candidate without waiting and
+      takes the message over even while the candidate is healthy.
     """
     minimal = minimal_timeout_table(schedule)
     stored: Dict[LadderKey, TimeoutEntry] = {

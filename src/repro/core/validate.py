@@ -10,14 +10,16 @@ Two layers of assurance, both purely static (no simulation):
   available — locally or through comm slots — before it starts; every
   comm slot carries data its sender actually holds).
 
-* :func:`certify_fault_tolerance` proves, by exhaustive enumeration of
-  the failure patterns of size <= K, that every pattern leaves each
-  output operation *producible*: some replica chain of live processors
-  can compute it and route every intermediate result around the dead
-  processors.  For Solution 1 the routing argument relies on the
-  runtime take-over (any live replica of the producer can send), for
-  Solution 2 on the statically replicated comms; the baseline is
-  certified only for the empty pattern.
+* :func:`certify_fault_tolerance` decides, by exhaustive enumeration
+  of the failure patterns of size <= K, whether every pattern leaves
+  each output produced when its processors are dead from the start of
+  the iteration.  Each pattern is an exact replay of the schedule's
+  delivery automaton (:mod:`repro.lint.proof`), the same model the
+  prover sweeps over crash dates: Solution-1 data moves only on
+  scheduled frames and timeout-ladder takeovers, Solution-2 data on
+  the statically replicated comms, and the baseline has no redundancy.
+  :func:`certify_link_fault_tolerance` is the link-failure
+  counterpart, a static-route check.
 
 The dynamic counterpart — actually executing the schedule under
 injected crashes — lives in :mod:`repro.sim`.
@@ -28,11 +30,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..graphs.routing import RoutingError
 from ..lint.model import Diagnostic, LintReport, Severity
-from ..tolerance import EPSILON, approx_eq, approx_le
+from ..tolerance import approx_eq, approx_le
 from .schedule import CommSlot, ReplicaPlacement, Schedule, ScheduleSemantics
 
 __all__ = [
@@ -402,27 +403,39 @@ def certify_fault_tolerance(
 ) -> CertificationReport:
     """Exhaustively certify tolerance to up to ``failures`` crashes.
 
-    ``failures`` defaults to the problem's ``K``.  A pattern passes
-    when every operation of the algorithm graph remains producible on
-    at least one surviving processor (outputs included), under the
-    schedule's semantics:
-
-    * data held by a live replica of a predecessor can reach a live
-      consumer if they share a processor, or if some static route
-      between them avoids every failed processor (a bus serves all its
-      endpoints; failed *endpoints* of a bus do not hinder it — only
-      failed relays kill a route);
-    * baseline schedules have no redundancy: any pattern touching a
-      used processor fails (and the report shows which operations die).
+    ``failures`` defaults to the problem's ``K``.  Each failure pattern
+    of at most ``failures`` processors is replayed once on the
+    schedule's delivery automaton (:mod:`repro.lint.proof`), with the
+    pattern's processors dead from date 0 and not yet detected — the
+    executive's own protocol: data moves only on scheduled frames and
+    timeout-ladder takeovers.  A pattern passes when the run produces
+    every output; its ``lost_operations`` are the operations no
+    processor produces, in topological order.  Crashes in the middle
+    of an iteration are the prover's domain
+    (:func:`repro.lint.proof.prove_delivery`).
     """
-    problem = schedule.problem
+    # Imported here: the prover builds on repro.core.
+    from ..lint.proof.automaton import compile_automaton
+    from ..lint.proof.verifier import _AbstractRun
+
     if failures is None:
-        failures = problem.failures
-    procs = problem.architecture.processor_names
+        failures = schedule.problem.failures
+    auto = compile_automaton(schedule)
+    order = schedule.problem.algorithm.topological_order()
     report = CertificationReport(degree=failures)
     for size in range(failures + 1):
-        for failed in itertools.combinations(procs, size):
-            report.outcomes.append(_analyze_pattern(schedule, frozenset(failed)))
+        for failed in itertools.combinations(auto.processors, size):
+            run = _AbstractRun(auto, dict.fromkeys(failed, 0.0)).execute()
+            lost = tuple(
+                op
+                for op in order
+                if not any(
+                    run.produced[(op, proc)].fired for proc in auto.replicas[op]
+                )
+            )
+            report.outcomes.append(
+                PatternOutcome(frozenset(failed), run.ok, lost)
+            )
     return report
 
 
@@ -433,97 +446,68 @@ def certify_link_fault_tolerance(
 
     The paper excludes link failures from its model (Section 5.5) and
     lists tolerating them as ongoing work (Section 8); this analysis
-    supports that extension.  Unlike processor certification (which
-    allows any surviving path, matching the broadcast/take-over
-    semantics), link certification is strict about routing: data flows
-    only along the *static* per-dependency routes, so a dependency
-    whose every sender's route to a consumer crosses a dead link is
-    lost.  Single-bus architectures therefore never tolerate their bus
-    failing — the reason the paper points at intrinsically redundant
-    media (CAN's wire-level redundancy) for that fault class.
+    supports that extension.  The delivery automaton does not model
+    links, so this is a static-route check: data flows only along the
+    *static* per-dependency routes (the executive never reroutes), so
+    a dependency whose every sender's route to a consumer crosses a
+    dead link is lost.  Single-bus architectures therefore never
+    tolerate their bus failing — the reason the paper points at
+    intrinsically redundant media (CAN's wire-level redundancy) for
+    that fault class.
     """
-    problem = schedule.problem
-    links = problem.architecture.link_names
+    links = schedule.problem.architecture.link_names
     report = CertificationReport(degree=link_failures)
     for size in range(link_failures + 1):
         for failed in itertools.combinations(links, size):
-            report.outcomes.append(
-                _analyze_pattern(
-                    schedule, frozenset(), failed_links=frozenset(failed)
-                )
-            )
+            report.outcomes.append(_analyze_pattern(schedule, frozenset(failed)))
     return report
 
 
 def _analyze_pattern(
-    schedule: Schedule,
-    failed: FrozenSet[str],
-    failed_links: FrozenSet[str] = frozenset(),
+    schedule: Schedule, failed_links: FrozenSet[str]
 ) -> PatternOutcome:
+    """Which operations stay producible with ``failed_links`` dead."""
     problem = schedule.problem
     algorithm = problem.algorithm
     lost: List[str] = []
     producible: Dict[str, Set[str]] = {}
-
     for op in algorithm.topological_order():
-        sites: Set[str] = set()
-        for replica in schedule.replicas(op):
-            proc = replica.processor
-            if proc in failed:
-                continue
-            feeds_ok = True
-            for pred in algorithm.predecessors(op):
-                holders = producible.get(pred, set())
-                if proc in holders:
-                    continue
-                if not any(
-                    _data_path_survives(
-                        problem, (pred, op), holder, proc, failed, failed_links
+        sites = {
+            replica.processor
+            for replica in schedule.replicas(op)
+            if all(
+                any(
+                    _route_survives(
+                        problem,
+                        (pred, op),
+                        holder,
+                        replica.processor,
+                        failed_links,
                     )
-                    for holder in holders
-                ):
-                    feeds_ok = False
-                    break
-            if feeds_ok:
-                sites.add(proc)
+                    for holder in producible[pred]
+                )
+                for pred in algorithm.predecessors(op)
+            )
+        }
         producible[op] = sites
         if not sites:
             lost.append(op)
+    return PatternOutcome(
+        failed=failed_links, ok=not lost, lost_operations=tuple(lost)
+    )
 
-    pattern = failed if failed else frozenset(failed_links)
-    return PatternOutcome(failed=pattern, ok=not lost, lost_operations=tuple(lost))
 
-
-def _data_path_survives(
+def _route_survives(
     problem,
     dep: Tuple[str, str],
     src: str,
     dst: str,
-    failed: FrozenSet[str],
     failed_links: FrozenSet[str],
 ) -> bool:
-    """True when ``dep``'s data can flow ``src -> dst``.
-
-    Processor failures are checked against network connectivity (the
-    broadcast/take-over semantics let any surviving path carry the
-    data); link failures are checked against the *static* route of the
-    dependency (no rerouting exists in the executive).
-    """
+    """True when ``dep``'s static route ``src -> dst`` avoids every dead link."""
     if src == dst:
         return True
-    if failed_links:
-        route = problem.routing.route_for_dependency(
-            src, dst, dep, problem.communication
-        )
-        if failed_links.intersection(route.links):
-            return False
-        if failed.intersection(route.processors):
-            return False
-        return True
-    graph = problem.architecture.routing_graph()
-    graph.remove_nodes_from(failed)
-    if src not in graph or dst not in graph:
-        return False
-    import networkx as nx
-
-    return nx.has_path(graph, src, dst)
+    route = problem.routing.route_for_dependency(
+        src, dst, dep, problem.communication
+    )
+    return not failed_links.intersection(route.links)

@@ -16,9 +16,10 @@ identity), so ``lint_schedule`` pays the proof cost once:
   additionally verified all (K+1)-subsets: the schedule is better
   than its certificate claims.
 
-FT216 remains as a *fast pre-filter* of FT401: it inspects only the
-static plan (no protocol interpretation), may miss dynamic races, and
-must never fire on a schedule FT401 proves safe.
+FT216 remains as a *fast heuristic* beside FT401: it inspects only
+the static plan (no protocol interpretation), misses dynamic races,
+and can fire on a schedule FT401 proves safe (a backup with no ladder
+entry takes over unconditionally).
 """
 
 from __future__ import annotations

@@ -208,8 +208,9 @@ def check_timeout_soundness(schedule: Schedule) -> Iterator[Finding]:
     for op, dep, watcher, rank in missing:
         yield (
             f"backup {watcher!r} has no timeout entry for candidate rank "
-            f"{rank} of dependency {dep[0]}->{dep[1]} (op {op!r}): it "
-            f"can never take over that message",
+            f"{rank} of dependency {dep[0]}->{dep[1]} (op {op!r}): its "
+            f"watchdog stops waiting for that candidate and takes over "
+            f"even while the candidate is healthy",
             op,
         )
 
@@ -324,15 +325,15 @@ def check_delivery_gap(schedule: Schedule) -> Iterator[Finding]:
     takeover communication is scheduled from a survivor), the data has
     no scheduled way to reach the consumer.
 
-    This rule inspects the static plan only — a cheap necessary-
-    condition check that runs in microseconds.  Anything it flags is a
-    genuine delivery gap, so it must never contradict the full prover:
-    FT216 firing implies FT401 firing (the differential battery pins
-    that invariant).  The converse does not hold: dynamic stand-down
-    races (a ladder entry that exists but is cancelled by a doomed
-    frame, the ROADMAP delivery gap) are invisible here and only the
-    :mod:`repro.lint.proof` automaton interpretation (FT401/FT403)
-    finds them statically.
+    This rule inspects the static plan only — a cheap heuristic that
+    runs in microseconds, not a proof.  It can flag a schedule that
+    delivers: a backup whose ladder has no entry does not wait at all
+    and takes over as soon as its own replica completes, so the data
+    still flows (FT211 reports the missing entry).  Dynamic
+    stand-down races (a ladder entry that exists but is cancelled by
+    a doomed frame, the ROADMAP delivery gap) are invisible here and
+    only the :mod:`repro.lint.proof` automaton interpretation
+    (FT401/FT403) finds them statically.
     """
     import itertools
 

@@ -722,6 +722,23 @@ def test_ft216_silent_with_survivor_ladder():
     assert not [d for d in report.findings if d.rule == "FT216"]
 
 
+def test_ft211_missing_entry_takes_over_from_a_healthy_candidate():
+    """A backup without a ladder rung does not wait for that candidate:
+    its watchdog sends as soon as its own replica completes, so even
+    the failure-free run carries a takeover frame."""
+    from repro.sim import simulate
+
+    takeovers = [str(f) for f in simulate(gap_schedule()).takeover_frames()]
+    assert [t.split(" on ")[0] for t in takeovers] == ["a->b P2=>P3"]
+    assert not simulate(gap_schedule(with_ladder=True)).takeover_frames()
+    findings = lint_schedule(gap_schedule()).by_rule("FT211")
+    assert findings
+    assert "takes over even while the candidate is healthy" in (
+        findings[0].message
+    )
+    assert "never take over" not in findings[0].message
+
+
 def test_ft216_silent_on_paper_schedules():
     for problem, build in (
         (paper.first_example_problem(failures=1), schedule_solution1),

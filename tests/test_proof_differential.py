@@ -9,8 +9,11 @@ schedule deliver under ≤K crashes?" — must agree on every problem:
   the real simulator (not merely *some* campaign scenario);
 * spot-check: concrete crash assignments decided by
   ``check_scenario`` match ``simulate()`` exactly;
-* FT216, demoted to a fast pre-filter, never contradicts FT401:
-  whenever FT216 fires, FT401 refutes the schedule too.
+* certification is one-sided against the prover: a pattern
+  ``certify_fault_tolerance`` fails (processors dead from the start)
+  is a region of the prover's sweep, so certify FAIL ⇒ prover UNSAFE,
+  and prover SAFE ⇒ certify ok;
+* on the battery, FT216 never fires on a schedule FT401 proves.
 
 The battery is seeded and small (CI-speed); the CI workflow runs the
 same gate as a job so drift between the layers blocks merges.
@@ -20,8 +23,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import schedule_solution1, schedule_solution2
+from repro.core import schedule_baseline, schedule_solution1, schedule_solution2
 from repro.core.timeline import event_boundaries
+from repro.core.validate import certify_fault_tolerance
 from repro.graphs.generators import random_bus_problem, random_p2p_problem
 from repro.lint.proof import check_scenario, counterexample_reproducer, prove_delivery
 from repro.obs.campaign import (
@@ -126,11 +130,31 @@ class TestProverAgreesWithCampaign:
             )
 
 
+class TestCertifyIsOneSidedAgainstProver:
+    """``certify`` replays the dead-from-start corner of the prover's
+    crash-date sweep on the same automaton, so it can only miss
+    refutations (mid-iteration crashes), never add one."""
+
+    def test_certify_fail_implies_prover_unsafe(self, target):
+        label, problem, schedule, method, spec = target
+        # The problem's baseline schedule adds a certify-FAIL case.
+        baseline = schedule_baseline(problem).schedule
+        for name, candidate in ((method, schedule), ("baseline", baseline)):
+            certified = certify_fault_tolerance(candidate).ok
+            verdict = prove_delivery(candidate).verdict
+            if not certified:
+                assert verdict == "UNSAFE", (
+                    f"{label}/{name}: certify FAIL, prover {verdict}"
+                )
+            if verdict == "SAFE":
+                assert certified, f"{label}/{name}: prover SAFE, certify FAIL"
+
+
 class TestFT216NeverContradictsFT401:
-    """FT216 is a necessary-condition pre-filter: anything it flags is
-    a genuine static gap, so FT401 must refute every schedule FT216
-    fires on.  (The converse is false by design: FT401 also finds
-    dynamic races FT216 cannot see — the ROADMAP fixture.)"""
+    """FT216 is a plan-inspection heuristic.  On the battery FT401
+    refutes every schedule FT216 fires on.  (The converse is false:
+    FT401 also finds dynamic races FT216 cannot see — the ROADMAP
+    fixture.)"""
 
     def test_ft216_implies_ft401(self, target):
         from repro.lint.registry import get_rule
