@@ -1,0 +1,165 @@
+"""Golden compile output: schedules and simulated traces pinned bit for bit.
+
+The compile path (routing, comm planning, the list schedulers, the
+frozen schedule's queries and the executive) may be made faster, but
+it must not change a single byte of what it produces.  For each case
+this test pins, per method:
+
+* ``io.schedule_hash`` of the schedule;
+* a digest of the frozen ``schedule.comms`` list, in its order (the
+  hash above sorts the slots, so it would miss a reordering);
+* a digest of the simulated trace — frames, executions, detections
+  and ``output_times`` — with no crash, with P1 dead from start, and
+  with P2 crashing in the middle of the iteration.
+
+The architectures cover a fully connected point-to-point network
+(one candidate route per pair), a mixed network (a bus, an express
+link beside it, parallel links and pairs with several minimum-hop
+paths, where routes are ranked per dependency) and a single bus.
+
+Regenerate the fixture only when the compiled output is meant to
+change::
+
+    PYTHONPATH=src python tests/test_compile_golden.py --regenerate
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from repro.core import schedule_baseline, schedule_solution1, schedule_solution2
+from repro.graphs.architecture import Architecture
+from repro.graphs.constraints import CommunicationTable
+from repro.graphs.generators import (
+    layered_dag,
+    random_bus_problem,
+    random_p2p_problem,
+    random_problem,
+)
+from repro.graphs.io import schedule_hash
+from repro.graphs.problem import Problem
+from repro.sim import FailureScenario, simulate
+
+FIXTURE = Path(__file__).parent / "fixtures" / "compile_golden.json"
+
+METHODS = {
+    "baseline": schedule_baseline,
+    "solution1": schedule_solution1,
+    "solution2": schedule_solution2,
+}
+
+#: Per-link scale of the mixed architecture's transfer times, so that
+#: parallel links and alternative paths differ in cost.
+MIXED_LINK_SCALE = {"can": 1.0, "express": 0.25, "l45a": 0.8, "l45b": 0.5, "l35": 0.6}
+
+
+def mixed_architecture() -> Architecture:
+    """A bus P1-P4 with an express link P1-P2 beside it, and P5 behind
+    two parallel links to P4 plus one link to P3 (so P1..P2 reach P5
+    over two minimum-hop paths)."""
+    arch = Architecture("mixed")
+    for proc in ("P1", "P2", "P3", "P4", "P5"):
+        arch.add_processor(proc)
+    arch.add_bus("can", ["P1", "P2", "P3", "P4"])
+    arch.add_link("express", "P1", "P2")
+    arch.add_link("l45a", "P4", "P5")
+    arch.add_link("l45b", "P4", "P5")
+    arch.add_link("l35", "P3", "P5")
+    return arch
+
+
+def mixed_problem(failures: int, seed: int = 3) -> Problem:
+    algorithm = layered_dag([2, 3, 3, 2], density=0.6, seed=seed)
+    base = random_problem(algorithm, mixed_architecture(), failures, seed)
+    comm = CommunicationTable()
+    for (dep, link), duration in base.communication.entries.items():
+        comm.set_duration(dep, link, round(duration * MIXED_LINK_SCALE[link], 3))
+    return Problem(
+        algorithm=base.algorithm,
+        architecture=base.architecture,
+        execution=base.execution,
+        communication=comm,
+        failures=failures,
+        name=f"mixed-k{failures}",
+    )
+
+
+#: label -> problem factory.
+CASES = {
+    "p2p-k1": lambda: random_p2p_problem(operations=14, processors=5, failures=1, seed=2),
+    "p2p-k2": lambda: random_p2p_problem(operations=12, processors=5, failures=2, seed=4),
+    "mixed-k1": lambda: mixed_problem(failures=1),
+    "mixed-k2": lambda: mixed_problem(failures=2),
+    "bus-k1": lambda: random_bus_problem(operations=14, processors=4, failures=1, seed=1),
+    "bus-k2": lambda: random_bus_problem(operations=12, processors=4, failures=2, seed=5),
+}
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _trace_digest(trace) -> str:
+    return _digest(
+        {
+            "frames": [asdict(frame) for frame in trace.frames],
+            "executions": [asdict(record) for record in trace.executions],
+            "detections": [asdict(record) for record in trace.detections],
+            "output_times": trace.output_times,
+        }
+    )
+
+
+def _scenarios(schedule):
+    return {
+        "none": FailureScenario.none(),
+        "P1-dead": FailureScenario.dead_from_start("P1"),
+        "P2-mid": FailureScenario.crash("P2", at=schedule.makespan / 2),
+    }
+
+
+def case_record(label: str) -> dict:
+    """The pinned facts of one case: per method, schedule and trace digests."""
+    problem = CASES[label]()
+    record = {}
+    for method, scheduler in METHODS.items():
+        schedule = scheduler(problem).schedule
+        record[method] = {
+            "makespan": schedule.makespan,
+            "schedule_hash": schedule_hash(schedule),
+            "comms_sha256": _digest([asdict(slot) for slot in schedule.comms]),
+            "traces": {
+                name: _trace_digest(simulate(schedule, scenario))
+                for name, scenario in _scenarios(schedule).items()
+            },
+        }
+    return record
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_compile_output_is_bit_identical(label, golden):
+    assert case_record(label) == golden[label]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: python tests/test_compile_golden.py --regenerate")
+    records = {label: case_record(label) for label in sorted(CASES)}
+    FIXTURE.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    print("wrote %s (%d cases)" % (FIXTURE, len(records)))
