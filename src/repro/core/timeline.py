@@ -79,9 +79,9 @@ def split_bus_groups(
     routing = problem.routing
     pending = [d for d in dict.fromkeys(dests) if d != sender]
     groups: List[Tuple[str, List[str]]] = []
-    for link in problem.architecture.links_of(sender):
-        if not link.is_bus or not pending:
-            continue
+    for link in routing.bus_links(sender):
+        if not pending:
+            break
         bus_cost = comm.duration(dep, link.name)
         served = []
         for dest in pending:
@@ -197,6 +197,25 @@ class CommPlanner:
         self._routing = problem.routing
         self._comm = problem.communication
         self._arch = problem.architecture
+        #: (dep, sender, dest) -> the route's (from, to, link, duration)
+        #: hops; routes and durations are static for a problem.
+        self._hop_plans: Dict[
+            Tuple[DependencyKey, str, str], Tuple[Tuple[str, str, str, float], ...]
+        ] = {}
+
+    def _hop_plan(
+        self, dep: DependencyKey, sender: str, dest: str
+    ) -> Tuple[Tuple[str, str, str, float], ...]:
+        """The memoized hops of ``dep``'s route from sender to dest."""
+        key = (dep, sender, dest)
+        plan = self._hop_plans.get(key)
+        if plan is None:
+            route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
+            plan = self._hop_plans[key] = tuple(
+                (hop_from, hop_to, link, self._comm.duration(dep, link))
+                for hop_from, hop_to, link in route.hops()
+            )
+        return plan
 
     # ------------------------------------------------------------------
     # Unicast transfer along the static route
@@ -221,11 +240,9 @@ class CommPlanner:
         if sender == dest:
             state.record_arrival(dep, dest, ready)
             return ready
-        route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
+        hops = self._hop_plan(dep, sender, dest)
         date = ready
-        hops = route.hops()
-        for index, (hop_from, hop_to, link) in enumerate(hops):
-            duration = self._comm.duration(dep, link)
+        for index, (hop_from, hop_to, link, duration) in enumerate(hops):
             start = max(date, state.link_free.get(link, 0.0))
             end = start + duration
             state.link_free[link] = end

@@ -45,7 +45,7 @@ Failure detection observability is configurable:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.schedule import Schedule, ScheduleSemantics
 from .engine import Delay, Event, Simulator, Wait, WaitAny
@@ -57,6 +57,23 @@ from .values import compute_value
 __all__ = ["ExecutiveRuntime"]
 
 DependencyKey = Tuple[str, str]
+
+
+class _LazyEvents(dict):
+    """Simulation events keyed by ``key``, each created on first lookup.
+
+    Creating an event draws no sequence number from the simulator, so
+    making it late instead of up front changes no event order.
+    """
+
+    def __init__(self, sim: Simulator, name: Callable[[Any], str]) -> None:
+        super().__init__()
+        self._sim = sim
+        self._name = name
+
+    def __missing__(self, key: Any) -> Event:
+        event = self[key] = self._sim.event(self._name(key))
+        return event
 
 
 class ExecutiveRuntime:
@@ -137,18 +154,16 @@ class ExecutiveRuntime:
         for proc, known in (initial_flags or {}).items():
             self.flags[proc].update(known)
 
-        # Events -------------------------------------------------------
-        self._data: Dict[Tuple[DependencyKey, str], Event] = {}
-        self._produced: Dict[Tuple[str, str], Event] = {}
-        self._observed: Dict[DependencyKey, Event] = {}
-        algorithm = self.problem.algorithm
-        for dep in algorithm.dependencies:
-            self._observed[dep.key] = self.sim.event(f"observed:{dep}")
-            for proc in architecture.processor_names:
-                self._data[(dep.key, proc)] = self.sim.event(f"data:{dep}@{proc}")
-        for op in algorithm.operation_names:
-            for proc in architecture.processor_names:
-                self._produced[(op, proc)] = self.sim.event(f"produced:{op}@{proc}")
+        # Events, created on first use -----------------------------------
+        self._data = _LazyEvents(
+            self.sim, lambda key: f"data:{key[0][0]}->{key[0][1]}@{key[1]}"
+        )
+        self._produced = _LazyEvents(
+            self.sim, lambda key: f"produced:{key[0]}@{key[1]}"
+        )
+        self._observed = _LazyEvents(
+            self.sim, lambda dep: f"observed:{dep[0]}->{dep[1]}"
+        )
 
     # ------------------------------------------------------------------
     # Entry point

@@ -1,9 +1,13 @@
 """Unit tests for static routing."""
 
+import itertools
+
+import networkx as nx
 import pytest
 
 from repro.graphs.architecture import (
     Architecture,
+    ArchitectureError,
     bus_architecture,
     fully_connected_architecture,
 )
@@ -121,3 +125,101 @@ class TestRoutingTable:
         table = RoutingTable(arch)
         routes = table.all_routes()
         assert len(routes) == 9  # 3 processors, ordered pairs + self
+
+
+def _meshed_architecture() -> Architecture:
+    """Parallel links, a bus beside a point-to-point link, and pairs
+    joined by several minimum-hop paths (the square P1-P2-P4-P3)."""
+    arch = Architecture("meshed")
+    for proc in ("P1", "P2", "P3", "P4", "P5", "P6"):
+        arch.add_processor(proc)
+    arch.add_link("L12", "P1", "P2")
+    arch.add_link("L13", "P1", "P3")
+    arch.add_link("L24a", "P2", "P4")
+    arch.add_link("L24b", "P2", "P4")
+    arch.add_link("L34", "P3", "P4")
+    arch.add_bus("bus", ["P4", "P5", "P6"])
+    arch.add_link("L56", "P5", "P6")
+    return arch
+
+
+def _varied_comm(arch: Architecture, deps) -> CommunicationTable:
+    """Distinct per-(dependency, link) durations, ties included."""
+    comm = CommunicationTable()
+    for d, dep in enumerate(deps):
+        for l, link in enumerate(arch.link_names):
+            comm.set_duration(dep, link, float((3 * d + 5 * l) % 7 + 1))
+    return comm
+
+
+def _candidates(arch: Architecture, src: str, dst: str):
+    """Every minimum-hop route: each min-hop path times each choice of
+    parallel link per hop."""
+    graph = arch.routing_graph()
+    for path in nx.all_shortest_paths(graph, src, dst):
+        per_hop = [sorted(graph[a][b]) for a, b in zip(path, path[1:])]
+        for links in itertools.product(*per_hop):
+            yield Route(tuple(path), tuple(links))
+
+
+class TestCompiledRoutingIndexes:
+    """The indexes built at construction answer exactly like the
+    definitions they replace."""
+
+    DEPS = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            _meshed_architecture(),
+            fully_connected_architecture(["P1", "P2", "P3", "P4"]),
+            bus_architecture(["P1", "P2", "P3"]),
+            figure8_architecture(),
+        ],
+        ids=["meshed", "p2p4", "bus3", "figure8"],
+    )
+    def test_route_for_dependency_is_the_brute_force_minimum(self, arch):
+        table = RoutingTable(arch)
+        comm = _varied_comm(arch, self.DEPS)
+        names = arch.processor_names
+        single = 0
+        for src, dst in itertools.permutations(names, 2):
+            candidates = list(_candidates(arch, src, dst))
+            for dep in self.DEPS:
+                chosen = table.route_for_dependency(src, dst, dep, comm)
+                best = min(
+                    candidates,
+                    key=lambda r: (r.transfer_time(dep, comm), r.processors, r.links),
+                )
+                assert chosen == best, (src, dst, dep)
+                if len(candidates) == 1:
+                    assert chosen == table.route(src, dst)
+            single += len(candidates) == 1
+        assert single > 0
+
+    def test_meshed_architecture_has_ranked_pairs(self):
+        arch = _meshed_architecture()
+        ranked = [
+            (src, dst)
+            for src, dst in itertools.permutations(arch.processor_names, 2)
+            if len(list(_candidates(arch, src, dst))) > 1
+        ]
+        # Parallel links (P2-P4), the bus beside L56, and the square.
+        assert {("P2", "P4"), ("P5", "P6"), ("P1", "P4")} <= set(ranked)
+
+    @pytest.mark.parametrize(
+        "arch",
+        [_meshed_architecture(), fully_connected_architecture(["P1", "P2", "P3"])],
+        ids=["meshed", "p2p3"],
+    )
+    def test_bus_links_index_matches_links_of(self, arch):
+        table = RoutingTable(arch)
+        for proc in arch.processor_names:
+            assert list(table.bus_links(proc)) == [
+                link for link in arch.links_of(proc) if link.is_bus
+            ]
+
+    def test_bus_links_rejects_unknown_processor(self):
+        table = RoutingTable(_meshed_architecture())
+        with pytest.raises(ArchitectureError):
+            table.bus_links("P9")
