@@ -248,13 +248,18 @@ def _obs_session(args: argparse.Namespace):
         return
     with instrumented() as instr:
         yield instr
-    if obs_out.endswith(".jsonl"):
-        count = instr.tracer.export_jsonl(obs_out)
-        print(f"wrote {count} span records to {obs_out} (JSONL, one per line)")
+    _export_trace(instr, obs_out)
+
+
+def _export_trace(instr, path: str) -> None:
+    """Write the session's spans to ``path``: JSONL or a Chrome trace."""
+    if path.endswith(".jsonl"):
+        count = instr.tracer.export_jsonl(path)
+        print(f"wrote {count} span records to {path} (JSONL, one per line)")
     else:
-        count = instr.tracer.write_chrome_trace(obs_out)
+        count = instr.tracer.write_chrome_trace(path)
         print(
-            f"wrote {count} trace events to {obs_out} "
+            f"wrote {count} trace events to {path} "
             "(open in ui.perfetto.dev or chrome://tracing)"
         )
 
@@ -704,18 +709,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print()
     print(instr.tracer.render_summary())
     if args.obs_out:
-        if args.obs_out.endswith(".jsonl"):
-            count = instr.tracer.export_jsonl(args.obs_out)
-            print(
-                f"wrote {count} span records to {args.obs_out} "
-                "(JSONL, one per line)"
-            )
-        else:
-            count = instr.tracer.write_chrome_trace(args.obs_out)
-            print(
-                f"wrote {count} trace events to {args.obs_out} "
-                "(open in ui.perfetto.dev or chrome://tracing)"
-            )
+        _export_trace(instr, args.obs_out)
     if args.metrics_out:
         with open(args.metrics_out, "w") as handle:
             if args.metrics_out.endswith(".csv"):

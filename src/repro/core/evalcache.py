@@ -4,248 +4,54 @@ The SynDEx-style greedy loop (:mod:`repro.core.list_scheduler`) is
 O(steps x candidates x processors): at *every* step it re-evaluates
 ``S(n)(o, p)`` for every candidate operation on every capable
 processor, even though committing one operation only moves the
-frontiers of the processors and links it actually touched.  This
-module makes that observation exploitable:
+frontiers of the processors and links it actually touched.
+:class:`EvaluationCache` makes that observation exploitable: it
+memoizes one :class:`~repro.core.list_scheduler.PlacementEvaluation`
+per ``(operation, processor)`` pair together with the resource keys
+the evaluation read, and invalidates exactly the entries whose read
+set intersects a commit's write set.
 
-* :class:`TrackedTimelineState` is a drop-in
-  :class:`~repro.core.timeline.TimelineState` whose dictionary
-  accesses are logged — reads into a per-evaluation *read set* while
-  an evaluation is being recorded, writes into a per-commit *write
-  set* — without changing any scheduling semantics;
-* :class:`EvaluationCache` memoizes one
-  :class:`~repro.core.list_scheduler.PlacementEvaluation` per
-  ``(operation, processor)`` pair together with the resource keys the
-  evaluation read, and invalidates exactly the entries whose read set
-  intersects a commit's write set.
-
-Resource keys are ``(tag, key)`` pairs mirroring the four timeline
-dictionaries: ``("proc", name)`` for computation-unit frontiers,
-``("link", name)`` for link frontiers, ``("dep", (dep, proc))`` for
-delivered-data arrivals and ``("rep", (op, proc))`` for local replica
-completions.  A *miss* on a dictionary lookup is logged too — an
-evaluation that found no local copy of an input depends on that
-absence, and must be invalidated when a later commit creates one.
-
-The tracking over-approximates on purpose (a ghost-local write
-followed by a ghost-local read still logs the read), which can only
-cause extra invalidations, never a stale hit — cached and uncached
-runs therefore produce bitwise-identical decision logs and makespans,
-the property ``tests/test_evalcache.py`` asserts across random
-problems.  See ``docs/performance.md`` for the full design.
+Resource keys are ``("proc", name)`` for a computation unit's frontier
+and ``("link", name)`` for a link's frontier.  No other part of the
+state can make an entry stale: once ``op`` is a candidate all its
+predecessors are committed, their replica completions are final, and
+the arrivals of ``op``'s own inputs are written only when ``op`` itself
+is committed (its entries are then retired by :meth:`drop_op`).  An
+evaluation of ``(op, p)`` therefore reads ``("proc", p)`` plus the
+links whose frontiers its tentative transfers consulted, and a commit
+writes the processors of its placements plus the links of its comm
+slots (:func:`commit_writes`).  Cached and uncached runs produce
+bitwise-identical decision logs and makespans, the property
+``tests/test_evalcache.py`` asserts across random problems.  See
+``docs/performance.md`` for the full design.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from .timeline import TimelineState
+from .schedule import CommSlot, ReplicaPlacement
 
-__all__ = ["ResourceKey", "TrackedTimelineState", "EvaluationCache"]
+__all__ = ["ResourceKey", "EvaluationCache", "commit_writes"]
 
-#: ``(tag, key)`` — one mutable slot of the scheduling state.
+#: ``(tag, key)`` — one mutable frontier of the scheduling state.
 ResourceKey = Tuple[str, object]
 
 #: Entry key of the cache: one (operation, processor) pair.
 EntryKey = Tuple[str, str]
 
 
-class _LoggedDict(dict):
-    """A dict logging key reads and/or writes into shared sets.
+def commit_writes(
+    placements: Iterable[ReplicaPlacement], comms: Iterable[CommSlot]
+) -> Set[ResourceKey]:
+    """The resource keys one commit moved, read off its output.
 
-    Reads are logged through :meth:`get` and ``[]`` — including lookups
-    that miss, since "the key was absent" is information an evaluation
-    depends on.  Bulk accessors (iteration, ``dict(d)``) deliberately
-    log nothing: a snapshot copy is not a read until the copy is
-    actually consulted, and the copy is itself a logging dict.
+    Every ``proc_free`` write comes with a placement and every
+    ``link_free`` write with a comm slot.
     """
-
-    __slots__ = ("tag", "read_log", "write_log")
-
-    def __init__(
-        self,
-        data,
-        tag: str,
-        read_log: Optional[Set[ResourceKey]] = None,
-        write_log: Optional[Set[ResourceKey]] = None,
-    ) -> None:
-        super().__init__(data)
-        self.tag = tag
-        self.read_log = read_log
-        self.write_log = write_log
-
-    def get(self, key, default=None):
-        log = self.read_log
-        if log is not None:
-            log.add((self.tag, key))
-        return dict.get(self, key, default)
-
-    def __getitem__(self, key):
-        log = self.read_log
-        if log is not None:
-            log.add((self.tag, key))
-        return dict.__getitem__(self, key)
-
-    def __setitem__(self, key, value) -> None:
-        log = self.write_log
-        if log is not None:
-            log.add((self.tag, key))
-        dict.__setitem__(self, key, value)
-
-
-class _OverlayDict:
-    """A copy-on-write view over a committed ``_LoggedDict``.
-
-    Ghost states used for tentative evaluation historically cloned all
-    four timeline dictionaries eagerly — O(state size) per evaluation,
-    the dominant cost of the heuristic on large graphs.  An overlay
-    makes the clone O(1): reads fall through to the committed base
-    dictionary (and are logged into the evaluation's read set), writes
-    land in a small private ``local`` dict the ghost owns.  The base is
-    never mutated through an overlay, so a ghost stays a snapshot of
-    the commit point even while other ghosts are alive.
-
-    Only the operations the planners and :class:`TimelineState` helpers
-    actually use are implemented (``get``, ``[]``, ``[]=``, ``in``).
-    """
-
-    __slots__ = ("tag", "base", "local", "read_log")
-
-    def __init__(
-        self,
-        base: dict,
-        tag: str,
-        read_log: Optional[Set[ResourceKey]],
-        local: Optional[dict] = None,
-    ) -> None:
-        self.base = base
-        self.tag = tag
-        self.read_log = read_log
-        self.local = {} if local is None else local
-
-    def get(self, key, default=None):
-        log = self.read_log
-        if log is not None:
-            log.add((self.tag, key))
-        local = self.local
-        if key in local:
-            return local[key]
-        return dict.get(self.base, key, default)
-
-    def __getitem__(self, key):
-        log = self.read_log
-        if log is not None:
-            log.add((self.tag, key))
-        local = self.local
-        if key in local:
-            return local[key]
-        return dict.__getitem__(self.base, key)
-
-    def __setitem__(self, key, value) -> None:
-        self.local[key] = value
-
-    def __contains__(self, key) -> bool:
-        log = self.read_log
-        if log is not None:
-            log.add((self.tag, key))
-        return key in self.local or dict.__contains__(self.base, key)
-
-    def fork(self) -> "_OverlayDict":
-        """An independent overlay sharing the same committed base."""
-        return _OverlayDict(self.base, self.tag, self.read_log,
-                            dict(self.local))
-
-
-class _GhostTimelineState(TimelineState):
-    """The tentative-evaluation state: four overlays over the master.
-
-    Produced by :meth:`TrackedTimelineState.clone`; cloning a ghost
-    again (Solution 2 probes one per candidate sender) forks the
-    overlays, which stay O(writes so far), not O(state).
-    """
-
-    def clone(self) -> "_GhostTimelineState":
-        return _GhostTimelineState(
-            proc_free=self.proc_free.fork(),
-            link_free=self.link_free.fork(),
-            dep_arrival=self.dep_arrival.fork(),
-            replica_end=self.replica_end.fork(),
-        )
-
-
-class TrackedTimelineState(TimelineState):
-    """A :class:`TimelineState` whose accesses feed the eval cache.
-
-    The scheduler's *committed* state is wrapped once with a shared
-    write log (:meth:`tracking`); every ``state[...] = value`` during a
-    commit lands in it, and :meth:`drain_writes` hands the accumulated
-    write set to the cache after each commit.
-
-    While an evaluation is being recorded (:meth:`begin_reads` ..
-    :meth:`end_reads`), reads on the committed state *and* on every
-    ghost cloned from it are logged into the evaluation's read set:
-    :meth:`clone` propagates the active read log into the clone, so the
-    tentative states the heuristics mutate (and the probe clones
-    Solution 2 makes per candidate sender) keep recording.
-    """
-
-    @classmethod
-    def tracking(
-        cls, base: TimelineState, write_log: Set[ResourceKey]
-    ) -> "TrackedTimelineState":
-        """Wrap ``base`` as the scheduler's write-logged master state."""
-        state = cls(
-            proc_free=_LoggedDict(base.proc_free, "proc", write_log=write_log),
-            link_free=_LoggedDict(base.link_free, "link", write_log=write_log),
-            dep_arrival=_LoggedDict(base.dep_arrival, "dep", write_log=write_log),
-            replica_end=_LoggedDict(base.replica_end, "rep", write_log=write_log),
-        )
-        state._write_log = write_log
-        return state
-
-    # ``tracking`` installs this; plain constructed clones carry None.
-    _write_log: Optional[Set[ResourceKey]] = None
-
-    def begin_reads(self, read_log: Set[ResourceKey]) -> None:
-        """Start logging reads (on this state and future clones)."""
-        for family in self._families():
-            family.read_log = read_log
-
-    def end_reads(self) -> None:
-        """Stop logging reads on this state (clones die with the eval)."""
-        for family in self._families():
-            family.read_log = None
-
-    def drain_writes(self) -> Set[ResourceKey]:
-        """The write set accumulated since the last drain (then reset)."""
-        assert self._write_log is not None, "not a write-tracking state"
-        writes = set(self._write_log)
-        self._write_log.clear()
-        return writes
-
-    def clone(self) -> "_GhostTimelineState":
-        """An O(1) copy-on-write ghost recording into the active read log."""
-        return _GhostTimelineState(
-            proc_free=_OverlayDict(
-                self.proc_free, "proc", self.proc_free.read_log
-            ),
-            link_free=_OverlayDict(
-                self.link_free, "link", self.link_free.read_log
-            ),
-            dep_arrival=_OverlayDict(
-                self.dep_arrival, "dep", self.dep_arrival.read_log
-            ),
-            replica_end=_OverlayDict(
-                self.replica_end, "rep", self.replica_end.read_log
-            ),
-        )
-
-    def _families(self) -> Tuple[_LoggedDict, ...]:
-        return (
-            self.proc_free,
-            self.link_free,
-            self.dep_arrival,
-            self.replica_end,
-        )
+    written: Set[ResourceKey] = {("proc", r.processor) for r in placements}
+    written.update(("link", slot.link) for slot in comms)
+    return written
 
 
 class EvaluationCache:

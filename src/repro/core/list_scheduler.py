@@ -28,7 +28,7 @@ import abc
 import logging
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.problem import InfeasibleProblemError, Problem
 from ..obs import (
@@ -37,7 +37,7 @@ from ..obs import (
     DecisionRecord,
     get_instrumentation,
 )
-from .evalcache import EvaluationCache, TrackedTimelineState
+from .evalcache import EvaluationCache, commit_writes
 from .pressure import PressurePrePass
 from .schedule import (
     CommSlot,
@@ -145,13 +145,15 @@ class ListScheduler(abc.ABC):
         :func:`explore_seeds`.
     use_eval_cache:
         ``True`` (default) memoizes placement evaluations per
-        (operation, processor) pair and invalidates, after each
-        commit, only the entries whose inputs the commit touched
-        (:mod:`repro.core.evalcache`).  Schedules are bitwise
-        identical either way — the cache only skips recomputation of
-        values proven unchanged; ``False`` is the escape hatch
-        (``--no-eval-cache`` on the CLI) for debugging and for the
-        cache-effectiveness benchmarks.
+        (operation, processor) pair, each with its read set: the
+        evaluated processor's frontier and the link frontiers its
+        tentative transfers consulted.  After each commit only the
+        entries that read a processor or link the commit wrote are
+        invalidated (:mod:`repro.core.evalcache`).  Schedules are
+        bitwise identical either way — the cache only skips
+        recomputation of values proven unchanged; ``False`` is the
+        escape hatch (``--no-eval-cache`` on the CLI) for debugging
+        and for the cache-effectiveness benchmarks.
     """
 
     #: How the runtime must interpret the produced schedule.
@@ -173,10 +175,9 @@ class ListScheduler(abc.ABC):
         self.planner = CommPlanner(problem)
         self.state = TimelineState.for_problem(problem)
         #: Memoized placement evaluations (None = caching disabled).
-        self.eval_cache: Optional[EvaluationCache] = None
-        if use_eval_cache:
-            self.eval_cache = EvaluationCache()
-            self.state = TrackedTimelineState.tracking(self.state, set())
+        self.eval_cache: Optional[EvaluationCache] = (
+            EvaluationCache() if use_eval_cache else None
+        )
         self.rng = None if seed is None else random.Random(seed)
         #: Election order of each scheduled operation's processors
         #: (main first); filled in by :meth:`commit`.
@@ -203,8 +204,13 @@ class ListScheduler(abc.ABC):
         return self.problem.replication_degree
 
     @abc.abstractmethod
-    def evaluate_placement(self, op: str, proc: str) -> PlacementEvaluation:
-        """Tentatively place ``op`` on ``proc`` (no state mutation)."""
+    def evaluate_placement(
+        self, op: str, proc: str, links: Set[str]
+    ) -> PlacementEvaluation:
+        """Tentatively place ``op`` on ``proc`` (no state mutation).
+
+        Adds to ``links`` every link whose frontier the evaluation read.
+        """
 
     @abc.abstractmethod
     def commit(
@@ -273,9 +279,9 @@ class ListScheduler(abc.ABC):
                 placements, comms = self.commit(selected, kept_per_op[selected])
             if self.eval_cache is not None:
                 # Invalidate exactly the cached evaluations that read a
-                # processor/link frontier or data-availability entry
-                # this commit moved; the selected op itself is retired.
-                self.eval_cache.invalidate(self.state.drain_writes())
+                # processor or link frontier this commit moved; the
+                # selected op itself is retired.
+                self.eval_cache.invalidate(commit_writes(placements, comms))
                 self.eval_cache.drop_op(selected)
             for placement in placements:
                 schedule.add_replica(placement)
@@ -427,15 +433,12 @@ class ListScheduler(abc.ABC):
     def _evaluate_cached(self, op: str, proc: str) -> PlacementEvaluation:
         """One placement evaluation, served from the cache when valid.
 
-        On a miss, the evaluation runs with read recording active: the
-        master state and every ghost cloned from it log the resource
-        keys consulted, and the cache remembers the evaluation against
-        that read set.  The evaluated processor's own frontier is
-        always a dependency, even for policy hooks that keep private
-        per-processor bookkeeping outside the timeline dictionaries
-        (the insertion variants' busy-interval lists): any placement on
-        ``proc`` also writes ``("proc", proc)`` via ``record_replica``,
-        so adding the key manually keeps those entries sound.
+        On a miss, the evaluation runs on the committed state and
+        reports the links whose frontiers it read; the cache stores it
+        against ``("proc", proc)`` plus those links.  The processor key
+        also covers policy hooks that keep private per-processor
+        bookkeeping (the insertion variants' busy-interval lists),
+        which change exactly when a placement lands on ``proc``.
 
         ``pressure.evals`` counts only the evaluations actually
         computed — with the cache disabled that is every lookup, so the
@@ -444,17 +447,15 @@ class ListScheduler(abc.ABC):
         cache = self.eval_cache
         if cache is None:
             self.obs.count("pressure.evals")
-            return self.evaluate_placement(op, proc)
+            return self.evaluate_placement(op, proc, set())
         cached = cache.lookup(op, proc)
         if cached is not None:
             return cached
-        reads: set = {("proc", proc)}
-        self.state.begin_reads(reads)
-        try:
-            evaluation = self.evaluate_placement(op, proc)
-        finally:
-            self.state.end_reads()
+        links: Set[str] = set()
+        evaluation = self.evaluate_placement(op, proc, links)
         self.obs.count("pressure.evals")
+        reads = [("proc", proc)]
+        reads.extend(("link", link) for link in links)
         cache.store(op, proc, evaluation, reads)
         return evaluation
 

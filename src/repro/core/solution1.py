@@ -25,7 +25,7 @@ Solution 2 is the right tool there.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..graphs.problem import Problem
 from ..obs import TimeoutNote
@@ -55,26 +55,33 @@ class Solution1Scheduler(ListScheduler):
     # ------------------------------------------------------------------
     # mSn.1 -- tentative evaluation of sigma(n)(o, p)
     # ------------------------------------------------------------------
-    def evaluate_placement(self, op: str, proc: str) -> PlacementEvaluation:
+    def evaluate_placement(
+        self, op: str, proc: str, links: Set[str]
+    ) -> PlacementEvaluation:
         """``S(n)(o, p)``: inputs come from the predecessors' *main*
         replicas (Section 6.2: "S takes into account the communication
         times between o and the main processor of its predecessors"),
         or from a local replica when ``proc`` hosts one.
         """
         with self.obs.span("pressure.eval", op=op, proc=proc):
-            return self._evaluate_placement(op, proc)
+            return self._evaluate_placement(op, proc, links)
 
-    def _evaluate_placement(self, op: str, proc: str) -> PlacementEvaluation:
-        ghost = self.state.clone()
+    def _evaluate_placement(
+        self, op: str, proc: str, links: Set[str]
+    ) -> PlacementEvaluation:
+        state = self.state
+        # Link frontiers this evaluation's earlier inputs would move.
+        pending: Dict[str, float] = {}
         ready = 0.0
         for dep, pred in self.input_sources(op):
-            available = ghost.data_available(dep, proc)
+            available = state.data_available(dep, proc)
             if available is None:
                 main = self.placement_order[pred][0]
-                arrivals = self.planner.broadcast(
-                    ghost, dep, main.processor, [proc], ready=main.end
+                available, held = self.planner.tentative_transfer(
+                    state, pending, dep, main.processor, proc, main.end,
+                    links, via_bus=True,
                 )
-                available = arrivals[proc]
+                pending.update(held)
             ready = max(ready, available)
         duration = self.execution_duration(op, proc)
         start = self.earliest_start(proc, ready, duration)

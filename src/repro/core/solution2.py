@@ -24,7 +24,7 @@ parallel; on a bus every extra copy serializes.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..graphs.problem import Problem
 from .list_scheduler import ListScheduler, PlacementEvaluation
@@ -41,22 +41,30 @@ class Solution2Scheduler(ListScheduler):
     # ------------------------------------------------------------------
     # mSn.1 -- tentative evaluation of sigma(n)(o, p)
     # ------------------------------------------------------------------
-    def evaluate_placement(self, op: str, proc: str) -> PlacementEvaluation:
+    def evaluate_placement(
+        self, op: str, proc: str, links: Set[str]
+    ) -> PlacementEvaluation:
         """``S(n)(o, p)`` with the Section 7.2 twist: "the
         communication time computed for a predecessor is the minimum
         of the communication times with each replica of the
         predecessor".
         """
         with self.obs.span("pressure.eval", op=op, proc=proc):
-            return self._evaluate_placement(op, proc)
+            return self._evaluate_placement(op, proc, links)
 
-    def _evaluate_placement(self, op: str, proc: str) -> PlacementEvaluation:
-        ghost = self.state.clone()
+    def _evaluate_placement(
+        self, op: str, proc: str, links: Set[str]
+    ) -> PlacementEvaluation:
+        state = self.state
+        # Link frontiers this evaluation's earlier inputs would move.
+        pending: Dict[str, float] = {}
         ready = 0.0
         for dep, pred in self.input_sources(op):
-            available = ghost.data_available(dep, proc)
+            available = state.data_available(dep, proc)
             if available is None:
-                available = self._best_tentative_arrival(ghost, dep, pred, proc)
+                available = self._best_tentative_arrival(
+                    pending, dep, pred, proc, links
+                )
             ready = max(ready, available)
         duration = self.execution_duration(op, proc)
         start = self.earliest_start(proc, ready, duration)
@@ -68,28 +76,33 @@ class Solution2Scheduler(ListScheduler):
             pressure=self.prepass.pressure(op, start, duration),
         )
 
-    def _best_tentative_arrival(self, ghost, dep, pred: str, proc: str) -> float:
+    def _best_tentative_arrival(
+        self,
+        pending: Dict[str, float],
+        dep: Tuple[str, str],
+        pred: str,
+        proc: str,
+        links: Set[str],
+    ) -> float:
         """Earliest arrival of ``dep`` on ``proc`` over all senders.
 
-        Each replica of the predecessor is tried on a private copy of
-        the running tentative state; the winning sender's transfer is
-        then replayed on ``ghost`` so later dependencies of the same
-        evaluation see the link contention it creates.
+        Each replica of the predecessor is probed without writing
+        anything (the first of equal arrivals wins); the winner's link
+        occupation is then applied to ``pending`` so later dependencies
+        of the same evaluation see the contention it creates.
         """
-        best_arrival = None
-        best_sender = None
+        best = None
         for replica in self.placement_order[pred]:
-            probe = ghost.clone()
-            arrival = self.planner.transfer(
-                probe, dep, replica.processor, proc, ready=replica.end
+            probe = self.planner.tentative_transfer(
+                self.state, pending, dep, replica.processor, proc,
+                replica.end, links,
             )
-            if best_arrival is None or arrival < best_arrival:
-                best_arrival = arrival
-                best_sender = replica
-        assert best_sender is not None
-        return self.planner.transfer(
-            ghost, dep, best_sender.processor, proc, ready=best_sender.end
-        )
+            if best is None or probe[0] < best[0]:
+                best = probe
+        assert best is not None
+        arrival, held = best
+        pending.update(held)
+        return arrival
 
     # ------------------------------------------------------------------
     # mSn.3 -- commit on the K + 1 kept processors

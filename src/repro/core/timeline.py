@@ -12,15 +12,17 @@ primitives used by all three schedulers:
   processor to several destinations sharing a bus in a single frame
   (what makes Solution 1 cheap on multi-point links).
 
-States are cheaply cloneable so schedulers can evaluate tentative
-placements (the ``S(n)(o, p)`` term of the schedule pressure) without
-committing anything.
+The schedulers evaluate tentative placements (the ``S(n)(o, p)`` term
+of the schedule pressure) on the committed state itself:
+:meth:`CommPlanner.tentative_transfer` reads the committed link
+frontiers through a small per-evaluation dict of tentative ones and
+writes nothing to the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.problem import Problem
 from .schedule import CommSlot, Schedule
@@ -186,10 +188,12 @@ class TimelineState:
 class CommPlanner:
     """Schedules comms onto links, honouring static routes.
 
-    One planner per problem; all methods mutate the supplied
-    :class:`TimelineState` and optionally append the created
-    :class:`~repro.core.schedule.CommSlot` objects to ``collect``
-    (pass ``None`` for tentative evaluation).
+    One planner per problem.  :meth:`transfer` and :meth:`broadcast`
+    mutate the supplied :class:`TimelineState` and optionally append
+    the created :class:`~repro.core.schedule.CommSlot` objects to
+    ``collect``; :meth:`tentative_transfer` only reads it.  All three
+    date their hops with the one store-and-forward walk of
+    :meth:`_walk`.
     """
 
     def __init__(self, problem: Problem) -> None:
@@ -217,6 +221,40 @@ class CommPlanner:
             )
         return plan
 
+    def _bus_frame(
+        self, dep: DependencyKey, sender: str, link: str
+    ) -> Tuple[Tuple[str, str, str, float], ...]:
+        """The one-hop plan of a frame of ``dep`` sent on bus ``link``
+        (the walk reads only a hop's link and duration)."""
+        return ((sender, sender, link, self._comm.duration(dep, link)),)
+
+    @staticmethod
+    def _walk(
+        hops: Sequence[Tuple[str, str, str, float]],
+        ready: float,
+        link_free: Dict[str, float],
+        pending: Dict[str, float],
+    ) -> List[Tuple[float, float]]:
+        """The ``(start, end)`` of each hop of a store-and-forward walk.
+
+        Each hop occupies its link from ``max(data there, link free)``
+        for the dependency's duration on that link.  A link is free from
+        its ``pending`` (tentative) frontier when it has one, from its
+        committed ``link_free`` one otherwise.  The walk writes nothing:
+        a min-hop route never uses a link twice, so no hop can see a
+        frontier an earlier hop of the same walk moved.
+        """
+        times = []
+        date = ready
+        for _hop_from, _hop_to, link, duration in hops:
+            free = pending.get(link)
+            if free is None:
+                free = link_free.get(link, 0.0)
+            start = max(date, free)
+            date = start + duration
+            times.append((start, date))
+        return times
+
     # ------------------------------------------------------------------
     # Unicast transfer along the static route
     # ------------------------------------------------------------------
@@ -233,18 +271,16 @@ class CommPlanner:
         """Carry ``dep`` from ``sender`` to ``dest``; return arrival date.
 
         ``ready`` is the date from which the data exists on
-        ``sender``.  Each hop occupies its link from
-        ``max(data there, link free)`` for the dependency's duration
-        on that link (store-and-forward).
+        ``sender``; the hops are dated by :meth:`_walk`.
         """
         if sender == dest:
             state.record_arrival(dep, dest, ready)
             return ready
         hops = self._hop_plan(dep, sender, dest)
-        date = ready
-        for index, (hop_from, hop_to, link, duration) in enumerate(hops):
-            start = max(date, state.link_free.get(link, 0.0))
-            end = start + duration
+        times = self._walk(hops, ready, state.link_free, {})
+        for index, ((hop_from, hop_to, link, _duration), (start, end)) in (
+            enumerate(zip(hops, times))
+        ):
             state.link_free[link] = end
             if collect is not None:
                 collect.append(
@@ -260,9 +296,49 @@ class CommPlanner:
                         route_length=len(hops),
                     )
                 )
-            date = end
+        date = times[-1][1]
         state.record_arrival(dep, dest, date)
         return date
+
+    # ------------------------------------------------------------------
+    # Tentative transfer (placement evaluation)
+    # ------------------------------------------------------------------
+    def tentative_transfer(
+        self,
+        state: TimelineState,
+        pending: Dict[str, float],
+        dep: DependencyKey,
+        sender: str,
+        dest: str,
+        ready: float,
+        reads: Set[str],
+        via_bus: bool = False,
+    ) -> Tuple[float, Tuple[Tuple[str, float], ...]]:
+        """Where :meth:`transfer` (or, with ``via_bus``, a one-destination
+        :meth:`broadcast`) would deliver ``dep``, without committing it.
+
+        Link frontiers come from ``pending`` (the caller's per-evaluation
+        tentative frontiers) over ``state``'s committed ones; neither is
+        written.  Every link consulted is added to ``reads``.  Returns
+        the arrival date and the ``(link, new frontier)`` pairs the
+        transfer would leave, which the caller applies to ``pending``
+        (``pending.update(...)``) once it settles on this transfer.
+        """
+        if sender == dest:
+            return ready, ()
+        hops = None
+        if via_bus:
+            groups, _unicast = split_bus_groups(
+                self._problem, dep, sender, (dest,)
+            )
+            if groups:
+                hops = self._bus_frame(dep, sender, groups[0][0])
+        if hops is None:
+            hops = self._hop_plan(dep, sender, dest)
+        times = self._walk(hops, ready, state.link_free, pending)
+        held = tuple([(hop[2], end) for hop, (_start, end) in zip(hops, times)])
+        reads.update([link for link, _end in held])
+        return times[-1][1], held
 
     # ------------------------------------------------------------------
     # Broadcast on a shared bus
@@ -290,9 +366,8 @@ class CommPlanner:
         groups, unicast = split_bus_groups(self._problem, dep, sender, dests)
 
         for link_name, served in groups:
-            duration = self._comm.duration(dep, link_name)
-            start = max(ready, state.link_free.get(link_name, 0.0))
-            end = start + duration
+            frame = self._bus_frame(dep, sender, link_name)
+            ((start, end),) = self._walk(frame, ready, state.link_free, {})
             state.link_free[link_name] = end
             if collect is not None:
                 collect.append(

@@ -144,6 +144,71 @@ class TestBroadcast:
         assert slots[0].destinations == ("P2",)
 
 
+class TestTentativeTransfer:
+    def test_matches_transfer_and_writes_nothing(self):
+        problem = figure8_problem()
+        planner = CommPlanner(problem)
+        state = TimelineState.for_problem(problem)
+        state.link_free["L2.3"] = 4.0
+        reads = set()
+        arrival, held = planner.tentative_transfer(
+            state, {}, ("A", "B"), "P1", "P3", 0.0, reads
+        )
+        assert state.link_free == {"L1.2": 0.0, "L2.3": 4.0}
+        assert reads == {"L1.2", "L2.3"}
+        committed = state.clone()
+        assert arrival == planner.transfer(
+            committed, ("A", "B"), "P1", "P3", ready=0.0
+        )
+        assert dict(held) == {
+            link: committed.link_free[link] for link in ("L1.2", "L2.3")
+        }
+
+    def test_pending_frontiers_shadow_committed_ones(self, bus_problem):
+        planner = CommPlanner(bus_problem)
+        state = TimelineState.for_problem(bus_problem)
+        pending = {}
+        first, held = planner.tentative_transfer(
+            state, pending, ("A", "B"), "P1", "P2", 0.0, set()
+        )
+        assert pending == {} and first == pytest.approx(0.5)
+        pending.update(held)
+        second, _ = planner.tentative_transfer(
+            state, pending, ("A", "C"), "P1", "P3", 0.0, set()
+        )
+        assert second == pytest.approx(1.0)  # waits for the held bus
+        assert state.link_free["bus"] == 0.0
+
+    @pytest.mark.parametrize(
+        "make", [first_example_problem, second_example_problem]
+    )
+    def test_via_bus_matches_one_destination_broadcast(self, make):
+        problem = make(failures=1)
+        planner = CommPlanner(problem)
+        state = TimelineState.for_problem(problem)
+        dep = ("A", "B")
+        reads = set()
+        arrival, held = planner.tentative_transfer(
+            state, {}, dep, "P1", "P2", 1.0, reads, via_bus=True
+        )
+        committed = state.clone()
+        arrivals = planner.broadcast(committed, dep, "P1", ["P2"], 1.0)
+        assert arrival == arrivals["P2"]
+        assert reads == {link for link, _end in held}
+        assert dict(held) == {
+            link: end for link, end in committed.link_free.items() if end
+        }
+
+    def test_same_processor_is_free(self, bus_problem):
+        planner = CommPlanner(bus_problem)
+        state = TimelineState.for_problem(bus_problem)
+        reads = set()
+        assert planner.tentative_transfer(
+            state, {}, ("A", "B"), "P1", "P1", 2.0, reads
+        ) == (2.0, ())
+        assert reads == set()
+
+
 class TestWorstCaseTransfer:
     def test_same_processor_zero(self, bus_problem):
         planner = CommPlanner(bus_problem)
