@@ -194,6 +194,14 @@ class ListScheduler(abc.ABC):
         #: best (lowest pressure) first — the raw material of the
         #: decision records.
         self._evaluated: Dict[str, List[PlacementEvaluation]] = {}
+        #: The candidate records of the last step, by ``id`` of their
+        #: evaluation: an evaluation the cache serves again with the
+        #: same ``kept`` flag reuses its record.  Each entry holds its
+        #: evaluation, so no other object can take that ``id`` while
+        #: the entry lives.
+        self._candidate_records: Dict[
+            int, Tuple[PlacementEvaluation, CandidateEvaluation]
+        ] = {}
 
     # ------------------------------------------------------------------
     # To be provided by concrete heuristics
@@ -349,21 +357,37 @@ class ListScheduler(abc.ABC):
         tied: List[str],
         placements: Sequence[ReplicaPlacement],
     ) -> None:
-        """Append the structured record of one heuristic step."""
+        """Append the structured record of one heuristic step.
+
+        A record is rebuilt only for an evaluation that is new since
+        the last step or whose ``kept`` flag changed; records are
+        immutable, so the others are shared with the previous step.
+        """
+        previous = self._candidate_records
+        current: Dict[int, Tuple[PlacementEvaluation, CandidateEvaluation]] = {}
         candidates: Dict[str, Tuple[CandidateEvaluation, ...]] = {}
         for op, kept in kept_per_op.items():
             kept_procs = {e.processor for e in kept}
-            candidates[op] = tuple(
-                CandidateEvaluation(
-                    op=e.op,
-                    processor=e.processor,
-                    start=e.start,
-                    end=e.end,
-                    pressure=e.pressure,
-                    kept=e.processor in kept_procs,
-                )
-                for e in self._evaluated[op]
-            )
+            records = []
+            for e in self._evaluated[op]:
+                is_kept = e.processor in kept_procs
+                entry = previous.get(id(e))
+                if entry is None or entry[1].kept is not is_kept:
+                    entry = (
+                        e,
+                        CandidateEvaluation(
+                            op=e.op,
+                            processor=e.processor,
+                            start=e.start,
+                            end=e.end,
+                            pressure=e.pressure,
+                            kept=is_kept,
+                        ),
+                    )
+                current[id(e)] = entry
+                records.append(entry[1])
+            candidates[op] = tuple(records)
+        self._candidate_records = current
         self.decisions.append(
             DecisionRecord(
                 step=step.index,

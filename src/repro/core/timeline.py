@@ -16,7 +16,10 @@ The schedulers evaluate tentative placements (the ``S(n)(o, p)`` term
 of the schedule pressure) on the committed state itself:
 :meth:`CommPlanner.tentative_transfer` reads the committed link
 frontiers through a small per-evaluation dict of tentative ones and
-writes nothing to the state.
+writes nothing to the state.  Routes, hops and frame choices are
+static for a problem; the planner reads them from the problem's
+:class:`~repro.graphs.routing.RoutingTable`, which memoizes them once
+for every scheduler, the simulator and the prover.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .schedule import CommSlot, Schedule
 __all__ = [
     "TimelineState",
     "CommPlanner",
-    "split_bus_groups",
     "event_boundaries",
 ]
 
@@ -59,45 +61,6 @@ def event_boundaries(schedule: Schedule) -> List[float]:
     for entry in schedule.timeouts:
         dates.add(entry.deadline)
     return sorted(dates)
-
-
-def split_bus_groups(
-    problem: Problem,
-    dep: DependencyKey,
-    sender: str,
-    dests: Sequence[str],
-) -> Tuple[List[Tuple[str, List[str]]], List[str]]:
-    """Partition destinations into bus broadcasts and unicast routes.
-
-    A destination is grouped onto one of the sender's buses only when
-    the bus is no slower (for this dependency) than the destination's
-    best unicast route — otherwise a dedicated fast link would be
-    wasted on it (e.g. an express point-to-point link shunting a slow
-    backbone bus).  Ties go to the bus: one broadcast frame beats
-    several unicasts.  Returns ``([(bus, [dest...]), ...], [unicast
-    dest...])`` with deterministic ordering.
-    """
-    comm = problem.communication
-    routing = problem.routing
-    pending = [d for d in dict.fromkeys(dests) if d != sender]
-    groups: List[Tuple[str, List[str]]] = []
-    for link in routing.bus_links(sender):
-        if not pending:
-            break
-        bus_cost = comm.duration(dep, link.name)
-        served = []
-        for dest in pending:
-            if dest not in link.endpoints:
-                continue
-            best = routing.route_for_dependency(
-                sender, dest, dep, comm
-            ).transfer_time(tuple(dep), comm)
-            if bus_cost <= best + 1e-12:
-                served.append(dest)
-        if served:
-            groups.append((link.name, served))
-            pending = [d for d in pending if d not in served]
-    return groups, pending
 
 
 @dataclass
@@ -197,29 +160,8 @@ class CommPlanner:
     """
 
     def __init__(self, problem: Problem) -> None:
-        self._problem = problem
         self._routing = problem.routing
         self._comm = problem.communication
-        self._arch = problem.architecture
-        #: (dep, sender, dest) -> the route's (from, to, link, duration)
-        #: hops; routes and durations are static for a problem.
-        self._hop_plans: Dict[
-            Tuple[DependencyKey, str, str], Tuple[Tuple[str, str, str, float], ...]
-        ] = {}
-
-    def _hop_plan(
-        self, dep: DependencyKey, sender: str, dest: str
-    ) -> Tuple[Tuple[str, str, str, float], ...]:
-        """The memoized hops of ``dep``'s route from sender to dest."""
-        key = (dep, sender, dest)
-        plan = self._hop_plans.get(key)
-        if plan is None:
-            route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
-            plan = self._hop_plans[key] = tuple(
-                (hop_from, hop_to, link, self._comm.duration(dep, link))
-                for hop_from, hop_to, link in route.hops()
-            )
-        return plan
 
     def _bus_frame(
         self, dep: DependencyKey, sender: str, link: str
@@ -276,7 +218,7 @@ class CommPlanner:
         if sender == dest:
             state.record_arrival(dep, dest, ready)
             return ready
-        hops = self._hop_plan(dep, sender, dest)
+        hops = self._routing.hop_plan(dep, sender, dest, self._comm)
         times = self._walk(hops, ready, state.link_free, {})
         for index, ((hop_from, hop_to, link, _duration), (start, end)) in (
             enumerate(zip(hops, times))
@@ -328,13 +270,13 @@ class CommPlanner:
             return ready, ()
         hops = None
         if via_bus:
-            groups, _unicast = split_bus_groups(
-                self._problem, dep, sender, (dest,)
+            groups, _unicast = self._routing.frame_plan(
+                dep, sender, (dest,), self._comm
             )
             if groups:
                 hops = self._bus_frame(dep, sender, groups[0][0])
         if hops is None:
-            hops = self._hop_plan(dep, sender, dest)
+            hops = self._routing.hop_plan(dep, sender, dest, self._comm)
         times = self._walk(hops, ready, state.link_free, pending)
         held = tuple([(hop[2], end) for hop, (_start, end) in zip(hops, times)])
         reads.update([link for link, _end in held])
@@ -358,12 +300,14 @@ class CommPlanner:
         Destinations sharing a bus with the sender are served by a
         single frame (multi-point links physically broadcast, paper
         Section 2.1) — unless a strictly faster dedicated route exists
-        for them (see :func:`split_bus_groups`); the rest fall back to
-        unicast routed transfers.  Returns the arrival date per
-        destination.
+        for them (see :meth:`~repro.graphs.routing.RoutingTable.frame_plan`);
+        the rest fall back to unicast routed transfers.  Returns the
+        arrival date per destination.
         """
         arrivals: Dict[str, float] = {d: ready for d in dests if d == sender}
-        groups, unicast = split_bus_groups(self._problem, dep, sender, dests)
+        groups, unicast = self._routing.frame_plan(
+            dep, sender, dests, self._comm
+        )
 
         for link_name, served in groups:
             frame = self._bus_frame(dep, sender, link_name)

@@ -90,7 +90,7 @@ def watch_bound(
     total = 0.0
     for link in route.links:
         total += comm.duration(dep, link)
-        total += _largest_frame(problem, link)
+        total += problem.largest_frame(link)
     return total
 
 
@@ -108,12 +108,7 @@ def _drain_margin(
     route = problem.routing.route_for_dependency(sender, watcher, dep, comm)
     if not route.links:
         return 0.0
-    return max(_largest_frame(problem, link) for link in route.links)
-
-
-def _largest_frame(problem: Problem, link: str) -> float:
-    """Duration of the largest frame any dependency puts on ``link``."""
-    return problem.largest_frame(link)
+    return max(problem.largest_frame(link) for link in route.links)
 
 
 def compute_timeout_table(

@@ -89,12 +89,18 @@ class ExecutionTable:
 
     def set_duration(self, op: str, proc: str, duration: float) -> None:
         """Record that ``op`` takes ``duration`` time units on ``proc``."""
+        self.entries[(op, proc)] = self.checked(op, proc, duration)
+
+    @staticmethod
+    def checked(op: str, proc: str, duration: float) -> float:
+        """``duration`` as a table value: a float, positive or
+        ``INFINITY``; :class:`ConstraintError` otherwise."""
         if duration != INFINITY and (not math.isfinite(duration) or duration <= 0):
             raise ConstraintError(
                 f"duration of {op!r} on {proc!r} must be positive or "
                 f"INFINITY, got {duration!r}"
             )
-        self.entries[(op, proc)] = float(duration)
+        return float(duration)
 
     # ------------------------------------------------------------------
     # Queries
@@ -198,12 +204,22 @@ class CommunicationTable:
         self, dep: Union[Dependency, DependencyKey], link: str, duration: float
     ) -> None:
         """Record the transmission time of ``dep`` over ``link``."""
+        self.entries[(_as_dependency_key(dep), link)] = self.checked(
+            dep, link, duration
+        )
+
+    @staticmethod
+    def checked(
+        dep: Union[Dependency, DependencyKey], link: str, duration: float
+    ) -> float:
+        """``duration`` as a table value: a finite, non-negative float;
+        :class:`ConstraintError` otherwise."""
         if not math.isfinite(duration) or duration < 0:
             raise ConstraintError(
                 f"communication duration of {dep} on {link!r} must be "
                 f"finite and non-negative, got {duration!r}"
             )
-        self.entries[(_as_dependency_key(dep), link)] = float(duration)
+        return float(duration)
 
     # ------------------------------------------------------------------
     # Queries

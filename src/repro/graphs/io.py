@@ -11,11 +11,13 @@ both graphs for documentation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Union
+from typing import Any, Dict, Mapping, Tuple, Union
 
 from .algorithm import AlgorithmGraph, Operation, OperationKind
 from .architecture import Architecture, LinkKind
@@ -134,22 +136,25 @@ def problem_from_dict(data: Dict[str, Any]) -> Problem:
             first, second = entry["endpoints"]
             architecture.add_link(entry["name"], first, second)
 
-    execution = ExecutionTable()
+    # One validating loop per table (a repeated key keeps its last
+    # value, as repeated set_duration calls would).
+    execution: Dict[Tuple[str, str], float] = {}
     for entry in data["execution"]:
-        execution.set_duration(
-            entry["op"], entry["processor"], _decode_duration(entry["duration"])
+        op, proc = entry["op"], entry["processor"]
+        execution[(op, proc)] = ExecutionTable.checked(
+            op, proc, _decode_duration(entry["duration"])
         )
-    communication = CommunicationTable()
+    communication: Dict[Tuple[Tuple[str, str], str], float] = {}
+    check_comm = CommunicationTable.checked
     for entry in data["communication"]:
-        communication.set_duration(
-            (entry["src"], entry["dst"]), entry["link"], entry["duration"]
-        )
+        dep, link = (entry["src"], entry["dst"]), entry["link"]
+        communication[(dep, link)] = check_comm(dep, link, entry["duration"])
 
     return Problem(
         algorithm=algorithm,
         architecture=architecture,
-        execution=execution,
-        communication=communication,
+        execution=ExecutionTable(execution),
+        communication=CommunicationTable(communication),
         failures=data.get("failures", 0),
         deadline=data.get("deadline"),
         name=data.get("name", "problem"),
@@ -160,98 +165,214 @@ def problem_from_dict(data: Dict[str, Any]) -> Problem:
 # Canonical content hashing
 # ----------------------------------------------------------------------
 
-def _canonical_problem_dict(data: Mapping[str, Any]) -> Dict[str, Any]:
-    """The order-insensitive normal form of a problem dict.
+#: ``json.dumps`` as the canonical form writes every value.
+_dump = functools.partial(
+    json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
+class _Encoded(dict):
+    """``_dump`` of each value looked up, memoized for strings: the
+    same few hundred names recur across every table entry."""
+
+    def __missing__(self, value: Any) -> str:
+        text = _dump(value)
+        if type(value) is str:
+            self[value] = text
+        return text
+
+
+def _float_text(value: float) -> str:
+    """``_dump(value)`` of a float (a non-finite one raises ValueError)."""
+    return float.__repr__(value) if math.isfinite(value) else _dump(value)
+
+
+def _execution_text(duration: float) -> str:
+    """An execution duration through the duration codec: ``"inf"``
+    for an infinite one, the number otherwise."""
+    return '"inf"' if math.isinf(duration) else _float_text(duration)
+
+
+#: The normal form of a problem, field by field: the scalars, then the
+#: entity lists sorted by their identifying fields, names left raw and
+#: table durations already written as JSON text.
+_CanonicalParts = Tuple[Any, ...]
+
+_first = operator.itemgetter(0)
+
+
+def _problem_parts(problem: Problem) -> _CanonicalParts:
+    """The normal form of a :class:`Problem`, read off its graphs and
+    tables (durations through ``float`` as the dict path converts them:
+    a table built directly may hold ints)."""
+    algorithm = problem.algorithm
+    architecture = problem.architecture
+    return (
+        problem.name,
+        problem.failures,
+        problem.deadline,
+        algorithm.name,
+        sorted(
+            ((op.name, op.kind.value, op.initial_value) for op in algorithm),
+            key=_first,
+        ),
+        sorted((dep.src, dep.dst, dep.label) for dep in algorithm.dependencies),
+        architecture.name,
+        sorted(
+            ((proc.name, proc.description) for proc in architecture),
+            key=_first,
+        ),
+        sorted(
+            (
+                (link.name, link.kind.value, sorted(link.endpoints))
+                for link in architecture.links
+            ),
+            key=_first,
+        ),
+        [
+            (op, proc, _execution_text(float(duration)))
+            for (op, proc), duration in sorted(
+                problem.execution.entries.items(), key=_first
+            )
+        ],
+        [
+            (src, dst, link, _float_text(float(duration)))
+            for ((src, dst), link), duration in sorted(
+                problem.communication.entries.items(), key=_first
+            )
+        ],
+    )
+
+
+def _dict_parts(data: Mapping[str, Any]) -> _CanonicalParts:
+    """The normal form of a problem dict.
 
     :func:`problem_to_dict` already sorts the execution/communication
     tables, but the operation, dependency, processor, and link lists
     come out in insertion order — and a hand-edited problem file may
     list them in any order at all.  Two problems that load to the same
-    :class:`Problem` must hash identically, so every list is sorted by
-    its identifying fields and every float normalized through the
-    duration codec before hashing.
+    :class:`Problem` must hash identically, so every list is sorted
+    (stably) by its identifying fields, every omitted field takes the
+    loader's default and every duration goes through the loader's
+    conversion.
     """
     algorithm = data["algorithm"]
     architecture = data["architecture"]
-    return {
-        "name": data.get("name", "problem"),
-        "failures": data.get("failures", 0),
-        "deadline": data.get("deadline"),
-        "algorithm": {
-            "name": algorithm.get("name", "algorithm"),
-            "operations": sorted(
-                (
-                    {
-                        "name": op["name"],
-                        "kind": op.get("kind", "comp"),
-                        "initial_value": op.get("initial_value"),
-                    }
-                    for op in algorithm["operations"]
-                ),
-                key=lambda op: op["name"],
-            ),
-            "dependencies": sorted(
-                (
-                    {
-                        "src": dep["src"],
-                        "dst": dep["dst"],
-                        "label": dep.get("label", ""),
-                    }
-                    for dep in algorithm["dependencies"]
-                ),
-                key=lambda dep: (dep["src"], dep["dst"], dep["label"]),
-            ),
-        },
-        "architecture": {
-            "name": architecture.get("name", "architecture"),
-            "processors": sorted(
-                (
-                    {
-                        "name": proc["name"],
-                        "description": proc.get("description", ""),
-                    }
-                    for proc in architecture["processors"]
-                ),
-                key=lambda proc: proc["name"],
-            ),
-            "links": sorted(
-                (
-                    {
-                        "name": link["name"],
-                        "kind": link["kind"],
-                        "endpoints": sorted(link["endpoints"]),
-                    }
-                    for link in architecture["links"]
-                ),
-                key=lambda link: link["name"],
-            ),
-        },
-        "execution": sorted(
+    return (
+        data.get("name", "problem"),
+        data.get("failures", 0),
+        data.get("deadline"),
+        algorithm.get("name", "algorithm"),
+        sorted(
             (
-                {
-                    "op": entry["op"],
-                    "processor": entry["processor"],
-                    "duration": _encode_duration(
-                        _decode_duration(entry["duration"])
-                    ),
-                }
+                (op["name"], op.get("kind", "comp"), op.get("initial_value"))
+                for op in algorithm["operations"]
+            ),
+            key=_first,
+        ),
+        sorted(
+            (dep["src"], dep["dst"], dep.get("label", ""))
+            for dep in algorithm["dependencies"]
+        ),
+        architecture.get("name", "architecture"),
+        sorted(
+            (
+                (proc["name"], proc.get("description", ""))
+                for proc in architecture["processors"]
+            ),
+            key=_first,
+        ),
+        sorted(
+            (
+                (link["name"], link["kind"], sorted(link["endpoints"]))
+                for link in architecture["links"]
+            ),
+            key=_first,
+        ),
+        sorted(
+            (
+                (
+                    entry["op"],
+                    entry["processor"],
+                    _execution_text(_decode_duration(entry["duration"])),
+                )
                 for entry in data["execution"]
             ),
-            key=lambda entry: (entry["op"], entry["processor"]),
+            key=operator.itemgetter(0, 1),
         ),
-        "communication": sorted(
+        sorted(
             (
-                {
-                    "src": entry["src"],
-                    "dst": entry["dst"],
-                    "link": entry["link"],
-                    "duration": float(entry["duration"]),
-                }
+                (
+                    entry["src"],
+                    entry["dst"],
+                    entry["link"],
+                    _float_text(float(entry["duration"])),
+                )
                 for entry in data["communication"]
             ),
-            key=lambda entry: (entry["src"], entry["dst"], entry["link"]),
+            key=operator.itemgetter(0, 1, 2),
         ),
-    }
+    )
+
+
+def _write_canonical(parts: _CanonicalParts) -> str:
+    """The canonical JSON text of a normal form: what ``_dump`` writes
+    for the equivalent nested dicts, formatted entry by entry with the
+    keys already in sorted order."""
+    (
+        name,
+        failures,
+        deadline,
+        algorithm_name,
+        operations,
+        dependencies,
+        architecture_name,
+        processors,
+        links,
+        execution,
+        communication,
+    ) = parts
+    text = _Encoded()
+    return (
+        '{"algorithm":{"dependencies":[%s],"name":%s,"operations":[%s]},'
+        '"architecture":{"links":[%s],"name":%s,"processors":[%s]},'
+        '"communication":[%s],"deadline":%s,"execution":[%s],'
+        '"failures":%s,"name":%s}'
+    ) % (
+        ",".join([
+            '{"dst":%s,"label":%s,"src":%s}' % (text[dst], text[label], text[src])
+            for src, dst, label in dependencies
+        ]),
+        _dump(algorithm_name),
+        ",".join([
+            '{"initial_value":%s,"kind":%s,"name":%s}'
+            % (_dump(initial), text[kind], text[op])
+            for op, kind, initial in operations
+        ]),
+        ",".join([
+            '{"endpoints":[%s],"kind":%s,"name":%s}'
+            % (",".join([text[end] for end in endpoints]), text[kind], text[link])
+            for link, kind, endpoints in links
+        ]),
+        _dump(architecture_name),
+        ",".join([
+            '{"description":%s,"name":%s}' % (text[description], text[proc])
+            for proc, description in processors
+        ]),
+        ",".join([
+            '{"dst":%s,"duration":%s,"link":%s,"src":%s}'
+            % (text[dst], duration, text[link], text[src])
+            for src, dst, link, duration in communication
+        ]),
+        _dump(deadline),
+        ",".join([
+            '{"duration":%s,"op":%s,"processor":%s}'
+            % (duration, text[op], text[proc])
+            for op, proc, duration in execution
+        ]),
+        _dump(failures),
+        _dump(name),
+    )
 
 
 def canonical_problem_json(problem: Union[Problem, Mapping[str, Any]]) -> str:
@@ -263,18 +384,12 @@ def canonical_problem_json(problem: Union[Problem, Mapping[str, Any]]) -> str:
     encoded as ``"inf"``.  Round-trip invariant by construction —
     ``canonical_problem_json(problem_from_dict(d)) ==
     canonical_problem_json(d)`` for every valid problem dict ``d``.
+    A :class:`Problem` is written straight from its tables, with no
+    intermediate dict.
     """
-    data = (
-        problem_to_dict(problem)
-        if isinstance(problem, Problem)
-        else dict(problem)
-    )
-    return json.dumps(
-        _canonical_problem_dict(data),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    if isinstance(problem, Problem):
+        return _write_canonical(_problem_parts(problem))
+    return _write_canonical(_dict_parts(problem))
 
 
 def problem_hash(problem: Union[Problem, Mapping[str, Any]]) -> str:
@@ -283,8 +398,7 @@ def problem_hash(problem: Union[Problem, Mapping[str, Any]]) -> str:
     Bit-stable across process restarts, key reorderings, list
     reorderings, and save/load round-trips: the hash is taken over
     :func:`canonical_problem_json`.  This is the identity under which
-    the run ledger (and the future ``repro serve`` memoization cache)
-    recognizes repeated work on the same problem.
+    the run ledger recognizes repeated work on the same problem.
     """
     return hashlib.sha256(
         canonical_problem_json(problem).encode("utf-8")

@@ -74,7 +74,7 @@ class Problem:
         if self.deadline is not None and self.deadline <= 0:
             raise InfeasibleProblemError("deadline must be positive")
         self._routing: Optional[RoutingTable] = None
-        self._largest_frames: Dict[str, float] = {}
+        self._largest_frames: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
     # Derived structures
@@ -92,23 +92,25 @@ class Problem:
         return self.failures + 1
 
     def largest_frame(self, link: str) -> float:
-        """Duration of the largest frame any dependency puts on ``link``.
+        """Duration of the largest frame any dependency puts on ``link``
+        (0.0 when no dependency of the algorithm has a duration there).
 
         A static quantity (algorithm and communication table are fixed
-        for a problem), memoized per link — the timeout ladders query
-        it once per traversed link per watched message.
+        for a problem): the timeout ladders query it once per traversed
+        link per watched message, so it is computed for every link at
+        the first query, in one pass over the table.
         """
-        cached = self._largest_frames.get(link)
-        if cached is None:
-            comm = self.communication
-            durations = [
-                comm.duration(dep.key, link)
-                for dep in self.algorithm.dependencies
-                if comm.has_duration(dep.key, link)
-            ]
-            cached = max(durations) if durations else 0.0
-            self._largest_frames[link] = cached
-        return cached
+        if self._largest_frames is None:
+            deps = {dep.key for dep in self.algorithm.dependencies}
+            largest: Dict[str, float] = {}
+            for (dep, table_link), duration in self.communication.entries.items():
+                if dep not in deps:
+                    continue
+                known = largest.get(table_link)
+                if known is None or duration > known:
+                    largest[table_link] = duration
+            self._largest_frames = largest
+        return self._largest_frames.get(link, 0.0)
 
     def allowed_processors(self, op: str) -> List[str]:
         """Processors able to execute ``op``, in architecture order."""

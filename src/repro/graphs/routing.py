@@ -24,7 +24,14 @@ import networkx as nx
 from .architecture import Architecture, ArchitectureError, Link
 from .constraints import CommunicationTable, DependencyKey
 
-__all__ = ["Route", "RoutingTable", "RoutingError"]
+__all__ = ["Route", "RoutingTable", "RoutingError", "HopPlan", "FramePlan"]
+
+#: A unicast transfer's hops: ``(from, to, link, duration)`` each.
+HopPlan = Tuple[Tuple[str, str, str, float], ...]
+
+#: A send's frames: ``((bus, served destinations), ...)`` and the
+#: destinations left to unicast routes.
+FramePlan = Tuple[Tuple[Tuple[str, Tuple[str, ...]], ...], Tuple[str, ...]]
 
 
 class RoutingError(ArchitectureError):
@@ -107,7 +114,11 @@ class RoutingTable:
     processor pair: 380 pairs for 20 processors) and then queried in
     O(1).  Besides the routes it records each processor's bus links
     and the pairs with a single candidate route, for which
-    :meth:`route_for_dependency` has nothing to rank.
+    :meth:`route_for_dependency` has nothing to rank.  It also holds
+    the problem's static comm plan, filled on first use: the
+    per-dependency routes, their hops (:meth:`hop_plan`) and the
+    bus-or-unicast frame choices (:meth:`frame_plan`), which the
+    planner, the simulator's network and the prover's automaton read.
     """
 
     def __init__(self, architecture: Architecture) -> None:
@@ -119,11 +130,17 @@ class RoutingTable:
         # construction; route_for_dependency only re-ranks these small
         # lists instead of re-running a shortest-path search per call.
         self._min_hop_paths: Dict[Tuple[str, str], Tuple[Tuple[str, ...], ...]] = {}
-        # Per-dependency route cache, valid for one CommunicationTable
-        # at a time (flushed on identity change — problems swap tables
-        # only when a new Problem is built, so in practice it sticks).
+        # The static comm plan, valid for one CommunicationTable at a
+        # time (flushed on identity change — problems swap tables only
+        # when a new Problem is built, so in practice it sticks): the
+        # per-dependency routes, their duration-annotated hops, and the
+        # bus-or-unicast frame choices.
+        self._plan_table: Optional[CommunicationTable] = None
         self._dep_routes: Dict[Tuple[str, str, DependencyKey], Route] = {}
-        self._dep_routes_table: Optional[CommunicationTable] = None
+        self._hop_plans: Dict[Tuple[DependencyKey, str, str], HopPlan] = {}
+        self._frame_plans: Dict[
+            Tuple[DependencyKey, str, Tuple[str, ...]], FramePlan
+        ] = {}
         # Per processor, its bus links in ``links_of`` order.
         self._bus_links: Dict[str, Tuple[Link, ...]] = {}
         # Ordered pairs with exactly one min-hop path and one link per
@@ -221,9 +238,8 @@ class RoutingTable:
         """
         if src == dst or (src, dst) in self._single_route:
             return self._routes[(src, dst)]
-        if comm_table is not self._dep_routes_table:
-            self._dep_routes.clear()
-            self._dep_routes_table = comm_table
+        if comm_table is not self._plan_table:
+            self._use_table(comm_table)
         cache_key = (src, dst, dep)
         cached = self._dep_routes.get(cache_key)
         if cached is not None:
@@ -247,6 +263,83 @@ class RoutingTable:
         route = Route(best[1], best[2])
         self._dep_routes[cache_key] = route
         return route
+
+    def hop_plan(
+        self, dep: DependencyKey, sender: str, dest: str, comm_table: CommunicationTable
+    ) -> HopPlan:
+        """The hops of ``dep``'s route from ``sender`` to ``dest``, each
+        with the dependency's duration on its link (memoized, as
+        :meth:`route_for_dependency`)."""
+        if comm_table is not self._plan_table:
+            self._use_table(comm_table)
+        key = (dep, sender, dest)
+        plan = self._hop_plans.get(key)
+        if plan is None:
+            route = self.route_for_dependency(sender, dest, dep, comm_table)
+            processors = route.processors
+            plan = self._hop_plans[key] = tuple(
+                zip(
+                    processors,
+                    processors[1:],
+                    route.links,
+                    [comm_table.duration(dep, link) for link in route.links],
+                )
+            )
+        return plan
+
+    def frame_plan(
+        self,
+        dep: DependencyKey,
+        sender: str,
+        dests: Sequence[str],
+        comm_table: CommunicationTable,
+    ) -> FramePlan:
+        """Partition destinations into bus broadcasts and unicast routes.
+
+        A destination is grouped onto one of the sender's buses only
+        when the bus is no slower (for this dependency) than the
+        destination's best unicast route — otherwise a dedicated fast
+        link would be wasted on it (e.g. an express point-to-point link
+        shunting a slow backbone bus).  Ties go to the bus: one
+        broadcast frame beats several unicasts.  Returns ``(((bus,
+        (dest, ...)), ...), (unicast dest, ...))`` with deterministic
+        ordering; the sender and repeated destinations are dropped.
+        Memoized per ``(dep, sender, dests)``, as
+        :meth:`route_for_dependency`.
+        """
+        if comm_table is not self._plan_table:
+            self._use_table(comm_table)
+        key = (dep, sender, tuple(dests))
+        plan = self._frame_plans.get(key)
+        if plan is not None:
+            return plan
+        pending = [d for d in dict.fromkeys(key[2]) if d != sender]
+        groups = []
+        for link in self.bus_links(sender):
+            if not pending:
+                break
+            bus_cost = comm_table.duration(dep, link.name)
+            served = []
+            for dest in pending:
+                if dest not in link.endpoints:
+                    continue
+                best = self.route_for_dependency(
+                    sender, dest, dep, comm_table
+                ).transfer_time(tuple(dep), comm_table)
+                if bus_cost <= best + 1e-12:
+                    served.append(dest)
+            if served:
+                groups.append((link.name, tuple(served)))
+                pending = [d for d in pending if d not in served]
+        plan = self._frame_plans[key] = (tuple(groups), tuple(pending))
+        return plan
+
+    def _use_table(self, comm_table: CommunicationTable) -> None:
+        """Flush the comm-plan memos: another table was passed."""
+        self._dep_routes.clear()
+        self._hop_plans.clear()
+        self._frame_plans.clear()
+        self._plan_table = comm_table
 
     def all_routes(self) -> Dict[Tuple[str, str], Route]:
         """A copy of the full (src, dst) -> route mapping."""

@@ -22,11 +22,11 @@ abstract crash dates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ...core.schedule import Schedule, ScheduleSemantics
-from ...core.timeline import event_boundaries, split_bus_groups
+from ...core.timeline import event_boundaries
 from ...graphs.problem import Problem
 
 __all__ = ["LadderRung", "DeliveryAutomaton", "compile_automaton"]
@@ -79,44 +79,12 @@ class DeliveryAutomaton:
     detection: str
     snoop_recovery: bool
     is_bus: Dict[str, bool]
-    _groups: Dict[Tuple[DependencyKey, str, Tuple[str, ...]], tuple] = field(
-        default_factory=dict
-    )
-    _hops: Dict[Tuple[DependencyKey, str, str], tuple] = field(
-        default_factory=dict
-    )
     _event_keys: Optional[tuple] = None
 
     # ------------------------------------------------------------------
-    # Memoized static lookups used by the verifier's inner loop
+    # Lookups used by the verifier's inner loop (routes and frame
+    # groups come from ``problem.routing``'s static comm plan)
     # ------------------------------------------------------------------
-    def frame_groups(
-        self, dep: DependencyKey, sender: str, dests: Sequence[str]
-    ) -> tuple:
-        """Planner-identical frame grouping: (bus groups, unicast dests)."""
-        key = (dep, sender, tuple(dests))
-        got = self._groups.get(key)
-        if got is None:
-            groups, unicast = split_bus_groups(self.problem, dep, sender, dests)
-            got = (
-                tuple((link, tuple(served)) for link, served in groups),
-                tuple(unicast),
-            )
-            self._groups[key] = got
-        return got
-
-    def route_hops(self, dep: DependencyKey, sender: str, dest: str) -> tuple:
-        """Static route hops ``(from, to, link)`` for a unicast transfer."""
-        key = (dep, sender, dest)
-        got = self._hops.get(key)
-        if got is None:
-            route = self.problem.routing.route_for_dependency(
-                sender, dest, dep, self.problem.communication
-            )
-            got = tuple(route.hops())
-            self._hops[key] = got
-        return got
-
     def event_keys(self) -> tuple:
         """Keys of one run's event tables, built once: ``(dep, proc)``
         data arrivals, per-dependency observes, ``(op, proc)`` productions."""

@@ -332,17 +332,20 @@ class _AbstractRun:
     def _dispatch(
         self, dep: DependencyKey, sender: str, dests: Sequence[str], takeover: bool
     ) -> None:
-        groups, unicast = self.auto.frame_groups(dep, sender, dests)
+        # Planner-identical frames, from the problem's static comm plan.
+        routing = self.auto.problem.routing
+        comm = self.auto.problem.communication
+        groups, unicast = routing.frame_plan(dep, sender, dests, comm)
         for link, served in groups:
             self._emit(dep, sender, served, link, takeover, route=None)
         for dest in unicast:
-            hops = self.auto.route_hops(dep, sender, dest)
+            hops = routing.hop_plan(dep, sender, dest, comm)
             self._forward(dep, hops, 0, takeover)
 
     def _forward(self, dep, hops, index, takeover) -> None:
         if index >= len(hops):
             return
-        hop_from, hop_to, link = hops[index]
+        hop_from, hop_to, link, _duration = hops[index]
         is_last = index == len(hops) - 1
         self._emit(
             dep,

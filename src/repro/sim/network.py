@@ -22,10 +22,10 @@ decided at grant time, keeping the simulation deterministic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..core.timeline import split_bus_groups
 from ..graphs.problem import Problem
+from ..graphs.routing import HopPlan
 from .engine import Simulator
 from .faults import FailureScenario
 from .trace import FrameRecord, IterationTrace
@@ -80,15 +80,15 @@ class NetworkRuntime:
     ) -> None:
         """Send ``dep``'s data from ``sender`` to every destination.
 
-        Grouping mirrors the static planner exactly (same
-        :func:`~repro.core.timeline.split_bus_groups` rule), so the
+        Grouping mirrors the static planner exactly (the same
+        :meth:`~repro.graphs.routing.RoutingTable.frame_plan`), so the
         runtime frame structure matches the plan.  The call is
         non-blocking — transmissions complete on their own through
         scheduled callbacks.
         """
-        groups, unicast = split_bus_groups(self._problem, dep, sender, dests)
+        groups, unicast = self._routing.frame_plan(dep, sender, dests, self._comm)
         for link_name, served in groups:
-            self._emit(dep, sender, tuple(served), link_name, takeover, payload)
+            self._emit(dep, sender, served, link_name, takeover, payload)
         for dest in unicast:
             self._start_routed(dep, sender, dest, takeover, payload)
 
@@ -164,21 +164,20 @@ class NetworkRuntime:
         takeover: bool,
         payload: object = None,
     ) -> None:
-        route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
-        hops = route.hops()
+        hops = self._routing.hop_plan(dep, sender, dest, self._comm)
         self._forward(dep, hops, 0, takeover, payload)
 
     def _forward(
         self,
         dep: DependencyKey,
-        hops: List[Tuple[str, str, str]],
+        hops: HopPlan,
         index: int,
         takeover: bool,
         payload: object = None,
     ) -> None:
         if index >= len(hops):
             return
-        hop_from, hop_to, link = hops[index]
+        hop_from, hop_to, link, _duration = hops[index]
         is_last = index == len(hops) - 1
 
         def continue_route(_end: float) -> None:

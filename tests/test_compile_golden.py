@@ -34,6 +34,9 @@ from pathlib import Path
 import pytest
 
 from repro.core import schedule_baseline, schedule_solution1, schedule_solution2
+from repro.core.solution1 import Solution1Scheduler
+from repro.core.solution2 import Solution2Scheduler
+from repro.core.syndex import SyndexScheduler
 from repro.graphs.architecture import Architecture
 from repro.graphs.constraints import CommunicationTable
 from repro.graphs.generators import (
@@ -155,6 +158,51 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_compile_output_is_bit_identical(label, golden):
     assert case_record(label) == golden[label]
+
+
+#: The scheduler classes behind ``METHODS``.
+SCHEDULERS = {
+    "baseline": SyndexScheduler,
+    "solution1": Solution1Scheduler,
+    "solution2": Solution2Scheduler,
+}
+
+
+def _run_record(problem: Problem, method: str, use_eval_cache: bool) -> dict:
+    result = SCHEDULERS[method](problem, use_eval_cache=use_eval_cache).run()
+    schedule = result.schedule
+    return {
+        "schedule_hash": schedule_hash(schedule),
+        "comms_sha256": _digest([asdict(slot) for slot in schedule.comms]),
+        "decisions": (result.decisions.records, result.decisions.timeouts),
+        "traces": {
+            name: _trace_digest(simulate(schedule, scenario))
+            for name, scenario in _scenarios(schedule).items()
+        },
+    }
+
+
+@pytest.mark.parametrize("label", ["p2p-k1", "mixed-k2", "bus-k2"])
+def test_shared_problem_matches_fresh_problems(label):
+    """The static comm plan is memoized on the problem's routing table
+    and shared by every scheduler, simulation and proof of the problem.
+    Scheduling and simulating one problem object with all three methods,
+    in either order and with the eval cache on or off, must give what a
+    fresh problem per method gives."""
+    fresh = {
+        method: _run_record(CASES[label](), method, use_eval_cache=True)
+        for method in SCHEDULERS
+    }
+    orders = (
+        ("baseline", "solution1", "solution2"),
+        ("solution2", "solution1", "baseline"),
+    )
+    for order in orders:
+        for use_eval_cache in (True, False):
+            shared = CASES[label]()
+            for method in order:
+                got = _run_record(shared, method, use_eval_cache)
+                assert got == fresh[method], (order, use_eval_cache, method)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ import math
 
 import pytest
 
+from repro.graphs.constraints import (
+    CommunicationTable,
+    ConstraintError,
+    ExecutionTable,
+)
 from repro.graphs.io import (
     algorithm_to_dot,
     architecture_to_dot,
@@ -80,6 +85,55 @@ class TestProblemRoundTrip:
         original = schedule_solution1(bus_problem)
         again = schedule_solution1(rebuilt)
         assert original.makespan == pytest.approx(again.makespan)
+
+
+class TestLoaderChecks:
+    """The loader fills the tables in one loop each; it must reject what
+    ``set_duration`` rejects, with the same message."""
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_bad_communication_duration(self, bus_problem, value):
+        data = problem_to_dict(bus_problem)
+        entry = data["communication"][2]
+        entry["duration"] = value
+        with pytest.raises(ConstraintError) as loaded:
+            problem_from_dict(data)
+        with pytest.raises(ConstraintError) as direct:
+            CommunicationTable().set_duration(
+                (entry["src"], entry["dst"]), entry["link"], value
+            )
+        assert str(loaded.value) == str(direct.value)
+        assert "communication duration of" in str(loaded.value)
+
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan")])
+    def test_bad_execution_duration(self, bus_problem, value):
+        data = problem_to_dict(bus_problem)
+        entry = data["execution"][1]
+        entry["duration"] = value
+        with pytest.raises(ConstraintError) as loaded:
+            problem_from_dict(data)
+        with pytest.raises(ConstraintError) as direct:
+            ExecutionTable().set_duration(
+                entry["op"], entry["processor"], float(value)
+            )
+        assert str(loaded.value) == str(direct.value)
+        assert "must be positive or INFINITY" in str(loaded.value)
+
+    def test_repeated_entry_keeps_the_last_value(self, bus_problem):
+        data = problem_to_dict(bus_problem)
+        data["communication"].append({**data["communication"][0], "duration": 7.0})
+        data["execution"].append({**data["execution"][0], "duration": "inf"})
+        rebuilt = problem_from_dict(data)
+        first = data["communication"][0]
+        assert rebuilt.communication.duration(
+            (first["src"], first["dst"]), first["link"]
+        ) == 7.0
+        # ... in the position of its first occurrence.
+        assert list(rebuilt.communication.entries) == list(
+            problem_from_dict(problem_to_dict(bus_problem)).communication.entries
+        )
+        entry = data["execution"][0]
+        assert rebuilt.execution.duration(entry["op"], entry["processor"]) == math.inf
 
 
 class TestScheduleExport:

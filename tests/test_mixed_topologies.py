@@ -105,12 +105,12 @@ class TestBusPlusExpress:
         """The planner must not herd P1->P2 traffic onto the slow bus
         when the 4x faster express link exists; other destinations
         stay on the bus broadcast."""
-        from repro.core.timeline import split_bus_groups
-
         dep = problem.algorithm.dependencies[0].key
-        groups, unicast = split_bus_groups(problem, dep, "P1", ["P2", "P3", "P4"])
-        assert unicast == ["P2"]  # express wins for P2
-        assert groups == [("can", ["P3", "P4"])]
+        groups, unicast = problem.routing.frame_plan(
+            dep, "P1", ["P2", "P3", "P4"], problem.communication
+        )
+        assert unicast == ("P2",)  # express wins for P2
+        assert groups == (("can", ("P3", "P4")),)
         route = problem.routing.route_for_dependency(
             "P1", "P2", dep, problem.communication
         )

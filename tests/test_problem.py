@@ -117,3 +117,38 @@ class TestIntrospection:
 
     def test_repr(self):
         assert "K=1" in repr(small_problem(failures=1))
+
+
+class TestLargestFrame:
+    @staticmethod
+    def per_link(problem, link):
+        """The definition: the largest duration on ``link`` over the
+        algorithm's dependencies, 0.0 when none has one there."""
+        comm = problem.communication
+        durations = [
+            comm.duration(dep.key, link)
+            for dep in problem.algorithm.dependencies
+            if comm.has_duration(dep.key, link)
+        ]
+        return max(durations) if durations else 0.0
+
+    def test_matches_the_per_link_definition(self):
+        from repro.graphs.generators import random_bus_problem, random_p2p_problem
+
+        for problem in (
+            random_bus_problem(12, 4, failures=1, seed=3),
+            random_p2p_problem(12, 5, failures=2, seed=4),
+        ):
+            for link in problem.architecture.link_names:
+                assert problem.largest_frame(link) == self.per_link(problem, link)
+
+    def test_counts_algorithm_dependencies_only(self):
+        problem = small_problem()
+        problem.architecture.add_processor("P9")
+        problem.architecture.add_link("spare", "P1", "P9")
+        # An entry for a dependency the algorithm does not have.
+        problem.communication.set_duration(("x", "y"), "spare", 9.0)
+        problem.communication.set_duration(("x", "y"), "bus", 9.0)
+        assert problem.largest_frame("spare") == self.per_link(problem, "spare") == 0.0
+        assert problem.largest_frame("bus") == self.per_link(problem, "bus") == 0.5
+        assert problem.largest_frame("no-such-link") == 0.0

@@ -223,3 +223,38 @@ class TestCompiledRoutingIndexes:
         table = RoutingTable(_meshed_architecture())
         with pytest.raises(ArchitectureError):
             table.bus_links("P9")
+
+    def test_hop_plan_annotates_the_dependency_route(self):
+        arch = _meshed_architecture()
+        table = RoutingTable(arch)
+        comm = _varied_comm(arch, self.DEPS)
+        for src, dst in itertools.permutations(arch.processor_names, 2):
+            for dep in self.DEPS:
+                route = table.route_for_dependency(src, dst, dep, comm)
+                assert table.hop_plan(dep, src, dst, comm) == tuple(
+                    (hop_from, hop_to, link, comm.duration(dep, link))
+                    for hop_from, hop_to, link in route.hops()
+                )
+
+    def test_comm_plan_follows_the_table_passed(self):
+        """Another table object flushes the memoized plans."""
+        arch = _meshed_architecture()
+        table = RoutingTable(arch)
+        dep = self.DEPS[0]
+        slow_bus = CommunicationTable()
+        fast_bus = CommunicationTable()
+        for link in arch.link_names:
+            slow_bus.set_duration(dep, link, 9.0 if link == "bus" else 1.0)
+            fast_bus.set_duration(dep, link, 1.0 if link == "bus" else 2.0)
+        dests = ["P5", "P6"]
+        assert table.frame_plan(dep, "P5", dests, slow_bus) == ((), ("P6",))
+        assert table.frame_plan(dep, "P5", dests, fast_bus) == (
+            (("bus", ("P6",)),),
+            (),
+        )
+        assert table.hop_plan(dep, "P5", "P6", slow_bus) == (("P5", "P6", "L56", 1.0),)
+        assert table.hop_plan(dep, "P5", "P6", fast_bus) == (("P5", "P6", "bus", 1.0),)
+        assert table.frame_plan(dep, "P4", ["P4", "P5", "P5"], fast_bus) == (
+            (("bus", ("P5",)),),
+            (),
+        )
