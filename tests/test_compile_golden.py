@@ -12,12 +12,17 @@ this test pins, per method:
   and ``output_times`` — with no crash, with P1 dead from start, and
   with P2 crashing in the middle of the iteration.
 
+A second fixture pins the other readers of the compiled executive, per
+case and method: a digest of the ``render_executive`` macro-code text
+and, for the baseline and Solution 2 (the pipeline rejects Solution 1),
+a digest of the pipelined completion dates at two periods.
+
 The architectures cover a fully connected point-to-point network
 (one candidate route per pair), a mixed network (a bus, an express
 link beside it, parallel links and pairs with several minimum-hop
 paths, where routes are ranked per dependency) and a single bus.
 
-Regenerate the fixture only when the compiled output is meant to
+Regenerate the fixtures only when the compiled output is meant to
 change::
 
     PYTHONPATH=src python tests/test_compile_golden.py --regenerate
@@ -33,6 +38,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.codegen import render_executive
 from repro.core import schedule_baseline, schedule_solution1, schedule_solution2
 from repro.core.solution1 import Solution1Scheduler
 from repro.core.solution2 import Solution2Scheduler
@@ -48,8 +54,10 @@ from repro.graphs.generators import (
 from repro.graphs.io import schedule_hash
 from repro.graphs.problem import Problem
 from repro.sim import FailureScenario, simulate
+from repro.sim.pipeline import simulate_pipelined
 
 FIXTURE = Path(__file__).parent / "fixtures" / "compile_golden.json"
+EXECUTIVE_FIXTURE = Path(__file__).parent / "fixtures" / "executive_golden.json"
 
 METHODS = {
     "baseline": schedule_baseline,
@@ -146,18 +154,59 @@ def case_record(label: str) -> dict:
     return record
 
 
+#: Pipelined periods as fractions of the makespan (one period equal to
+#: the makespan, one that overlaps iterations), and the run length.
+PIPELINE_PERIODS = (1.0, 0.5)
+PIPELINE_ITERATIONS = 4
+
+
+def executive_record(label: str) -> dict:
+    """Per method, digests of the generated executive text and, where
+    the pipeline is defined, of the pipelined completion dates."""
+    problem = CASES[label]()
+    record = {}
+    for method, scheduler in METHODS.items():
+        schedule = scheduler(problem).schedule
+        text = render_executive(schedule)
+        entry = {
+            "executive_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        }
+        if method != "solution1":
+            entry["pipeline"] = {
+                str(fraction): _digest(
+                    simulate_pipelined(
+                        schedule, schedule.makespan * fraction, PIPELINE_ITERATIONS
+                    ).completion_times
+                )
+                for fraction in PIPELINE_PERIODS
+            }
+        record[method] = entry
+    return record
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
 
 
-def test_fixture_covers_every_case(golden):
+@pytest.fixture(scope="module")
+def executive_golden():
+    return json.loads(EXECUTIVE_FIXTURE.read_text())
+
+
+def test_fixture_covers_every_case(golden, executive_golden):
     assert sorted(golden) == sorted(CASES)
+    assert sorted(executive_golden) == sorted(CASES)
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_compile_output_is_bit_identical(label, golden):
     assert case_record(label) == golden[label]
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_executive_and_pipeline_are_bit_identical(label, executive_golden):
+    assert executive_record(label) == executive_golden[label]
 
 
 #: The scheduler classes behind ``METHODS``.
@@ -208,6 +257,7 @@ def test_shared_problem_matches_fresh_problems(label):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: python tests/test_compile_golden.py --regenerate")
-    records = {label: case_record(label) for label in sorted(CASES)}
-    FIXTURE.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    print("wrote %s (%d cases)" % (FIXTURE, len(records)))
+    for path, make in ((FIXTURE, case_record), (EXECUTIVE_FIXTURE, executive_record)):
+        records = {label: make(label) for label in sorted(CASES)}
+        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+        print("wrote %s (%d cases)" % (path, len(records)))
