@@ -11,11 +11,12 @@ target-specific code.  This module generates the same structure from a
   sequence (``EXEC`` instructions, blocking ``RECV`` for remote
   inputs) and the communication sequence (``SEND`` at the planned
   dates, plus — for Solution 1 — one ``WATCHDOG`` per backup message,
-  carrying its statically computed deadline ladder);
+  carrying its statically computed deadline ladder in rank order);
 * the semantics of these instructions is exactly what
-  :mod:`repro.sim.executive` executes; the generator exists so users
-  can *read* (and port) the executive, and so tests can check the two
-  views agree.
+  :mod:`repro.sim.executive` executes, and the remote inputs,
+  destinations and ladders come from the same compiled
+  :attr:`~repro.core.schedule.Schedule.executive_plan`; the generator
+  exists so users can *read* (and port) the executive.
 
 The textual rendering (:func:`render_program`) is deliberately close
 to SynDEx's macro style.
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.schedule import Schedule, ScheduleSemantics
+from ..core.schedule import Schedule
 
 __all__ = [
     "Instruction",
@@ -37,8 +38,6 @@ __all__ = [
     "render_program",
     "render_executive",
 ]
-
-DependencyKey = Tuple[str, str]
 
 
 class Opcode(enum.Enum):
@@ -124,18 +123,11 @@ def generate_executive(schedule: Schedule) -> Dict[str, ExecutiveProgram]:
     """Generate one :class:`ExecutiveProgram` per processor."""
     problem = schedule.problem
     algorithm = problem.algorithm
+    plan = schedule.executive_plan
     programs = {
         proc: ExecutiveProgram(proc)
         for proc in problem.architecture.processor_names
     }
-
-    def destinations(dep: DependencyKey) -> List[str]:
-        src, dst = dep
-        return sorted(
-            proc
-            for proc in schedule.processors_of(dst)
-            if schedule.replica_on(src, proc) is None
-        )
 
     # Computation sequences: static order, with blocking RECVs for the
     # inputs that are not produced locally.
@@ -143,7 +135,7 @@ def generate_executive(schedule: Schedule) -> Dict[str, ExecutiveProgram]:
         for placement in schedule.processor_timeline(proc):
             op = placement.op
             for pred in algorithm.predecessors(op):
-                if schedule.replica_on(pred, proc) is None:
+                if proc in plan.destinations[(pred, op)]:
                     arrivals = [
                         slot.end
                         for slot in schedule.comms_for_dependency((pred, op))
@@ -177,17 +169,14 @@ def generate_executive(schedule: Schedule) -> Dict[str, ExecutiveProgram]:
         programs[proc].communication.extend(instructions)
 
     # Solution-1 watchdogs: one per (backup, outgoing message).
-    if schedule.semantics is ScheduleSemantics.SOLUTION1:
-        ladders: Dict[Tuple[str, DependencyKey, str], List[Tuple[str, float]]] = {}
-        for entry in schedule.timeouts:
-            key = (entry.op, entry.dependency, entry.watcher)
-            ladders.setdefault(key, []).append((entry.candidate, entry.deadline))
-        for (op, dep, watcher), ladder in sorted(ladders.items()):
-            ladder.sort(key=lambda pair: pair[1])
-            dests = [d for d in destinations(dep) if d != watcher]
-            programs[watcher].communication.append(
-                Instruction(Opcode.WATCHDOG, (dep, tuple(ladder), tuple(dests)))
-            )
+    for (op, dep, watcher), rungs in sorted(plan.ladders.items()):
+        if not rungs:
+            continue
+        ladder = tuple((rung.candidate, rung.deadline) for rung in rungs)
+        dests = tuple(d for d in plan.destinations[dep] if d != watcher)
+        programs[watcher].communication.append(
+            Instruction(Opcode.WATCHDOG, (dep, ladder, dests))
+        )
 
     return programs
 

@@ -83,9 +83,7 @@ def degraded_schedule(schedule: Schedule, failed: Iterable[str]) -> Schedule:
             degraded.add_comm(slot)
 
     if schedule.semantics is ScheduleSemantics.SOLUTION1:
-        for entry in compute_timeout_table(
-            problem, planner, placement_order, degraded
-        ):
+        for entry in compute_timeout_table(problem, placement_order, degraded):
             degraded.add_timeout(entry)
     return degraded.freeze()
 

@@ -1,0 +1,138 @@
+"""The compiled executive plan: the static half of a schedule's executive.
+
+AAA compiles the static schedule into a distributed executive
+(Sections 6.1-6.3, Figure 12).  What that executive fixes before run
+time is computed here once per frozen schedule, memoized as
+:attr:`Schedule.executive_plan <repro.core.schedule.Schedule.executive_plan>`:
+who must receive each dependency over the network (consumer hosts
+without a producer replica, Sections 6.1 and 7.1), its planned
+senders, the release date of each replica host's planned frame, and
+for Solution 1 the rank-ordered ``OpComm`` ladders and the watchdog
+spawn order.  The simulated executive, the pipeline, the prover's
+delivery automaton, the macro-code generator and the critical path
+all read this one plan; :func:`resolve_detection` and
+:data:`DEADLINE_SLACK` are the run-time settings the simulator and the
+prover share.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+from .schedule import Schedule, ScheduleSemantics
+
+__all__ = ["DEADLINE_SLACK", "LadderRung", "ExecutivePlan", "resolve_detection"]
+
+DependencyKey = Tuple[str, str]
+WatchKey = Tuple[str, DependencyKey, str]
+
+#: Arrival exactly at the worst-case bound is timely: a watchdog fires
+#: strictly after its rung's deadline (Section 6.1 item 2 computes the
+#: bound as the least value avoiding spurious elections).
+DEADLINE_SLACK = 1e-9
+
+
+def resolve_detection(
+    schedule: Schedule,
+    detection: Optional[str] = None,
+    snoop_recovery: Optional[bool] = None,
+) -> Tuple[str, bool]:
+    """The ``(detection, snoop_recovery)`` settings of one run.
+
+    ``detection`` defaults to ``"snoop"`` when the architecture has a
+    bus and ``"oracle"`` otherwise; ``snoop_recovery`` defaults to True
+    for Solution 1 on a single-bus architecture.
+    """
+    architecture = schedule.problem.architecture
+    if detection is None:
+        detection = "snoop" if architecture.has_bus else "oracle"
+    if detection not in ("snoop", "oracle"):
+        raise ValueError(f"unknown detection mode {detection!r}")
+    if snoop_recovery is None:
+        snoop_recovery = (
+            schedule.semantics is ScheduleSemantics.SOLUTION1
+            and architecture.is_single_bus
+        )
+    return detection, snoop_recovery
+
+
+@dataclass(frozen=True)
+class LadderRung:
+    """One timeout-ladder entry: watch ``candidate`` until ``deadline``."""
+
+    candidate: str
+    rank: int
+    deadline: float
+
+
+@dataclass(frozen=True)
+class ExecutivePlan:
+    """The static executive of one schedule (see the module docstring)."""
+
+    #: Consumers that need the dependency over the network, sorted.
+    destinations: Dict[DependencyKey, Tuple[str, ...]]
+    #: Statically scheduled senders (rank 0, or all ranks for Solution 2).
+    planned_senders: Dict[DependencyKey, Tuple[str, ...]]
+    planned_release: Dict[Tuple[DependencyKey, str], Optional[float]]
+    #: (op, dep, watcher) -> rungs in rank order; the watcher takes over
+    #: after its last rung, unless an observed frame stood it down.
+    ladders: Dict[WatchKey, Tuple[LadderRung, ...]]
+    #: Watchdog spawn order.
+    watch_order: Tuple[WatchKey, ...]
+
+    @classmethod
+    def compile(cls, schedule: Schedule) -> "ExecutivePlan":
+        """Compute the plan of ``schedule`` (use the memoized
+        :attr:`Schedule.executive_plan` instead of calling this)."""
+        algorithm = schedule.problem.algorithm
+        semantics = schedule.semantics
+        destinations, planned_senders, planned_release = {}, {}, {}
+        hosts = {op: schedule.processors_of(op) for op in schedule.operations}
+        for op, procs in hosts.items():
+            for dep in algorithm.out_dependencies(op):
+                src, dst = key = dep.key
+                destinations[key] = tuple(sorted(
+                    proc
+                    for proc in schedule.processors_of(dst)
+                    if schedule.replica_on(src, proc) is None
+                ))
+                planned_senders[key] = tuple(
+                    procs if semantics is ScheduleSemantics.SOLUTION2 else procs[:1]
+                )
+                slots = schedule.comms_for_dependency(key)
+                for sender in procs:
+                    starts = [
+                        slot.start
+                        for slot in slots
+                        if slot.hop == 0 and slot.sender == sender
+                    ]
+                    planned_release[(key, sender)] = min(starts) if starts else None
+
+        ladders: Dict[WatchKey, Tuple[LadderRung, ...]] = {}
+        watch_order: List[WatchKey] = []
+        if semantics is ScheduleSemantics.SOLUTION1:
+            entries: Dict[WatchKey, list] = {}  # timeout entries, table order
+            for entry in schedule.timeouts:
+                key = (entry.op, entry.dependency, entry.watcher)
+                entries.setdefault(key, []).append(entry)
+            for op, procs in hosts.items():
+                for backup in procs[1:]:
+                    for dep in algorithm.out_dependencies(op):
+                        if not destinations[dep.key]:
+                            # Every consumer replica holds a local copy:
+                            # no message to watch, no OpComm.
+                            continue
+                        key = (op, dep.key, backup)
+                        rows = sorted(entries.get(key, ()), key=lambda e: e.rank)
+                        ladders[key] = tuple(
+                            LadderRung(e.candidate, e.rank, e.deadline) for e in rows
+                        )
+                        watch_order.append(key)
+        return cls(
+            destinations=destinations,
+            planned_senders=planned_senders,
+            planned_release=planned_release,
+            ladders=ladders,
+            watch_order=tuple(watch_order),
+        )

@@ -25,7 +25,8 @@ destination set is a singleton.
 
 The schedule also stores the Solution-1 timeout tables so the runtime
 executive (and the reader of the schedule) can see the statically
-computed worst-case take-over dates.
+computed worst-case take-over dates.  The executive's static plan
+compiled from all of this is :attr:`Schedule.executive_plan`.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ class Schedule:
 
     Instances are built by the schedulers through :meth:`add_replica` /
     :meth:`add_comm` and then frozen with :meth:`freeze` (which sorts
-    the timelines, runs cheap structural checks and indexes the comm
-    slots by dependency and by link).  All query methods may be used on
-    both frozen and in-construction schedules.
+    the timelines, runs cheap structural checks and re-indexes the comm
+    slots by dependency and by link in frozen order).  All query
+    methods may be used on both frozen and in-construction schedules.
     """
 
     def __init__(self, problem: Problem, semantics: ScheduleSemantics) -> None:
@@ -217,10 +218,11 @@ class Schedule:
         self._comms: List[CommSlot] = []
         self._timeouts: List[TimeoutEntry] = []
         self._frozen = False
-        # Built by freeze(): the frozen comm slots by dependency and by
-        # link, each list in frozen order.
+        # The comm slots by dependency and by link, in insertion order
+        # until freeze() rebuilds them in frozen order.
         self._comms_by_dependency: Dict[DependencyKey, List[CommSlot]] = {}
         self._comms_by_link: Dict[str, List[CommSlot]] = {}
+        self._executive_plan = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -247,6 +249,8 @@ class Schedule:
         """Record one comm slot."""
         self._assert_mutable()
         self._comms.append(slot)
+        self._comms_by_dependency.setdefault(slot.dependency, []).append(slot)
+        self._comms_by_link.setdefault(slot.link, []).append(slot)
         return slot
 
     def add_timeout(self, entry: TimeoutEntry) -> TimeoutEntry:
@@ -261,7 +265,7 @@ class Schedule:
         self._check_structure()
         # Restricted to one link, the (start, link, dependency) order is
         # the (start, dependency) order link_timeline promises.  The
-        # indexes are built fresh, so freezing twice is harmless.
+        # indexes are rebuilt fresh, so freezing twice is harmless.
         by_dependency: Dict[DependencyKey, List[CommSlot]] = {}
         by_link: Dict[str, List[CommSlot]] = {}
         for slot in self._comms:
@@ -353,18 +357,15 @@ class Schedule:
         return list(self._comms)
 
     def link_timeline(self, link: str) -> List[CommSlot]:
-        """Comms carried by ``link``, sorted by start date."""
-        if self._frozen:
-            return list(self._comms_by_link.get(link, ()))
-        rows = [c for c in self._comms if c.link == link]
+        """Comms carried by ``link``, sorted by start date (a frozen
+        schedule's index is already in that order)."""
+        rows = list(self._comms_by_link.get(link, ()))
         rows.sort(key=lambda c: (c.start, c.dependency))
         return rows
 
     def comms_for_dependency(self, dep: DependencyKey) -> List[CommSlot]:
-        """All slots carrying the data of ``dep``."""
-        if self._frozen:
-            return list(self._comms_by_dependency.get(tuple(dep), ()))
-        return [c for c in self._comms if c.dependency == tuple(dep)]
+        """All slots carrying the data of ``dep``, in :attr:`comms` order."""
+        return list(self._comms_by_dependency.get(tuple(dep), ()))
 
     def inter_processor_message_count(self) -> int:
         """Number of link frames in the fault-free static schedule.
@@ -382,14 +383,6 @@ class Schedule:
         """The Solution-1 timeout table (empty for other semantics)."""
         return list(self._timeouts)
 
-    def timeouts_for(self, op: str, watcher: str) -> List[TimeoutEntry]:
-        """All timeout entries of one backup processor for one operation."""
-        rows = [
-            t for t in self._timeouts if t.op == op and t.watcher == watcher
-        ]
-        rows.sort(key=lambda t: (t.dependency, t.rank))
-        return rows
-
     def timeout_ladder(
         self, op: str, dep: DependencyKey, watcher: str
     ) -> List[TimeoutEntry]:
@@ -401,6 +394,19 @@ class Schedule:
         ]
         rows.sort(key=lambda t: t.rank)
         return rows
+
+    @property
+    def executive_plan(self):
+        """The :class:`~repro.core.executive_plan.ExecutivePlan` of this
+        schedule, compiled on first access and kept once frozen."""
+        from .executive_plan import ExecutivePlan
+
+        if self._executive_plan is not None:
+            return self._executive_plan
+        plan = ExecutivePlan.compile(self)
+        if self._frozen:
+            self._executive_plan = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Global measures

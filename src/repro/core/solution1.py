@@ -151,7 +151,6 @@ class Solution1Scheduler(ListScheduler):
         with self.obs.span("timeouts.compute"):
             entries = compute_timeout_table(
                 self.problem,
-                self.planner,
                 self.placement_order,
                 schedule,
                 drain_margin_frames=self.drain_margin_frames,

@@ -334,19 +334,3 @@ class CommPlanner:
                 state, dep, sender, dest, ready, collect, sender_replica
             )
         return arrivals
-
-    # ------------------------------------------------------------------
-    # Worst-case point-to-point bound (used for Solution-1 timeouts)
-    # ------------------------------------------------------------------
-    def worst_case_transfer(self, dep: DependencyKey, sender: str, dest: str) -> float:
-        """Upper bound of ``dep``'s transmission delay sender -> dest.
-
-        Contention-free route time: the paper computes each timeout
-        "as the worst case upper-bound of the message transmission
-        delay ... from the characteristics of the communication
-        network" (Section 6.1, item 2).
-        """
-        if sender == dest:
-            return 0.0
-        route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
-        return route.transfer_time(tuple(dep), self._comm)

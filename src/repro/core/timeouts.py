@@ -56,7 +56,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..graphs.problem import Problem
 from ..tolerance import approx_ge
 from .schedule import ReplicaPlacement, Schedule, TimeoutEntry
-from .timeline import CommPlanner
 
 __all__ = [
     "compute_timeout_table",
@@ -69,11 +68,7 @@ DependencyKey = Tuple[str, str]
 
 
 def watch_bound(
-    problem: Problem,
-    planner: CommPlanner,
-    dep: DependencyKey,
-    sender: str,
-    watcher: str,
+    problem: Problem, dep: DependencyKey, sender: str, watcher: str
 ) -> float:
     """Worst-case delay for ``watcher`` to observe a take-over send.
 
@@ -113,7 +108,6 @@ def _drain_margin(
 
 def compute_timeout_table(
     problem: Problem,
-    planner: CommPlanner,
     placement_order: Mapping[str, Sequence[ReplicaPlacement]],
     schedule: Schedule,
     drain_margin_frames: float = 1.0,
@@ -150,8 +144,7 @@ def compute_timeout_table(
             main_send_end = max(slot.end for slot in slots)
             entries.extend(
                 _ladder_for(
-                    problem, planner, dep.key, replicas, main_send_end,
-                    drain_margin_frames,
+                    problem, dep.key, replicas, main_send_end, drain_margin_frames
                 )
             )
     return entries
@@ -159,7 +152,6 @@ def compute_timeout_table(
 
 def _ladder_for(
     problem: Problem,
-    planner: CommPlanner,
     dep: DependencyKey,
     replicas: Sequence[ReplicaPlacement],
     main_send_end: float,
@@ -188,7 +180,7 @@ def _ladder_for(
         # cannot send before having computed the operation.
         ready[k] = max(completion[k], deadline[(k, k - 1)])
         for i in range(k + 1, degree):
-            bound = watch_bound(problem, planner, dep, procs[k], procs[i])
+            bound = watch_bound(problem, dep, procs[k], procs[i])
             deadline[(i, k)] = ready[k] + bound
 
     entries = []
@@ -227,11 +219,7 @@ def minimal_timeout_table(schedule: Schedule) -> Dict[LadderKey, float]:
         op: schedule.replicas(op) for op in schedule.operations
     }
     entries = compute_timeout_table(
-        schedule.problem,
-        None,
-        placement_order,
-        schedule,
-        drain_margin_frames=0.0,
+        schedule.problem, placement_order, schedule, drain_margin_frames=0.0
     )
     return {
         (entry.op, entry.dependency, entry.watcher, entry.rank): entry.deadline

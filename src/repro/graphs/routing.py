@@ -305,8 +305,12 @@ class RoutingTable:
         (dest, ...)), ...), (unicast dest, ...))`` with deterministic
         ordering; the sender and repeated destinations are dropped.
         Memoized per ``(dep, sender, dests)``, as
-        :meth:`route_for_dependency`.
+        :meth:`route_for_dependency`, except for a sender on no bus,
+        whose answer is all unicast and needs no memo.
         """
+        buses = self.bus_links(sender)
+        if not buses:
+            return (), tuple(d for d in dict.fromkeys(dests) if d != sender)
         if comm_table is not self._plan_table:
             self._use_table(comm_table)
         key = (dep, sender, tuple(dests))
@@ -315,7 +319,7 @@ class RoutingTable:
             return plan
         pending = [d for d in dict.fromkeys(key[2]) if d != sender]
         groups = []
-        for link in self.bus_links(sender):
+        for link in buses:
             if not pending:
                 break
             bus_cost = comm_table.duration(dep, link.name)

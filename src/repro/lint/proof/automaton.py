@@ -14,6 +14,11 @@ executive will do at run time to deliver each data-dependency:
   one-shot, so the first observable frame (or the mere *dispatch* of a
   takeover frame) permanently retires every still-waiting watcher.
 
+The destinations, planned senders and release dates, ladders and
+watchdog order are the schedule's compiled
+:class:`~repro.core.executive_plan.ExecutivePlan` itself, the objects
+the simulated executive also reads, and the detection settings come
+from the same :func:`~repro.core.executive_plan.resolve_detection`.
 Everything here is extracted read-only from :mod:`repro.core` /
 :mod:`repro.graphs`; no simulator module is imported.  The verifier
 (:mod:`repro.lint.proof.verifier`) interprets this structure under
@@ -23,8 +28,9 @@ abstract crash dates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from ...core.executive_plan import LadderRung, resolve_detection
 from ...core.schedule import Schedule, ScheduleSemantics
 from ...core.timeline import event_boundaries
 from ...graphs.problem import Problem
@@ -32,19 +38,6 @@ from ...graphs.problem import Problem
 __all__ = ["LadderRung", "DeliveryAutomaton", "compile_automaton"]
 
 DependencyKey = Tuple[str, str]
-
-#: Arrival exactly at the worst-case bound is timely — must match the
-#: executive's constant or the static deadlines diverge from runtime.
-DEADLINE_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class LadderRung:
-    """One timeout-ladder entry: watch ``candidate`` until ``deadline``."""
-
-    candidate: str
-    rank: int
-    deadline: float
 
 
 @dataclass
@@ -66,15 +59,11 @@ class DeliveryAutomaton:
     operations: Tuple[str, ...]
     replicas: Dict[str, Tuple[str, ...]]
     rank: Dict[Tuple[str, str], int]
-    #: Consumers that need the dependency over the network.
+    #: The plan's own objects (see ExecutivePlan for their meaning).
     destinations: Dict[DependencyKey, Tuple[str, ...]]
-    #: Statically scheduled senders (rank 0, or all ranks for Solution 2).
     planned_senders: Dict[DependencyKey, Tuple[str, ...]]
     planned_release: Dict[Tuple[DependencyKey, str], Optional[float]]
-    #: (op, dep, watcher) -> rungs in rank order; the watcher takes over
-    #: after its last rung, unless the one-shot observe stood it down.
     ladders: Dict[Tuple[str, DependencyKey, str], Tuple[LadderRung, ...]]
-    #: Watchdog spawn order (mirrors the executive exactly).
     watch_order: Tuple[Tuple[str, DependencyKey, str], ...]
     detection: str
     snoop_recovery: bool
@@ -141,19 +130,6 @@ class DeliveryAutomaton:
         }
 
 
-def _destinations(schedule: Schedule, dep: DependencyKey) -> Tuple[str, ...]:
-    """Processors that must receive ``dep`` over the network (the
-    executive's rule: consumer hosts without a producer replica)."""
-    src, dst = dep
-    return tuple(
-        sorted(
-            proc
-            for proc in schedule.processors_of(dst)
-            if schedule.replica_on(src, proc) is None
-        )
-    )
-
-
 def compile_automaton(
     schedule: Schedule,
     detection: Optional[str] = None,
@@ -163,15 +139,10 @@ def compile_automaton(
     problem = schedule.problem
     architecture = problem.architecture
     algorithm = problem.algorithm
-    if detection is None:
-        detection = "snoop" if architecture.has_bus else "oracle"
-    if detection not in ("snoop", "oracle"):
-        raise ValueError(f"unknown detection mode {detection!r}")
-    if snoop_recovery is None:
-        snoop_recovery = (
-            schedule.semantics is ScheduleSemantics.SOLUTION1
-            and architecture.is_single_bus
-        )
+    detection, snoop_recovery = resolve_detection(
+        schedule, detection, snoop_recovery
+    )
+    plan = schedule.executive_plan
 
     processors = tuple(architecture.processor_names)
     timeline = {
@@ -199,43 +170,6 @@ def compile_automaton(
         for index, proc in enumerate(hosts):
             rank[(op, proc)] = index
 
-    destinations: Dict[DependencyKey, Tuple[str, ...]] = {}
-    planned_senders: Dict[DependencyKey, Tuple[str, ...]] = {}
-    planned_release: Dict[Tuple[DependencyKey, str], Optional[float]] = {}
-    for op in operations:
-        for dep in out_deps.get(op, ()):
-            destinations[dep] = _destinations(schedule, dep)
-            if schedule.semantics is ScheduleSemantics.SOLUTION2:
-                planned_senders[dep] = replicas[op]
-            else:
-                planned_senders[dep] = (replicas[op][0],) if replicas[op] else ()
-            for sender in replicas[op]:
-                starts = [
-                    slot.start
-                    for slot in schedule.comms_for_dependency(dep)
-                    if slot.hop == 0 and slot.sender == sender
-                ]
-                planned_release[(dep, sender)] = min(starts) if starts else None
-
-    ladders: Dict[Tuple[str, DependencyKey, str], Tuple[LadderRung, ...]] = {}
-    watch_order: List[Tuple[str, DependencyKey, str]] = []
-    if schedule.semantics is ScheduleSemantics.SOLUTION1:
-        for op in operations:
-            hosts = schedule.replicas(op)
-            for backup in hosts[1:]:
-                for dep in out_deps.get(op, ()):
-                    if not destinations[dep]:
-                        # Intra-processor communication: no OpComm.
-                        continue
-                    key = (op, dep, backup.processor)
-                    ladders[key] = tuple(
-                        LadderRung(e.candidate, e.rank, e.deadline)
-                        for e in schedule.timeout_ladder(
-                            op, dep, backup.processor
-                        )
-                    )
-                    watch_order.append(key)
-
     return DeliveryAutomaton(
         schedule=schedule,
         problem=problem,
@@ -251,11 +185,11 @@ def compile_automaton(
         operations=operations,
         replicas=replicas,
         rank=rank,
-        destinations=destinations,
-        planned_senders=planned_senders,
-        planned_release=planned_release,
-        ladders=ladders,
-        watch_order=tuple(watch_order),
+        destinations=plan.destinations,
+        planned_senders=plan.planned_senders,
+        planned_release=plan.planned_release,
+        ladders=plan.ladders,
+        watch_order=plan.watch_order,
         detection=detection,
         snoop_recovery=snoop_recovery,
         is_bus={

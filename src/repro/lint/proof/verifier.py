@@ -44,9 +44,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ...core.executive_plan import DEADLINE_SLACK
 from ...core.schedule import Schedule, ScheduleSemantics
 from ...obs import get_instrumentation
-from .automaton import DEADLINE_SLACK, DeliveryAutomaton, compile_automaton
+from .automaton import DeliveryAutomaton, compile_automaton
 from .model import (
     ClassRegion,
     Counterexample,

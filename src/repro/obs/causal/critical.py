@@ -184,12 +184,9 @@ def _planned_release(schedule: Schedule, node: CausalNode) -> Optional[float]:
     """Static release date of a planned (non-takeover) frame."""
     if node.takeover or node.dependency is None:
         return None
-    starts = [
-        slot.start
-        for slot in schedule.comms_for_dependency(node.dependency)
-        if slot.hop == 0 and slot.sender == node.processor
-    ]
-    return min(starts) if starts else None
+    return schedule.executive_plan.planned_release.get(
+        (node.dependency, node.processor)
+    )
 
 
 def _ladder_release(
@@ -204,15 +201,15 @@ def _ladder_release(
     detection nodes cannot supply."""
     if not node.takeover or node.dependency is None:
         return None
+    dep = node.dependency
     rungs = [
-        entry for entry in schedule.timeouts
-        if entry.dependency == node.dependency
-        and entry.watcher == node.processor
-        and entry.deadline <= node.start + TOLERANCE
+        rung
+        for rung in schedule.executive_plan.ladders.get((dep[0], dep, node.processor), ())
+        if rung.deadline <= node.start + TOLERANCE
     ]
     if not rungs:
         return None
-    last = max(rungs, key=lambda entry: (entry.deadline, entry.rank))
+    last = max(rungs, key=lambda rung: (rung.deadline, rung.rank))
     return last.deadline, last.candidate
 
 

@@ -47,8 +47,10 @@ __all__ = ["CausalNode", "CausalEdge", "CausalGraph", "build_causal_graph"]
 
 DependencyKey = Tuple[str, str]
 
-#: Temporal tolerance for "ends no later than it starts" — matches the
-#: executive's DEADLINE_SLACK scale.
+#: Temporal tolerance for "ends no later than it starts" and "acted at
+#: its rung's deadline": simulated dates are float sums of durations,
+#: and a watchdog acts DEADLINE_SLACK (1e-9) after its deadline, so the
+#: tolerance sits well above both and far below any duration.
 TOLERANCE = 1e-6
 
 

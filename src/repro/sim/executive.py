@@ -6,7 +6,11 @@ sequence in static order (each operation blocking until its inputs are
 locally available), and the communication units perform the sends,
 receives and — for Solution 1 — the ``OpComm`` watchdogs of Figure 12.
 This module builds exactly those behaviours as simulation processes,
-parameterized by the schedule's semantics:
+reading every static fact (destinations, planned release dates,
+watchdog ladders and their spawn order) from the schedule's compiled
+:class:`~repro.core.executive_plan.ExecutivePlan`, the same plan the
+prover's delivery automaton reads, and parameterized by the schedule's
+semantics:
 
 ``BASELINE``
     The single replica of each operation executes; the producer sends
@@ -44,9 +48,9 @@ Failure detection observability is configurable:
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
+from ..core.executive_plan import DEADLINE_SLACK, resolve_detection
 from ..core.schedule import Schedule, ScheduleSemantics
 from .engine import Delay, Event, Simulator, Wait, WaitAny
 from .faults import FailureScenario
@@ -123,17 +127,10 @@ class ExecutiveRuntime:
         self._values: Dict[Tuple[str, str], int] = {}
 
         architecture = self.problem.architecture
-        if detection is None:
-            detection = "snoop" if architecture.has_bus else "oracle"
-        if detection not in ("snoop", "oracle"):
-            raise ValueError(f"unknown detection mode {detection!r}")
-        self.detection = detection
-        if snoop_recovery is None:
-            snoop_recovery = (
-                schedule.semantics is ScheduleSemantics.SOLUTION1
-                and architecture.is_single_bus
-            )
-        self.snoop_recovery = snoop_recovery
+        self.detection, self.snoop_recovery = resolve_detection(
+            schedule, detection, snoop_recovery
+        )
+        self.plan = schedule.executive_plan
 
         self.sim = Simulator()
         self.trace = IterationTrace(
@@ -267,20 +264,6 @@ class ExecutiveRuntime:
     # ------------------------------------------------------------------
     # Communication units: senders
     # ------------------------------------------------------------------
-    def _destinations(self, dep: DependencyKey) -> List[str]:
-        """Processors that must receive ``dep`` over the network.
-
-        Every processor hosting a replica of the consumer, except
-        those already hosting a replica of the producer (which use the
-        local copy — Sections 6.1 and 7.1).
-        """
-        src, dst = dep
-        return sorted(
-            proc
-            for proc in self.schedule.processors_of(dst)
-            if self.schedule.replica_on(src, proc) is None
-        )
-
     def _spawn_senders(self) -> None:
         semantics = self.schedule.semantics
         for op in self.schedule.operations:
@@ -291,33 +274,19 @@ class ExecutiveRuntime:
                 main = self.schedule.main_replica(op)
                 self.sim.process(self._replica_sender(op, main.processor))
 
-    def _planned_release(self, dep: DependencyKey, proc: str) -> Optional[float]:
-        """Static release date of ``proc``'s frame for ``dep``.
-
-        The generated executive is time-triggered on its comm side:
-        each planned frame is emitted at its static start date, in
-        static order.  This is what makes the failure-free run
-        reproduce the planned communication schedule exactly — and
-        therefore what makes the watchdog deadlines (anchored on the
-        static frame ends) free of spurious elections.  Frames without
-        a plan (take-over sends) are event-triggered instead.
-        """
-        starts = [
-            slot.start
-            for slot in self.schedule.comms_for_dependency(dep)
-            if slot.hop == 0 and slot.sender == proc
-        ]
-        return min(starts) if starts else None
-
     def _replica_sender(self, op: str, proc: str):
         """Send every outgoing dependency of ``op`` once produced.
 
-        Sends follow the static plan: ordered by their planned start
-        dates and released no earlier than them.  Solution-2 senders
-        skip destinations their processor believes dead (the fail-flag
-        array) — harmless when wrong, and the very mechanism that
-        starves falsely-suspected processors on point-to-point links
-        (Section 7.4).
+        The comm side is time-triggered: sends are ordered by their
+        planned release dates and emitted no earlier than them, which
+        makes the failure-free run reproduce the planned communication
+        schedule exactly, and so keeps the watchdog deadlines (anchored
+        on the static frame ends) free of spurious elections.  Frames
+        without a plan (take-over sends) are event-triggered instead.
+        Solution-2 senders skip destinations their processor believes
+        dead (the fail-flag array) — harmless when wrong, and the very
+        mechanism that starves falsely-suspected processors on
+        point-to-point links (Section 7.4).
         """
         yield Wait(self._produced[(op, proc)])
         if not self._alive(proc):
@@ -325,12 +294,12 @@ class ExecutiveRuntime:
         skip_flagged = self.schedule.semantics is ScheduleSemantics.SOLUTION2
         plans = []
         for dep in self.problem.algorithm.out_dependencies(op):
-            dests = [d for d in self._destinations(dep.key) if d != proc]
+            dests = [d for d in self.plan.destinations[dep.key] if d != proc]
             if skip_flagged:
                 dests = [d for d in dests if d not in self.flags[proc]]
             if not dests:
                 continue
-            release = self._planned_release(dep.key, proc)
+            release = self.plan.planned_release[(dep.key, proc)]
             plans.append((release if release is not None else self.sim.now,
                           dep.key, dests))
         plans.sort(key=lambda plan: (plan[0], plan[1]))
@@ -346,25 +315,9 @@ class ExecutiveRuntime:
     # ------------------------------------------------------------------
     # Communication units: Solution-1 watchdogs (Figure 12's OpComm)
     # ------------------------------------------------------------------
-    #: Arrival exactly at the worst-case bound is timely: the timeout
-    #: fires strictly after the deadline (Section 6.1 item 2 computes
-    #: the bound as the least value avoiding spurious elections).
-    DEADLINE_SLACK = 1e-9
-
     def _spawn_watchdogs(self) -> None:
-        for op in self.schedule.operations:
-            replicas = self.schedule.replicas(op)
-            for backup in replicas[1:]:
-                for dep in self.problem.algorithm.out_dependencies(op):
-                    if not self._destinations(dep.key):
-                        # Every consumer replica holds a local copy of
-                        # the producer: there is no message to watch
-                        # (no OpComm is generated for an
-                        # intra-processor communication).
-                        continue
-                    self.sim.process(
-                        self._watchdog(op, dep.key, backup.processor)
-                    )
+        for op, dep, watcher in self.plan.watch_order:
+            self.sim.process(self._watchdog(op, dep, watcher))
 
     def _watchdog(self, op: str, dep: DependencyKey, watcher: str):
         """One OpComm instance: watch the message of ``dep``, take over.
@@ -374,15 +327,14 @@ class ExecutiveRuntime:
         candidate's unit failed and advances ``m``; if ``m`` reaches
         the watcher, it sends the result itself.
         """
-        ladder = self.schedule.timeout_ladder(op, dep, watcher)
         observed = self._observed[dep]
-        for entry in ladder:
+        for entry in self.plan.ladders[(op, dep, watcher)]:
             if not self._alive(watcher):
                 return
             if entry.candidate in self.flags[watcher]:
                 continue  # already known faulty: no wait (Figure 12)
             outcome = yield WaitAny(
-                (observed,), deadline=entry.deadline + self.DEADLINE_SLACK
+                (observed,), deadline=entry.deadline + DEADLINE_SLACK
             )
             if not self._alive(watcher):
                 return
@@ -396,7 +348,7 @@ class ExecutiveRuntime:
         yield Wait(self._produced[(op, watcher)])
         if not self._alive(watcher):
             return
-        dests = [d for d in self._destinations(dep) if d != watcher]
+        dests = [d for d in self.plan.destinations[dep] if d != watcher]
         if dests:
             self.network.dispatch(
                 dep, watcher, dests, takeover=True,

@@ -183,35 +183,18 @@ def simulate_pipelined(
                             first_output[(iteration, out)] for out in outputs
                         )
 
-    def destinations(dep: DependencyKey) -> List[str]:
-        src, dst = dep
-        return sorted(
-            proc
-            for proc in schedule.processors_of(dst)
-            if schedule.replica_on(src, proc) is None
-        )
+    plan = schedule.executive_plan
 
     def sender(op: str, proc: str):
-        releases = {
-            dep.key: min(
-                (
-                    slot.start
-                    for slot in schedule.comms_for_dependency(dep.key)
-                    if slot.hop == 0 and slot.sender == proc
-                ),
-                default=None,
-            )
-            for dep in algorithm.out_dependencies(op)
-        }
         for iteration in range(iterations):
             yield Wait(produced[(op, proc, iteration)])
             if not alive(proc):
                 return
             for dep in algorithm.out_dependencies(op):
-                dests = [d for d in destinations(dep.key) if d != proc]
+                dests = [d for d in plan.destinations[dep.key] if d != proc]
                 if not dests:
                     continue
-                planned = releases[dep.key]
+                planned = plan.planned_release[(dep.key, proc)]
                 if planned is not None:
                     target = iteration * period + planned
                     if sim.now < target:

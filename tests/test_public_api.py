@@ -36,6 +36,7 @@ MODULES = [
     "repro.core.solution2",
     "repro.core.insertion",
     "repro.core.timeouts",
+    "repro.core.executive_plan",
     "repro.core.validate",
     "repro.core.degrade",
     "repro.core.exhaustive",

@@ -258,3 +258,50 @@ class TestCompiledRoutingIndexes:
             (("bus", ("P5",)),),
             (),
         )
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            fully_connected_architecture(["P1", "P2", "P3", "P4"]),
+            bus_architecture(["P1", "P2", "P3"]),
+            _meshed_architecture(),
+        ],
+        ids=["p2p4", "bus3", "meshed"],
+    )
+    def test_frame_plan_matches_the_grouping_definition(self, arch):
+        """Every sender, on and off a bus, with repeated destinations
+        and the sender among them, gets the bus-or-unicast grouping of
+        the definition below; a sender on no bus leaves no memo entry."""
+        table = RoutingTable(arch)
+        comm = _varied_comm(arch, self.DEPS)
+        names = arch.processor_names
+
+        def definition(dep, sender, dests):
+            pending = [d for d in dict.fromkeys(dests) if d != sender]
+            groups = []
+            for link in arch.links_of(sender):
+                if not link.is_bus or not pending:
+                    continue
+                served = [
+                    dest
+                    for dest in pending
+                    if dest in link.endpoints
+                    and comm.duration(dep, link.name)
+                    <= table.route_for_dependency(sender, dest, dep, comm)
+                    .transfer_time(dep, comm) + 1e-12
+                ]
+                if served:
+                    groups.append((link.name, tuple(served)))
+                    pending = [d for d in pending if d not in served]
+            return tuple(groups), tuple(pending)
+
+        for sender in names:
+            for size in (1, 2, 3):
+                for dests in itertools.permutations(names, size):
+                    for asked in (list(dests), list(dests) + list(dests[:1])):
+                        for dep in self.DEPS:
+                            assert table.frame_plan(dep, sender, asked, comm) == (
+                                definition(dep, sender, asked)
+                            ), (sender, asked, dep)
+        busless = {p for p in names if not any(l.is_bus for l in arch.links_of(p))}
+        assert all(key[1] not in busless for key in table._frame_plans)

@@ -1,5 +1,7 @@
 """Unit tests for the Schedule data model."""
 
+import random
+
 import pytest
 
 from repro.core.schedule import (
@@ -223,6 +225,36 @@ class TestFrozenIndexes:
         by_link.append(slot)
         assert frozen.comms_for_dependency(slot.dependency) == expected[0]
         assert frozen.link_timeline(slot.link) == expected[1]
+
+    def test_schedule_under_construction_matches_the_scan(self, frozen):
+        """Rebuilt slot by slot in a shuffled order, the schedule answers
+        in insertion order before freeze() and in frozen order after."""
+        rebuilt = Schedule(frozen.problem, frozen.semantics)
+        for replica in frozen.all_replicas():
+            rebuilt.add_replica(replica)
+        inserted = list(frozen.comms)
+        random.Random(7).shuffle(inserted)
+        deps = [dep.key for dep in frozen.problem.algorithm.dependencies]
+        links = frozen.problem.architecture.link_names
+        for count, slot in enumerate(inserted, 1):
+            rebuilt.add_comm(slot)
+            if count % 5 and count != len(inserted):
+                continue
+            for dep in deps:
+                assert rebuilt.comms_for_dependency(dep) == [
+                    c for c in inserted[:count] if c.dependency == dep
+                ]
+            for link in links:
+                assert rebuilt.link_timeline(link) == sorted(
+                    (c for c in inserted[:count] if c.link == link),
+                    key=lambda c: (c.start, c.dependency),
+                )
+        rebuilt.freeze()
+        assert rebuilt.comms == frozen.comms
+        for dep in deps:
+            assert rebuilt.comms_for_dependency(dep) == frozen.comms_for_dependency(dep)
+        for link in links:
+            assert rebuilt.link_timeline(link) == frozen.link_timeline(link)
 
     def test_mutable_schedule_scans(self, empty_schedule):
         slot = CommSlot(("A", "B"), "P1", ("P2",), "bus", 2.0, 2.5)

@@ -208,17 +208,3 @@ class TestTentativeTransfer:
         ) == (2.0, ())
         assert reads == set()
 
-
-class TestWorstCaseTransfer:
-    def test_same_processor_zero(self, bus_problem):
-        planner = CommPlanner(bus_problem)
-        assert planner.worst_case_transfer(("A", "B"), "P1", "P1") == 0.0
-
-    def test_single_hop_bound(self, bus_problem):
-        planner = CommPlanner(bus_problem)
-        assert planner.worst_case_transfer(("A", "D"), "P1", "P3") == pytest.approx(1.0)
-
-    def test_multi_hop_bound(self):
-        problem = figure8_problem()
-        planner = CommPlanner(problem)
-        assert planner.worst_case_transfer(("I", "A"), "P1", "P3") == pytest.approx(2.5)

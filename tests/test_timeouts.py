@@ -3,30 +3,37 @@
 import pytest
 
 from repro.core.solution1 import schedule_solution1
-from repro.core.timeline import CommPlanner
 from repro.core.timeouts import compute_timeout_table, watch_bound
 from repro.graphs.generators import random_bus_problem
+from repro.paper.examples import figure8_problem
 
 
 class TestWatchBound:
     def test_zero_for_self(self, bus_problem):
-        planner = CommPlanner(bus_problem)
-        assert watch_bound(bus_problem, planner, ("A", "B"), "P1", "P1") == 0.0
+        assert watch_bound(bus_problem, ("A", "B"), "P1", "P1") == 0.0
 
     def test_includes_drain_margin(self, bus_problem):
         """The bound covers the transfer itself plus the largest frame
         that may be occupying the bus (take-over traffic cannot be
         planned, only bounded)."""
-        planner = CommPlanner(bus_problem)
-        bound = watch_bound(bus_problem, planner, ("A", "B"), "P1", "P2")
+        bound = watch_bound(bus_problem, ("A", "B"), "P1", "P2")
         # A->B costs 0.5; the largest paper frame is I->A at 1.25.
         assert bound == pytest.approx(0.5 + 1.25)
 
     def test_monotone_in_dependency_size(self, bus_problem):
-        planner = CommPlanner(bus_problem)
-        small = watch_bound(bus_problem, planner, ("A", "B"), "P1", "P2")
-        large = watch_bound(bus_problem, planner, ("I", "A"), "P1", "P2")
+        small = watch_bound(bus_problem, ("A", "B"), "P1", "P2")
+        large = watch_bound(bus_problem, ("I", "A"), "P1", "P2")
         assert large >= small
+
+    def test_multi_hop_route(self):
+        """Over the figure-8 chain P1 -> P2 -> P3: the route transfer
+        time (2.5) plus the largest frame of each traversed link."""
+        problem = figure8_problem()
+        bound = watch_bound(problem, ("I", "A"), "P1", "P3")
+        route = problem.routing.route("P1", "P3")
+        assert route.hop_count == 2
+        drain = sum(problem.largest_frame(link) for link in route.links)
+        assert bound == pytest.approx(2.5 + drain)
 
 
 class TestLadders:
@@ -63,10 +70,8 @@ class TestLadders:
             assert deadlines[1] > deadlines[0]
 
     def test_no_entries_for_unreplicated_ops(self, bus_baseline):
-        planner = CommPlanner(bus_baseline.schedule.problem)
         entries = compute_timeout_table(
             bus_baseline.schedule.problem,
-            planner,
             {
                 op: bus_baseline.schedule.replicas(op)
                 for op in bus_baseline.schedule.operations
