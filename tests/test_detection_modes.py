@@ -103,6 +103,37 @@ class TestFigure8Chain:
             assert trace.completed == verdicts[frozenset({victim})], victim
 
 
+def _with_minimal_deadlines(built):
+    """A frozen copy of ``built`` whose ladder deadlines are the
+    zero-margin :func:`~repro.core.timeouts.minimal_timeout_table`.
+
+    The copy is built through the public API: a frozen schedule keeps
+    its compiled executive plan, ladders included, so editing a copy's
+    timeout table in place would not reach the simulator.
+    """
+    from dataclasses import replace
+
+    from repro.core.schedule import Schedule
+    from repro.core.timeouts import minimal_timeout_table
+
+    minimal = minimal_timeout_table(built)
+    schedule = Schedule(built.problem, built.semantics)
+    for replica in built.all_replicas():
+        schedule.add_replica(replica)
+    for slot in built.comms:
+        schedule.add_comm(slot)
+    for entry in built.timeouts:
+        schedule.add_timeout(
+            replace(
+                entry,
+                deadline=minimal[
+                    (entry.op, entry.dependency, entry.watcher, entry.rank)
+                ],
+            )
+        )
+    return schedule.freeze()
+
+
 class TestTimeoutLadderEdgeCases:
     """Edge cases of the ``core/timeouts.py`` ladders under the
     executive: coalesced skips that re-arm the next rung, rungs whose
@@ -166,22 +197,11 @@ class TestTimeoutLadderEdgeCases:
         DEADLINE_SLACK tie-break must hand the race to the observation:
         a failure-free run under the minimal table sees no spurious
         detection and no takeover traffic."""
-        import copy
-        from dataclasses import replace
-
-        from repro.core.timeouts import minimal_timeout_table
-
-        minimal = minimal_timeout_table(ladder_schedule)
-        tight = copy.deepcopy(ladder_schedule)
-        tight._timeouts = [
-            replace(
-                entry,
-                deadline=minimal[
-                    (entry.op, entry.dependency, entry.watcher, entry.rank)
-                ],
-            )
-            for entry in ladder_schedule.timeouts
-        ]
+        tight = _with_minimal_deadlines(ladder_schedule)
+        # The simulator runs the zero-margin ladders, not the original.
+        assert tight.executive_plan.ladders != (
+            ladder_schedule.executive_plan.ladders
+        )
         trace = simulate(tight)
         assert trace.completed
         assert trace.detections == []
@@ -190,22 +210,7 @@ class TestTimeoutLadderEdgeCases:
     def test_minimal_deadlines_still_cover_takeover(self, ladder_schedule):
         """The same zero-margin table must stay *sound*: a real crash
         is still detected and the takeover still delivers."""
-        import copy
-        from dataclasses import replace
-
-        from repro.core.timeouts import minimal_timeout_table
-
-        minimal = minimal_timeout_table(ladder_schedule)
-        tight = copy.deepcopy(ladder_schedule)
-        tight._timeouts = [
-            replace(
-                entry,
-                deadline=minimal[
-                    (entry.op, entry.dependency, entry.watcher, entry.rank)
-                ],
-            )
-            for entry in ladder_schedule.timeouts
-        ]
+        tight = _with_minimal_deadlines(ladder_schedule)
         trace = simulate(tight, FailureScenario.crash("P1", at=1.0))
         assert trace.completed
         assert any(d.suspect == "P1" for d in trace.detections)
