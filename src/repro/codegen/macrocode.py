@@ -15,7 +15,8 @@ target-specific code.  This module generates the same structure from a
 * the semantics of these instructions is exactly what
   :mod:`repro.sim.executive` executes, and the remote inputs,
   destinations and ladders come from the same compiled
-  :attr:`~repro.core.schedule.Schedule.executive_plan`; the generator
+  :attr:`~repro.core.schedule.Schedule.executive_plan` (whose op rows
+  give each processor's static sequence); the generator
   exists so users can *read* (and port) the executive.
 
 The textual rendering (:func:`render_program`) is deliberately close
@@ -121,20 +122,15 @@ class ExecutiveProgram:
 
 def generate_executive(schedule: Schedule) -> Dict[str, ExecutiveProgram]:
     """Generate one :class:`ExecutiveProgram` per processor."""
-    problem = schedule.problem
-    algorithm = problem.algorithm
     plan = schedule.executive_plan
-    programs = {
-        proc: ExecutiveProgram(proc)
-        for proc in problem.architecture.processor_names
-    }
+    programs = {proc: ExecutiveProgram(proc) for proc in plan.timelines}
 
     # Computation sequences: static order, with blocking RECVs for the
     # inputs that are not produced locally.
     for proc, program in programs.items():
-        for placement in schedule.processor_timeline(proc):
-            op = placement.op
-            for pred in algorithm.predecessors(op):
+        for row in plan.timelines[proc]:
+            op, placement = row.op, row.placement
+            for pred in row.predecessors:
                 if proc in plan.destinations[(pred, op)]:
                     arrivals = [
                         slot.end

@@ -23,7 +23,7 @@ actually happens while the failure is being discovered) is
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from ..graphs.problem import Problem
 from .schedule import (

@@ -32,9 +32,8 @@ compiled from all of this is :attr:`Schedule.executive_plan`.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..graphs.problem import Problem
 from ..tolerance import approx_le

@@ -51,7 +51,7 @@ no message to watch, and every replica performs the actuation itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..graphs.problem import Problem
 from ..tolerance import approx_ge

@@ -14,8 +14,8 @@ executive will do at run time to deliver each data-dependency:
   one-shot, so the first observable frame (or the mere *dispatch* of a
   takeover frame) permanently retires every still-waiting watcher.
 
-The destinations, planned senders and release dates, ladders and
-watchdog order are the schedule's compiled
+The op rows, planned sender replicas, destinations, planned release
+dates, ladders and watchdog order are the schedule's compiled
 :class:`~repro.core.executive_plan.ExecutivePlan` itself, the objects
 the simulated executive also reads, and the detection settings come
 from the same :func:`~repro.core.executive_plan.resolve_detection`.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ...core.executive_plan import LadderRung, resolve_detection
+from ...core.executive_plan import LadderRung, OpRow, resolve_detection
 from ...core.schedule import Schedule, ScheduleSemantics
 from ...core.timeline import event_boundaries
 from ...graphs.problem import Problem
@@ -52,14 +52,12 @@ class DeliveryAutomaton:
     outputs: Tuple[str, ...]
     boundaries: Tuple[float, ...]
     makespan: float
-    #: Per processor, the replicas it runs in static order.
-    timeline: Dict[str, Tuple[Tuple[str, float], ...]]
-    predecessors: Dict[str, Tuple[str, ...]]
-    out_deps: Dict[str, Tuple[DependencyKey, ...]]
     operations: Tuple[str, ...]
     replicas: Dict[str, Tuple[str, ...]]
     rank: Dict[Tuple[str, str], int]
     #: The plan's own objects (see ExecutivePlan for their meaning).
+    timelines: Dict[str, Tuple[OpRow, ...]]
+    senders: Tuple[OpRow, ...]
     destinations: Dict[DependencyKey, Tuple[str, ...]]
     planned_senders: Dict[DependencyKey, Tuple[str, ...]]
     planned_release: Dict[Tuple[DependencyKey, str], Optional[float]]
@@ -78,13 +76,13 @@ class DeliveryAutomaton:
         """Keys of one run's event tables, built once: ``(dep, proc)``
         data arrivals, per-dependency observes, ``(op, proc)`` productions."""
         if self._event_keys is None:
-            deps = [dep for deps in self.out_deps.values() for dep in deps]
+            deps = tuple(self.destinations)
             self._event_keys = (
                 tuple((dep, proc) for dep in deps for proc in self.processors),
-                tuple(deps),
+                deps,
                 tuple(
                     (op, proc)
-                    for op in self.predecessors
+                    for op in self.operations
                     for proc in self.processors
                 ),
             )
@@ -92,9 +90,6 @@ class DeliveryAutomaton:
 
     def comm_duration(self, dep: DependencyKey, link: str) -> float:
         return self.problem.communication.duration(dep, link)
-
-    def exec_duration(self, op: str, proc: str) -> float:
-        return self.problem.execution.duration(op, proc)
 
     def observable(self, link: str) -> bool:
         """True when a completed frame on ``link`` fires ``observed``."""
@@ -138,28 +133,10 @@ def compile_automaton(
     """Extract the delivery automaton of ``schedule`` (read-only)."""
     problem = schedule.problem
     architecture = problem.architecture
-    algorithm = problem.algorithm
     detection, snoop_recovery = resolve_detection(
         schedule, detection, snoop_recovery
     )
     plan = schedule.executive_plan
-
-    processors = tuple(architecture.processor_names)
-    timeline = {
-        proc: tuple(
-            (placement.op, problem.execution.duration(placement.op, proc))
-            for placement in schedule.processor_timeline(proc)
-        )
-        for proc in processors
-    }
-    predecessors = {
-        op: tuple(algorithm.predecessors(op))
-        for op in algorithm.operation_names
-    }
-    out_deps = {
-        op: tuple(dep.key for dep in algorithm.out_dependencies(op))
-        for op in algorithm.operation_names
-    }
 
     operations = tuple(schedule.operations)
     replicas: Dict[str, Tuple[str, ...]] = {}
@@ -174,17 +151,16 @@ def compile_automaton(
         schedule=schedule,
         problem=problem,
         semantics=schedule.semantics,
-        processors=processors,
+        processors=tuple(architecture.processor_names),
         failures=problem.failures,
-        outputs=tuple(algorithm.outputs),
+        outputs=plan.outputs,
         boundaries=tuple(event_boundaries(schedule)),
         makespan=schedule.makespan,
-        timeline=timeline,
-        predecessors=predecessors,
-        out_deps=out_deps,
         operations=operations,
         replicas=replicas,
         rank=rank,
+        timelines=plan.timelines,
+        senders=plan.senders,
         destinations=plan.destinations,
         planned_senders=plan.planned_senders,
         planned_release=plan.planned_release,

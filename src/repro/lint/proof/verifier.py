@@ -40,7 +40,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -235,24 +234,20 @@ class _AbstractRun:
     # -- processes (mirror the executive's spawn order and branches) ----
     def execute(self) -> "_AbstractRun":
         auto = self.auto
-        for proc in auto.processors:
-            self.kernel.process(self._computation_unit(proc))
-        for op in auto.operations:
-            if auto.semantics is ScheduleSemantics.SOLUTION2:
-                for proc in auto.replicas[op]:
-                    self.kernel.process(self._replica_sender(op, proc))
-            elif auto.replicas[op]:
-                self.kernel.process(self._replica_sender(op, auto.replicas[op][0]))
+        for proc, rows in auto.timelines.items():
+            self.kernel.process(self._computation_unit(proc, rows))
+        for row in auto.senders:
+            self.kernel.process(
+                self._replica_sender(row.op, row.processor, row.out_deps)
+            )
         for op, dep, watcher in auto.watch_order:
             self.kernel.process(self._watchdog(op, dep, watcher))
         self.kernel.run()
         return self
 
-    def _computation_unit(self, proc: str):
-        auto = self.auto
-        outputs = auto.outputs
-        for op, duration in auto.timeline[proc]:
-            for pred in auto.predecessors[op]:
+    def _computation_unit(self, proc: str, rows):
+        for op, _proc, predecessors, duration, out_deps, is_output, _ in rows:
+            for pred in predecessors:
                 yield ("wait", self.data[((pred, op), proc)])
             if not self._alive_at(proc, self.kernel.now):
                 return
@@ -261,20 +256,20 @@ class _AbstractRun:
             end = self.kernel.now
             if not self._alive_through(proc, start, end):
                 return
-            for dep in auto.out_deps.get(op, ()):
+            for dep in out_deps:
                 self.kernel.fire(self.data[(dep, proc)])
             self.kernel.fire(self.produced[(op, proc)])
-            if op in outputs:
+            if is_output:
                 self.outputs_done.add(op)
 
-    def _replica_sender(self, op: str, proc: str):
+    def _replica_sender(self, op: str, proc: str, out_deps):
         auto = self.auto
         yield ("wait", self.produced[(op, proc)])
         if not self._alive_at(proc, self.kernel.now):
             return
         skip_flagged = auto.semantics is ScheduleSemantics.SOLUTION2
         plans = []
-        for dep in auto.out_deps.get(op, ()):
+        for dep in out_deps:
             dests = [d for d in auto.destinations[dep] if d != proc]
             if skip_flagged:
                 dests = [d for d in dests if d not in self.flags[proc]]
@@ -603,11 +598,9 @@ def _reaches_output(auto: DeliveryAutomaton) -> Set[str]:
     changed = True
     while changed:
         changed = False
-        for op, deps in auto.out_deps.items():
-            if op in reaches:
-                continue
-            if any(dst in reaches for (_src, dst) in deps):
-                reaches.add(op)
+        for src, dst in auto.destinations:  # every dependency key
+            if dst in reaches and src not in reaches:
+                reaches.add(src)
                 changed = True
     return reaches
 

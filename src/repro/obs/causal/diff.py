@@ -26,7 +26,7 @@ Two divergences matter and both are reported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...core.schedule import Schedule
 from ...sim.faults import FailureScenario
@@ -385,21 +385,26 @@ def ladder_states(
     schedule: Schedule,
     scenario: FailureScenario,
 ) -> List[LadderState]:
-    """What became of every timeout-table rung guarding ``dep``."""
-    entries = sorted(
-        (e for e in schedule.timeouts if e.dependency == dep),
-        key=lambda e: (e.watcher, e.rank),
-    )
+    """What became of every timeout-ladder rung guarding ``dep``, by
+    watcher then rank (the ladders of the schedule's executive plan)."""
+    ladders = schedule.executive_plan.ladders
+    rungs = [
+        (op, watcher, rung)
+        for op, _dep, watcher in sorted(
+            (key for key in ladders if key[1] == dep), key=lambda key: key[2]
+        )
+        for rung in ladders[(op, dep, watcher)]
+    ]
     dispatches = [f for f in faulty.frames if f.dependency == dep]
     states: List[LadderState] = []
-    for entry in entries:
+    for op, watcher, rung in rungs:
         declared = [
             d for d in faulty.detections
-            if d.watcher == entry.watcher
-            and d.suspect == entry.candidate
-            and d.time <= entry.deadline + TOLERANCE
+            if d.watcher == watcher
+            and d.suspect == rung.candidate
+            and d.time <= rung.deadline + TOLERANCE
         ]
-        fired = next((d for d in declared if d.op == entry.op), None)
+        fired = next((d for d in declared if d.op == op), None)
         if fired is not None:
             state, detail = "fired", f"detected at {fired.time:g}"
         elif declared:
@@ -412,16 +417,16 @@ def ladder_states(
                 f"candidate already declared dead at {earliest.time:g} "
                 f"(for {earliest.op!r})"
             )
-        elif entry.candidate in scenario.known_failed:
+        elif rung.candidate in scenario.known_failed:
             state, detail = "skipped", "candidate known dead at start"
-        elif not scenario.alive_at(entry.watcher, entry.deadline):
+        elif not scenario.alive_at(watcher, rung.deadline):
             state, detail = "watcher-dead", (
-                f"{entry.watcher} itself dead by the deadline"
+                f"{watcher} itself dead by the deadline"
             )
         else:
             state = "never-fired"
             stand_down = next(
-                (f for f in dispatches if f.start <= entry.deadline + TOLERANCE),
+                (f for f in dispatches if f.start <= rung.deadline + TOLERANCE),
                 None,
             )
             if stand_down is not None and not stand_down.delivered:
@@ -438,10 +443,10 @@ def ladder_states(
             else:
                 detail = "no detection and no dispatch before the deadline"
         states.append(LadderState(
-            watcher=entry.watcher,
-            candidate=entry.candidate,
-            rank=entry.rank,
-            deadline=entry.deadline,
+            watcher=watcher,
+            candidate=rung.candidate,
+            rank=rung.rank,
+            deadline=rung.deadline,
             state=state,
             detail=detail,
         ))

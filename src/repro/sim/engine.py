@@ -15,6 +15,11 @@ Determinism: simultaneous callbacks run in scheduling order (a
 monotonically increasing sequence number breaks time ties), so runs
 are exactly reproducible — which the tests rely on.
 
+The kernel is closure-free: a heap entry is ``(time, seq, fn, a, b)``
+and runs as ``fn(a, b)``, event waiters are ``(fn, a, b)`` triples,
+and a process resumed by an already-fired event keeps running in the
+same call instead of recursing.
+
 This is deliberately a minimal subset of what a library like simpy
 offers; keeping it local avoids a dependency and keeps the semantics
 of failure injection (processes of a crashed processor simply stop
@@ -25,8 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple, Union
 
 from ..obs import get_instrumentation
 
@@ -35,30 +39,42 @@ __all__ = ["Delay", "Wait", "WaitAny", "Event", "Simulator", "SimulationError"]
 #: Processes are generators yielding commands and receiving wait results.
 ProcessBody = Generator[Any, Any, None]
 
+#: An event name, or a ``(format, key)`` pair formatted on first read.
+EventName = Union[str, Tuple[Callable[[Any], str], Any]]
+
+_heappush = heapq.heappush
+
 
 class SimulationError(RuntimeError):
     """Raised on kernel misuse (bad command, negative delay...)."""
 
 
-@dataclass(frozen=True)
 class Delay:
     """Command: suspend the process for ``duration`` time units."""
 
-    duration: float
+    __slots__ = ("duration",)
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise SimulationError(f"negative delay {self.duration}")
+    def __init__(self, duration: float) -> None:
+        if duration < 0:
+            raise SimulationError(f"negative delay {duration}")
+        self.duration = duration
+
+    def __repr__(self) -> str:
+        return f"Delay(duration={self.duration!r})"
 
 
-@dataclass(frozen=True)
 class Wait:
     """Command: suspend until ``event`` fires; returns its value."""
 
-    event: "Event"
+    __slots__ = ("event",)
+
+    def __init__(self, event: "Event") -> None:
+        self.event = event
+
+    def __repr__(self) -> str:
+        return f"Wait(event={self.event!r})"
 
 
-@dataclass(frozen=True)
 class WaitAny:
     """Command: suspend until one of ``events`` fires or ``deadline``.
 
@@ -67,8 +83,20 @@ class WaitAny:
     ``deadline=None`` waits indefinitely.
     """
 
-    events: Tuple["Event", ...]
-    deadline: Optional[float] = None
+    __slots__ = ("events", "deadline")
+
+    def __init__(
+        self, events: Tuple["Event", ...], deadline: Optional[float] = None
+    ) -> None:
+        self.events = events
+        self.deadline = deadline
+
+    def __repr__(self) -> str:
+        return f"WaitAny(events={self.events!r}, deadline={self.deadline!r})"
+
+
+def _call(callback: Callable[[], None], _unused: Any) -> None:
+    callback()
 
 
 class Event:
@@ -80,29 +108,47 @@ class Event:
     needs.
     """
 
-    __slots__ = ("name", "fired", "value", "fire_time", "_waiters")
+    __slots__ = ("_name", "fired", "value", "fire_time", "_waiters")
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
+    def __init__(self, name: EventName = "") -> None:
+        self._name = name
         self.fired = False
         self.value: Any = None
         self.fire_time: Optional[float] = None
-        self._waiters: List[Callable[[], None]] = []
+        #: ``(fn, a, b)`` triples, scheduled as ``fn(a, b)`` on fire.
+        self._waiters: List[tuple] = []
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        if type(name) is not str:
+            name = self._name = name[0](name[1])
+        return name
 
     def add_waiter(self, callback: Callable[[], None]) -> None:
-        self._waiters.append(callback)
+        self._waiters.append((_call, callback, None))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = f"fired@{self.fire_time}" if self.fired else "pending"
         return f"Event({self.name!r}, {state})"
 
 
+class _Pending:
+    """One pending ``WaitAny``: the first of its wakers resumes it."""
+
+    __slots__ = ("body", "done")
+
+    def __init__(self, body: ProcessBody) -> None:
+        self.body = body
+        self.done = False
+
+
 class Simulator:
-    """The event loop: a time-ordered heap of callbacks."""
+    """The event loop: a time-ordered heap of ``(time, seq, fn, a, b)``."""
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        self._heap: List[tuple] = []
         self._sequence = itertools.count()
 
     # ------------------------------------------------------------------
@@ -110,20 +156,24 @@ class Simulator:
     # ------------------------------------------------------------------
     def call_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute ``time`` (>= now)."""
-        if time < self.now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule in the past: {time} < {self.now}"
-            )
-        heapq.heappush(self._heap, (max(time, self.now), next(self._sequence), callback))
+        self._at(time, _call, callback, None)
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` time units."""
-        self.call_at(self.now + delay, callback)
+        self._at(self.now + delay, _call, callback, None)
+
+    def _at(self, time: float, fn: Callable[[Any, Any], None], a: Any, b: Any) -> None:
+        now = self.now
+        if time < now - 1e-12:
+            raise SimulationError(f"cannot schedule in the past: {time} < {now}")
+        _heappush(
+            self._heap, (now if now > time else time, next(self._sequence), fn, a, b)
+        )
 
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def event(self, name: str = "") -> Event:
+    def event(self, name: EventName = "") -> Event:
         """Create a fresh (unfired) event."""
         return Event(name)
 
@@ -136,64 +186,65 @@ class Simulator:
             return
         event.fired = True
         event.value = value
-        event.fire_time = self.now
-        waiters, event._waiters = event._waiters, []
-        for callback in waiters:
-            self.call_at(self.now, callback)
+        now = event.fire_time = self.now
+        waiters = event._waiters
+        if waiters:
+            event._waiters = []
+            heap, sequence = self._heap, self._sequence
+            for fn, a, b in waiters:
+                _heappush(heap, (now, next(sequence), fn, a, b))
 
     # ------------------------------------------------------------------
     # Processes
     # ------------------------------------------------------------------
     def process(self, body: ProcessBody) -> None:
         """Start a generator process at the current time."""
-        self.call_at(self.now, lambda: self._step(body, None))
+        _heappush(self._heap, (self.now, next(self._sequence), self._step, body, None))
 
-    def _step(self, body: ProcessBody, send_value: Any) -> None:
-        try:
-            command = body.send(send_value)
-        except StopIteration:
-            return
-        self._dispatch(body, command)
-
-    def _dispatch(self, body: ProcessBody, command: Any) -> None:
-        if isinstance(command, Delay):
-            self.call_after(command.duration, lambda: self._step(body, None))
-        elif isinstance(command, Wait):
-            self._wait_any(body, (command.event,), None, single=True)
-        elif isinstance(command, WaitAny):
-            self._wait_any(body, command.events, command.deadline, single=False)
-        else:
-            raise SimulationError(f"unknown simulation command: {command!r}")
-
-    def _wait_any(
-        self,
-        body: ProcessBody,
-        events: Sequence[Event],
-        deadline: Optional[float],
-        single: bool,
-    ) -> None:
-        done = {"resumed": False}
-
-        def resume(result: Any) -> None:
-            if done["resumed"]:
+    def _step(self, body: ProcessBody, value: Any) -> None:
+        # A command answered at once (an already-fired event) resumes
+        # the process in this call: loop instead of recursing.
+        while True:
+            try:
+                command = body.send(value)
+            except StopIteration:
                 return
-            done["resumed"] = True
-            self._step(body, result)
-
-        # Already-fired events win immediately (level-triggered).
-        for index, event in enumerate(events):
-            if event.fired:
-                resume(event.value if single else index)
+            kind = type(command)
+            if kind is Delay:
+                _heappush(
+                    self._heap,
+                    (self.now + command.duration, next(self._sequence),
+                     self._step, body, None),
+                )
+                return
+            if kind is Wait:
+                event = command.event
+                if event.fired:
+                    value = event.value
+                    continue
+                event._waiters.append((self._wake, body, event))
+                return
+            if kind is not WaitAny:
+                raise SimulationError(f"unknown simulation command: {command!r}")
+            for index, event in enumerate(command.events):
+                if event.fired:
+                    value = index
+                    break
+            else:
+                pending = _Pending(body)
+                for index, event in enumerate(command.events):
+                    event._waiters.append((self._resume, pending, index))
+                if command.deadline is not None:
+                    self._at(command.deadline, self._resume, pending, None)
                 return
 
-        for index, event in enumerate(events):
-            def on_fire(idx: int = index, ev: Event = event) -> None:
-                resume(ev.value if single else idx)
+    def _wake(self, body: ProcessBody, event: Event) -> None:
+        self._step(body, event.value)
 
-            event.add_waiter(on_fire)
-
-        if deadline is not None:
-            self.call_at(deadline, lambda: resume(None))
+    def _resume(self, pending: _Pending, value: Any) -> None:
+        if not pending.done:
+            pending.done = True
+            self._step(pending.body, value)
 
     # ------------------------------------------------------------------
     # Running
@@ -207,16 +258,17 @@ class Simulator:
         naturally terminates the simulation.
         """
         obs = get_instrumentation()
+        heap = self._heap
+        pop = heapq.heappop
         processed = 0
         try:
-            while self._heap:
-                time, _seq, callback = self._heap[0]
-                if until is not None and time > until:
+            while heap:
+                if until is not None and heap[0][0] > until:
                     self.now = until
-                    return self.now
-                heapq.heappop(self._heap)
+                    return until
+                time, _seq, fn, a, b = pop(heap)
                 self.now = time
-                callback()
+                fn(a, b)
                 processed += 1
             return self.now
         finally:

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.executive_plan import OpRow
 from ..core.schedule import Schedule, ScheduleSemantics
 from .engine import Delay, Event, Simulator, Wait
 from .faults import FailureScenario
@@ -141,7 +142,8 @@ def simulate_pipelined(
     network.on_deliver = on_deliver
     network.on_observe = lambda *args: None
 
-    outputs = set(algorithm.outputs)
+    plan = schedule.executive_plan
+    outputs = plan.outputs
     completion: Dict[int, float] = {}
     #: First production date per (iteration, output operation).
     first_output: Dict[Tuple[int, str], float] = {}
@@ -149,13 +151,10 @@ def simulate_pipelined(
     def alive(proc: str) -> bool:
         return scenario.alive_at(proc, sim.now)
 
-    def computation_unit(proc: str):
-        timeline = schedule.processor_timeline(proc)
+    def computation_unit(proc: str, rows: Tuple[OpRow, ...]):
         for iteration in range(iterations):
             release = iteration * period
-            for placement in timeline:
-                op = placement.op
-                preds = algorithm.predecessors(op)
+            for op, _proc, preds, duration, out_deps, is_output, _ in rows:
                 if not preds and sim.now < release:
                     # Input extios sample the event of *this* iteration,
                     # which exists only from its release date on.
@@ -165,14 +164,14 @@ def simulate_pipelined(
                 if not alive(proc):
                     return
                 start = sim.now
-                yield Delay(problem.execution.duration(op, proc))
+                yield Delay(duration)
                 end = sim.now
                 if not scenario.alive_through(proc, start, end):
                     return
-                for dep in algorithm.out_dependencies(op):
-                    sim.fire(data[(dep.key, proc, iteration)])
+                for dep in out_deps:
+                    sim.fire(data[(dep, proc, iteration)])
                 sim.fire(produced[(op, proc, iteration)])
-                if op in outputs:
+                if is_output:
                     key = (iteration, op)
                     if key not in first_output:
                         first_output[key] = end
@@ -183,34 +182,28 @@ def simulate_pipelined(
                             first_output[(iteration, out)] for out in outputs
                         )
 
-    plan = schedule.executive_plan
-
-    def sender(op: str, proc: str):
+    def sender(op: str, proc: str, out_deps: Tuple[DependencyKey, ...]):
         for iteration in range(iterations):
             yield Wait(produced[(op, proc, iteration)])
             if not alive(proc):
                 return
-            for dep in algorithm.out_dependencies(op):
-                dests = [d for d in plan.destinations[dep.key] if d != proc]
+            for dep in out_deps:
+                dests = [d for d in plan.destinations[dep] if d != proc]
                 if not dests:
                     continue
-                planned = plan.planned_release[(dep.key, proc)]
+                planned = plan.planned_release[(dep, proc)]
                 if planned is not None:
                     target = iteration * period + planned
                     if sim.now < target:
                         yield Delay(target - sim.now)
                 if not alive(proc):
                     return
-                network.dispatch(dep.key, proc, dests, payload=iteration)
+                network.dispatch(dep, proc, dests, payload=iteration)
 
-    for proc in problem.architecture.processor_names:
-        sim.process(computation_unit(proc))
-    for op in schedule.operations:
-        if schedule.semantics is ScheduleSemantics.SOLUTION2:
-            for replica in schedule.replicas(op):
-                sim.process(sender(op, replica.processor))
-        else:
-            sim.process(sender(op, schedule.main_replica(op).processor))
+    for proc, rows in plan.timelines.items():
+        sim.process(computation_unit(proc, rows))
+    for row in plan.senders:
+        sim.process(sender(row.op, row.processor, row.out_deps))
 
     sim.run()
 

@@ -20,7 +20,7 @@ executive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.schedule import Schedule
 from ..tolerance import EPSILON

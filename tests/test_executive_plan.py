@@ -103,6 +103,20 @@ def old_watch_order(schedule):
     return order
 
 
+def old_spawn_list(schedule):
+    """The sender spawn loop the executive, the pipeline and the
+    prover's abstract run each had: per op, every replica under
+    Solution 2, the main replica otherwise."""
+    spawned = []
+    for op in schedule.operations:
+        if schedule.semantics is ScheduleSemantics.SOLUTION2:
+            hosts = [r.processor for r in schedule.replicas(op)]
+        else:
+            hosts = [schedule.main_replica(op).processor]
+        spawned.extend((op, proc) for proc in hosts)
+    return spawned
+
+
 def old_detection(schedule):
     architecture = schedule.problem.architecture
     detection = "snoop" if architecture.has_bus else "oracle"
@@ -136,6 +150,35 @@ def test_destinations_and_senders(schedule):
     for op, dep in deps:
         assert list(plan.destinations[dep]) == old_destinations(schedule, dep)
         assert plan.planned_senders[dep] == old_planned_senders(schedule, op)
+
+
+def test_op_rows_follow_the_processor_timelines(schedule):
+    plan = schedule.executive_plan
+    problem = schedule.problem
+    algorithm = problem.algorithm
+    assert list(plan.timelines) == problem.architecture.processor_names
+    for proc, rows in plan.timelines.items():
+        placements = schedule.processor_timeline(proc)
+        assert [row.placement for row in rows] == placements
+        for row, placement in zip(rows, placements):
+            op = placement.op
+            assert (row.op, row.processor) == (op, proc)
+            assert row.predecessors == tuple(algorithm.predecessors(op))
+            assert row.duration == problem.execution.duration(op, proc)
+            assert row.out_deps == tuple(
+                dep.key for dep in algorithm.out_dependencies(op)
+            )
+            assert row.is_output == (op in algorithm.outputs)
+    assert plan.outputs == tuple(algorithm.outputs)
+
+
+def test_sender_spawn_list(schedule):
+    plan = schedule.executive_plan
+    assert [(row.op, row.processor) for row in plan.senders] == old_spawn_list(
+        schedule
+    )
+    for row in plan.senders:
+        assert row in plan.timelines[row.processor]
 
 
 def test_release_dates_for_every_replica_host(schedule):
@@ -181,4 +224,6 @@ def test_automaton_holds_the_plans_own_objects(schedule):
     assert auto.planned_release is plan.planned_release
     assert auto.ladders is plan.ladders
     assert auto.watch_order is plan.watch_order
+    assert auto.timelines is plan.timelines
+    assert auto.senders is plan.senders
     assert (auto.detection, auto.snoop_recovery) == old_detection(schedule)
