@@ -21,7 +21,9 @@ whose branch structure mirrors the executive's protocol semantics, and
 partitions each crashed processor's crash date into maximal intervals
 on which no recorded guard flips — so one evaluation decides a whole
 (processor, window)-class region, and the union of regions covers the
-entire ≤K scenario space.  No simulator is imported or run.
+entire ≤K scenario space.  The abstract runs execute on the
+discrete-event kernel of :mod:`repro.sim.engine`; nothing else in
+:mod:`repro.sim` (executive, network, fault model) is imported.
 
 The FT4xx rule pack (:mod:`repro.lint.proof.rules`) surfaces the
 verdict through the ordinary lint pipeline, and ``repro prove`` /

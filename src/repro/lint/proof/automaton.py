@@ -20,9 +20,10 @@ dates, ladders and watchdog order are the schedule's compiled
 the simulated executive also reads, and the detection settings come
 from the same :func:`~repro.core.executive_plan.resolve_detection`.
 Everything here is extracted read-only from :mod:`repro.core` /
-:mod:`repro.graphs`; no simulator module is imported.  The verifier
-(:mod:`repro.lint.proof.verifier`) interprets this structure under
-abstract crash dates.
+:mod:`repro.graphs`.  The verifier (:mod:`repro.lint.proof.verifier`)
+interprets this structure under abstract crash dates on the
+discrete-event kernel of :mod:`repro.sim.engine`; nothing else in
+:mod:`repro.sim` is imported by the prover.
 """
 
 from __future__ import annotations
@@ -66,28 +67,11 @@ class DeliveryAutomaton:
     detection: str
     snoop_recovery: bool
     is_bus: Dict[str, bool]
-    _event_keys: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Lookups used by the verifier's inner loop (routes and frame
     # groups come from ``problem.routing``'s static comm plan)
     # ------------------------------------------------------------------
-    def event_keys(self) -> tuple:
-        """Keys of one run's event tables, built once: ``(dep, proc)``
-        data arrivals, per-dependency observes, ``(op, proc)`` productions."""
-        if self._event_keys is None:
-            deps = tuple(self.destinations)
-            self._event_keys = (
-                tuple((dep, proc) for dep in deps for proc in self.processors),
-                deps,
-                tuple(
-                    (op, proc)
-                    for op in self.operations
-                    for proc in self.processors
-                ),
-            )
-        return self._event_keys
-
     def comm_duration(self, dep: DependencyKey, link: str) -> float:
         return self.problem.communication.duration(dep, link)
 

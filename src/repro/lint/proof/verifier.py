@@ -31,13 +31,16 @@ extended with q crashing after all activity (identical trajectory).
 Proven-dead subsets therefore retire all their supersets
 (``proof.pruned``).
 
-No simulator module is imported: everything runs on the compiled
-:class:`~repro.lint.proof.automaton.DeliveryAutomaton`.
+Each run interprets the compiled
+:class:`~repro.lint.proof.automaton.DeliveryAutomaton` on the
+discrete-event kernel of :mod:`repro.sim.engine`, and nothing else in
+:mod:`repro.sim` is imported: the executive, network and fault model
+the campaign simulates stay out of the prover's reading of the
+protocol.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -46,6 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ...core.executive_plan import DEADLINE_SLACK
 from ...core.schedule import Schedule, ScheduleSemantics
 from ...obs import get_instrumentation
+from ...sim.engine import Delay, LazyEvents, Simulator, Wait, WaitAny
 from .automaton import DeliveryAutomaton, compile_automaton
 from .model import (
     ClassRegion,
@@ -59,103 +63,6 @@ from .model import (
 __all__ = ["prove_delivery", "check_scenario", "ScenarioCheck"]
 
 DependencyKey = Tuple[str, str]
-
-
-# ----------------------------------------------------------------------
-# A minimal deterministic event kernel (mirrors the executive's:
-# time-ordered heap, sequence-number tie-break, one-shot events,
-# synchronous resume on already-fired events, deferred waiter wakeup).
-# Heap entries are ``(time, seq, fn, a, b)`` and run as ``fn(a, b)``.
-# ----------------------------------------------------------------------
-class _Event:
-    __slots__ = ("fired", "waiters")
-
-    def __init__(self) -> None:
-        self.fired = False
-        self.waiters: List[tuple] = []
-
-
-class _Wait:
-    """One pending ``waitany``: the first of its wakers resumes it."""
-
-    __slots__ = ("body", "done")
-
-    def __init__(self, body) -> None:
-        self.body = body
-        self.done = False
-
-
-class _Kernel:
-    __slots__ = ("now", "_heap", "_seq")
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._heap: List[tuple] = []
-        self._seq = itertools.count()
-
-    def call_at(self, time: float, fn, a=None, b=None) -> None:
-        now = self.now
-        heapq.heappush(
-            self._heap, (now if now > time else time, next(self._seq), fn, a, b)
-        )
-
-    def fire(self, event: _Event) -> None:
-        if event.fired:
-            return
-        event.fired = True
-        waiters, event.waiters = event.waiters, []
-        for fn, a, b in waiters:
-            self.call_at(self.now, fn, a, b)
-
-    def process(self, body) -> None:
-        self.call_at(self.now, self._step, body, None)
-
-    def _step(self, body, value) -> None:
-        # An already-fired event resumes the process synchronously:
-        # loop instead of recursing.
-        while True:
-            try:
-                command = body.send(value)
-            except StopIteration:
-                return
-            kind = command[0]
-            if kind == "delay":
-                self.call_at(self.now + command[1], self._step, body, None)
-                return
-            if kind == "wait":
-                event = command[1]
-                if event.fired:
-                    value = None
-                    continue
-                event.waiters.append((self._step, body, None))
-                return
-            # "waitany": resume with the index of the first fired
-            # event, or with None at the deadline.
-            events, deadline = command[1], command[2]
-            for index, event in enumerate(events):
-                if event.fired:
-                    value = index
-                    break
-            else:
-                wait = _Wait(body)
-                for index, event in enumerate(events):
-                    event.waiters.append((self._resume, wait, index))
-                if deadline is not None:
-                    self.call_at(deadline, self._resume, wait, None)
-                return
-
-    def _resume(self, wait: _Wait, value) -> None:
-        if not wait.done:
-            wait.done = True
-            self._step(wait.body, value)
-
-    def run(self) -> None:
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            time, _seq, fn, a, b = pop(heap)
-            self.now = time
-            fn(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -191,21 +98,16 @@ class _AbstractRun:
         self.crashes = crashes
         #: ``(proc, date) -> date < crashes[proc]``, in first-asked order.
         self.decisions: Dict[Tuple[str, float], bool] = {}
-        self.kernel = _Kernel()
+        self.sim = Simulator()
         self.busy: Dict[str, float] = {link: 0.0 for link in auto.is_bus}
         self.flags: Dict[str, Set[str]] = {
             proc: set(known_failed) for proc in auto.processors
         }
-        data_keys, observed_keys, produced_keys = auto.event_keys()
-        self.data: Dict[Tuple[DependencyKey, str], _Event] = {
-            key: _Event() for key in data_keys
-        }
-        self.produced: Dict[Tuple[str, str], _Event] = {
-            key: _Event() for key in produced_keys
-        }
-        self.observed: Dict[DependencyKey, _Event] = {
-            dep: _Event() for dep in observed_keys
-        }
+        #: ``(dep, proc)`` arrivals, ``(op, proc)`` productions and
+        #: per-dependency observes, each created on first use.
+        self.data = LazyEvents()
+        self.produced = LazyEvents()
+        self.observed = LazyEvents()
         # Bookkeeping ---------------------------------------------------
         self.outputs_done: Set[str] = set()
         self.delivery_source: Dict[
@@ -235,37 +137,37 @@ class _AbstractRun:
     def execute(self) -> "_AbstractRun":
         auto = self.auto
         for proc, rows in auto.timelines.items():
-            self.kernel.process(self._computation_unit(proc, rows))
+            self.sim.process(self._computation_unit(proc, rows))
         for row in auto.senders:
-            self.kernel.process(
+            self.sim.process(
                 self._replica_sender(row.op, row.processor, row.out_deps)
             )
         for op, dep, watcher in auto.watch_order:
-            self.kernel.process(self._watchdog(op, dep, watcher))
-        self.kernel.run()
+            self.sim.process(self._watchdog(op, dep, watcher))
+        self.sim.run()
         return self
 
     def _computation_unit(self, proc: str, rows):
         for op, _proc, predecessors, duration, out_deps, is_output, _ in rows:
             for pred in predecessors:
-                yield ("wait", self.data[((pred, op), proc)])
-            if not self._alive_at(proc, self.kernel.now):
+                yield Wait(self.data[((pred, op), proc)])
+            if not self._alive_at(proc, self.sim.now):
                 return
-            start = self.kernel.now
-            yield ("delay", duration)
-            end = self.kernel.now
+            start = self.sim.now
+            yield Delay(duration)
+            end = self.sim.now
             if not self._alive_through(proc, start, end):
                 return
             for dep in out_deps:
-                self.kernel.fire(self.data[(dep, proc)])
-            self.kernel.fire(self.produced[(op, proc)])
+                self.sim.fire(self.data[(dep, proc)])
+            self.sim.fire(self.produced[(op, proc)])
             if is_output:
                 self.outputs_done.add(op)
 
     def _replica_sender(self, op: str, proc: str, out_deps):
         auto = self.auto
-        yield ("wait", self.produced[(op, proc)])
-        if not self._alive_at(proc, self.kernel.now):
+        yield Wait(self.produced[(op, proc)])
+        if not self._alive_at(proc, self.sim.now):
             return
         skip_flagged = auto.semantics is ScheduleSemantics.SOLUTION2
         plans = []
@@ -277,13 +179,13 @@ class _AbstractRun:
                 continue
             release = auto.planned_release.get((dep, proc))
             plans.append(
-                (release if release is not None else self.kernel.now, dep, dests)
+                (release if release is not None else self.sim.now, dep, dests)
             )
         plans.sort(key=lambda plan: (plan[0], plan[1]))
         for release, dep, dests in plans:
-            if self.kernel.now < release:
-                yield ("delay", release - self.kernel.now)
-            if not self._alive_at(proc, self.kernel.now):
+            if self.sim.now < release:
+                yield Delay(release - self.sim.now)
+            if not self._alive_at(proc, self.sim.now):
                 return
             self._dispatch(dep, proc, dests, takeover=False)
 
@@ -292,20 +194,16 @@ class _AbstractRun:
         ladder = auto.ladders[(op, dep, watcher)]
         observed = self.observed[dep]
         for index, rung in enumerate(ladder):
-            if not self._alive_at(watcher, self.kernel.now):
+            if not self._alive_at(watcher, self.sim.now):
                 return
             if rung.candidate in self.flags[watcher]:
                 continue  # coalesced skip: already known faulty, no wait
-            outcome = yield (
-                "waitany",
-                (observed,),
-                rung.deadline + DEADLINE_SLACK,
-            )
-            if not self._alive_at(watcher, self.kernel.now):
+            outcome = yield WaitAny((observed,), rung.deadline + DEADLINE_SLACK)
+            if not self._alive_at(watcher, self.sim.now):
                 return
             if outcome is not None:
                 self.stand_downs.append(
-                    (op, dep, watcher, index, self.kernel.now)
+                    (op, dep, watcher, index, self.sim.now)
                 )
                 return  # one-shot stand-down edge
             if rung.candidate not in self.flags[watcher]:
@@ -313,11 +211,11 @@ class _AbstractRun:
                 self.detections += 1
         if observed.fired:
             self.stand_downs.append(
-                (op, dep, watcher, len(ladder), self.kernel.now)
+                (op, dep, watcher, len(ladder), self.sim.now)
             )
             return
-        yield ("wait", self.produced[(op, watcher)])
-        if not self._alive_at(watcher, self.kernel.now):
+        yield Wait(self.produced[(op, watcher)])
+        if not self._alive_at(watcher, self.sim.now):
             return
         dests = [d for d in auto.destinations[dep] if d != watcher]
         if dests:
@@ -354,7 +252,7 @@ class _AbstractRun:
 
     def _emit(self, dep, sender, dests, link, takeover, route) -> None:
         duration = self.auto.comm_duration(dep, link)
-        start = max(self.kernel.now, self.busy[link])
+        start = max(self.sim.now, self.busy[link])
         if not self._alive_at(sender, start):
             return  # fail-stop before grant: frame never exists
         end = start + duration
@@ -363,10 +261,10 @@ class _AbstractRun:
             # The frame occupies the link but is lost mid-transmission.
             if takeover:
                 self.lost_takeovers.append(
-                    _Race(dep, sender, self.kernel.now, end)
+                    _Race(dep, sender, self.sim.now, end)
                 )
             return
-        self.kernel.call_at(
+        self.sim.at(
             end, self._complete, (dep, sender, dests, link, takeover, route), end
         )
 
@@ -393,13 +291,13 @@ class _AbstractRun:
                 sender,
                 self.auto.rank.get((dep[0], sender), 0),
             )
-        self.kernel.fire(event)
+        self.sim.fire(event)
 
     def _fire_observed(self, dep, cause: str, sender: str) -> None:
         event = self.observed[dep]
         if not event.fired:
-            self.observed_cause[dep] = (cause, sender, self.kernel.now)
-        self.kernel.fire(event)
+            self.observed_cause[dep] = (cause, sender, self.sim.now)
+        self.sim.fire(event)
 
     # -- verdict --------------------------------------------------------
     @property
@@ -939,10 +837,11 @@ def check_scenario(
     known_failed: Iterable[str] = (),
     detection: Optional[str] = None,
 ) -> ScenarioCheck:
-    """Statically decide one concrete crash assignment (no simulator).
+    """Statically decide one concrete crash assignment.
 
     This is the ``repro prove --repro`` path: the committed
-    reproducer's exact crash dates are interpreted over the automaton,
+    reproducer's exact crash dates are interpreted over the automaton
+    (on :mod:`repro.sim.engine`, not on the simulated executive),
     and — when delivery fails — the returned counterexample pins the
     reproducer's own (processor, window)-class.
     """

@@ -49,11 +49,11 @@ Failure detection observability is configurable:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..core.executive_plan import DEADLINE_SLACK, OpRow, resolve_detection
 from ..core.schedule import Schedule, ScheduleSemantics
-from .engine import Delay, Event, Simulator, Wait, WaitAny
+from .engine import Delay, LazyEvents, Simulator, Wait, WaitAny
 from .faults import FailureScenario
 from .network import NetworkRuntime
 from .trace import DetectionRecord, ExecutionRecord, IterationTrace
@@ -62,23 +62,6 @@ from .values import compute_value
 __all__ = ["ExecutiveRuntime"]
 
 DependencyKey = Tuple[str, str]
-
-
-class _LazyEvents(dict):
-    """Simulation events keyed by ``key``, each created on first lookup.
-
-    Creating an event draws no sequence number from the simulator, so
-    making it late instead of up front changes no event order.  Its
-    name is formatted from ``key`` only if it is ever read.
-    """
-
-    def __init__(self, name: Callable[[Any], str]) -> None:
-        super().__init__()
-        self._name = name
-
-    def __missing__(self, key: Any) -> Event:
-        event = self[key] = Event((self._name, key))
-        return event
 
 
 class ExecutiveRuntime:
@@ -152,12 +135,11 @@ class ExecutiveRuntime:
         for proc, known in (initial_flags or {}).items():
             self.flags[proc].update(known)
 
-        # Events, created on first use -----------------------------------
-        self._data = _LazyEvents(
-            lambda key: f"data:{key[0][0]}->{key[0][1]}@{key[1]}"
-        )
-        self._produced = _LazyEvents(lambda key: f"produced:{key[0]}@{key[1]}")
-        self._observed = _LazyEvents(lambda dep: f"observed:{dep[0]}->{dep[1]}")
+        # Events, created on first use: ``(dep, proc)`` arrivals,
+        # ``(op, proc)`` productions, per-dependency observes -----------
+        self._data = LazyEvents()
+        self._produced = LazyEvents()
+        self._observed = LazyEvents()
 
     # ------------------------------------------------------------------
     # Entry point

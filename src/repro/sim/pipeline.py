@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.executive_plan import OpRow
 from ..core.schedule import Schedule, ScheduleSemantics
-from .engine import Delay, Event, Simulator, Wait
+from .engine import Delay, LazyEvents, Simulator, Wait
 from .faults import FailureScenario
 from .network import NetworkRuntime
 from .trace import IterationTrace
@@ -115,7 +115,6 @@ def simulate_pipelined(
         raise ValueError("need at least one iteration")
 
     problem = schedule.problem
-    algorithm = problem.algorithm
     scenario = scenario or FailureScenario.none()
     scenario.check_against(
         problem.architecture.processor_names, problem.architecture.link_names
@@ -125,15 +124,10 @@ def simulate_pipelined(
     trace = IterationTrace(scenario_name=f"pipelined(T={period:g})")
     network = NetworkRuntime(sim, problem, scenario, trace)
 
-    data: Dict[Tuple[DependencyKey, str, int], Event] = {}
-    produced: Dict[Tuple[str, str, int], Event] = {}
-    for iteration in range(iterations):
-        for dep in algorithm.dependencies:
-            for proc in problem.architecture.processor_names:
-                data[(dep.key, proc, iteration)] = sim.event()
-        for op in algorithm.operation_names:
-            for proc in problem.architecture.processor_names:
-                produced[(op, proc, iteration)] = sim.event()
+    # ``(dep, proc, iteration)`` arrivals, ``(op, proc, iteration)``
+    # productions: each event is created on first use.
+    data = LazyEvents()
+    produced = LazyEvents()
 
     def on_deliver(dep: DependencyKey, dest: str, time: float, payload) -> None:
         iteration = payload

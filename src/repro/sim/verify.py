@@ -67,8 +67,9 @@ def verify_trace(
     _check_processor_exclusivity(trace, report)
     _check_link_exclusivity(trace, report)
     _check_aliveness(trace, scenario, report)
-    _check_input_causality(trace, schedule, report)
-    _check_sender_possession(trace, report)
+    available = _availability(trace)
+    _check_input_causality(trace, schedule, available, report)
+    _check_sender_possession(trace, available, report)
     return report
 
 
@@ -137,10 +138,12 @@ def _availability(trace: IterationTrace) -> Dict[Tuple[str, str], float]:
 
 
 def _check_input_causality(
-    trace: IterationTrace, schedule: Schedule, report: TraceReport
+    trace: IterationTrace,
+    schedule: Schedule,
+    available: Dict[Tuple[str, str], float],
+    report: TraceReport,
 ) -> None:
     algorithm = schedule.problem.algorithm
-    available = _availability(trace)
     for record in trace.executions:
         for pred in algorithm.predecessors(record.op):
             date = available.get((pred, record.processor))
@@ -158,8 +161,11 @@ def _check_input_causality(
                 )
 
 
-def _check_sender_possession(trace: IterationTrace, report: TraceReport) -> None:
-    available = _availability(trace)
+def _check_sender_possession(
+    trace: IterationTrace,
+    available: Dict[Tuple[str, str], float],
+    report: TraceReport,
+) -> None:
     for frame in trace.frames:
         date = available.get((frame.dependency[0], frame.sender))
         if date is None:

@@ -31,13 +31,6 @@ class TestScheduling:
         sim.run()
         assert log == ["first", "second"]
 
-    def test_call_after(self):
-        sim = Simulator()
-        seen = []
-        sim.call_at(5.0, lambda: sim.call_after(2.5, lambda: seen.append(sim.now)))
-        sim.run()
-        assert seen == [7.5]
-
     def test_past_scheduling_rejected(self):
         sim = Simulator()
         sim.call_at(5.0, lambda: None)
