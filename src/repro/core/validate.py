@@ -416,7 +416,7 @@ def certify_fault_tolerance(
     """
     # Imported here: the prover builds on repro.core.
     from ..lint.proof.automaton import compile_automaton
-    from ..lint.proof.verifier import _AbstractRun
+    from ..lint.proof.verifier import run_outcome
 
     if failures is None:
         failures = schedule.problem.failures
@@ -425,16 +425,10 @@ def certify_fault_tolerance(
     report = CertificationReport(degree=failures)
     for size in range(failures + 1):
         for failed in itertools.combinations(auto.processors, size):
-            run = _AbstractRun(auto, dict.fromkeys(failed, 0.0)).execute()
-            lost = tuple(
-                op
-                for op in order
-                if not any(
-                    run.produced[(op, proc)].fired for proc in auto.replicas[op]
-                )
-            )
+            outcome = run_outcome(auto, dict.fromkeys(failed, 0.0))
+            lost = tuple(op for op in order if op not in outcome.produced)
             report.outcomes.append(
-                PatternOutcome(frozenset(failed), run.ok, lost)
+                PatternOutcome(frozenset(failed), outcome.ok, lost)
             )
     return report
 

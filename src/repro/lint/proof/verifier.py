@@ -7,11 +7,10 @@ Two ideas make the proof both *sound* and *finite*:
    branch structure of the generated executive (planned time-triggered
    sends, timeout-ladder watchdogs with one-shot stand-down, link
    serialization, store-and-forward relays).  Every branch that
-   depends on a crash date goes through :meth:`_AbstractRun._alive_at`
-   / :meth:`_AbstractRun._alive_through`, which record the compared
-   date as a *guard*.  The run's verdict is therefore valid for every
-   crash-date assignment in the maximal region around the
-   representative in which no guard flips.
+   depends on a crash date goes through :meth:`_AbstractRun._alive_at`,
+   which records the compared date as a *guard*.  The run's verdict is
+   therefore valid for every crash-date assignment in the maximal
+   region around the representative in which no guard flips.
 
 2. **Region refinement.**  For each crash subset S (|S| ≤ K) the
    verifier partitions the crash-date space ``[0, ∞)^S`` along the
@@ -23,7 +22,11 @@ Two ideas make the proof both *sound* and *finite*:
    split windows that the static boundaries cannot see.  A
    representative that answers every decision of an earlier run in the
    same subset the same way replays that run from a decision trie
-   instead of executing it again (``proof.replayed``).
+   instead of executing it again (``proof.replayed``).  One that
+   leaves the trie at a node resumes, instead of date 0, the run that
+   created the node from a checkpoint taken before the first kernel
+   step after the step that asked the previous new question
+   (``proof.resumed``; ``proof.steps`` counts executed kernel steps).
 
 Subset-lattice pruning is sound because refutation is monotone in the
 crash *set*: if S fails for dates T, then S ∪ {q} fails for T
@@ -33,7 +36,8 @@ Proven-dead subsets therefore retire all their supersets
 
 Each run interprets the compiled
 :class:`~repro.lint.proof.automaton.DeliveryAutomaton` on the
-discrete-event kernel of :mod:`repro.sim.engine`, and nothing else in
+discrete-event kernel of :mod:`repro.sim.engine`, as explicit-state
+callbacks whose whole state a checkpoint copies, and nothing else in
 :mod:`repro.sim` is imported: the executive, network and fault model
 the campaign simulates stay out of the prover's reading of the
 protocol.
@@ -43,13 +47,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ...core.executive_plan import DEADLINE_SLACK
 from ...core.schedule import Schedule, ScheduleSemantics
 from ...obs import get_instrumentation
-from ...sim.engine import Delay, LazyEvents, Simulator, Wait, WaitAny
+from ...sim.engine import Simulator
 from .automaton import DeliveryAutomaton, compile_automaton
 from .model import (
     ClassRegion,
@@ -60,7 +66,8 @@ from .model import (
     window_index,
 )
 
-__all__ = ["prove_delivery", "check_scenario", "ScenarioCheck"]
+__all__ = ["prove_delivery", "check_scenario", "ScenarioCheck", "RunOutcome",
+           "run_outcome"]
 
 DependencyKey = Tuple[str, str]
 
@@ -79,6 +86,29 @@ class _Race:
     stood_down: Tuple[Tuple[str, int], ...] = ()
 
 
+class RunOutcome(NamedTuple):
+    """What a finished run decided, as a refuted trie leaf keeps it: the
+    starved ``(dep, destination)`` pairs, the race facts, the first
+    observe of each starved dependency, the operations produced."""
+
+    missing_outputs: Tuple[str, ...]
+    undelivered: Tuple[Tuple[DependencyKey, str], ...]
+    races: Tuple[_Race, ...]
+    observed_cause: Dict[DependencyKey, Tuple[str, str, float]]
+    produced: FrozenSet[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing_outputs
+
+
+#: A run's containers, whose entries never change in place (the flag
+#: sets are frozen), so that a shallow copy saves them.
+_COPIED = ("decisions", "busy", "flags", "data", "produced", "observed",
+           "waiting", "outputs_done", "delivery_source", "observed_cause",
+           "stand_downs", "lost_takeovers")
+
+
 class _AbstractRun:
     """Interpret the automaton under permanent crash dates ``crashes``.
 
@@ -86,6 +116,14 @@ class _AbstractRun:
     order first asked (the *decisions*; their dates are the run's
     *guards*), plus the delivery bookkeeping the proof artifact and the
     FT4xx rules need.
+
+    The processes are explicit-state callbacks on the kernel: a heap
+    entry or a waiter carries only a process's position (a row of its
+    op rows, a send plan, a ladder rung).  They push onto the heap what
+    the generator form of each process (the executive's) would, in the
+    same order, so time ties break the same way.  And the whole state
+    copies in microseconds (:meth:`checkpoint`), and :meth:`restore`
+    resumes it for crash dates that answer its decisions the same way.
     """
 
     def __init__(
@@ -98,16 +136,19 @@ class _AbstractRun:
         self.crashes = crashes
         #: ``(proc, date) -> date < crashes[proc]``, in first-asked order.
         self.decisions: Dict[Tuple[str, float], bool] = {}
+        self.halt_from = math.inf  # see execute()
         self.sim = Simulator()
         self.busy: Dict[str, float] = {link: 0.0 for link in auto.is_bus}
-        self.flags: Dict[str, Set[str]] = {
-            proc: set(known_failed) for proc in auto.processors
+        self.flags: Dict[str, FrozenSet[str]] = {
+            proc: frozenset(known_failed) for proc in auto.processors
         }
-        #: ``(dep, proc)`` arrivals, ``(op, proc)`` productions and
-        #: per-dependency observes, each created on first use.
-        self.data = LazyEvents()
-        self.produced = LazyEvents()
-        self.observed = LazyEvents()
+        #: Event tables for ``(dep, proc)`` arrivals, ``(op, proc)``
+        #: productions and per-dependency observes (see _fire).
+        self.data: Dict[tuple, Optional[tuple]] = {}
+        self.produced: Dict[tuple, Optional[tuple]] = {}
+        self.observed: Dict[tuple, Optional[tuple]] = {}
+        #: Watch key -> the rung whose wait is pending (see _woken).
+        self.waiting: Dict[Tuple[str, DependencyKey, str], int] = {}
         # Bookkeeping ---------------------------------------------------
         self.outputs_done: Set[str] = set()
         self.delivery_source: Dict[
@@ -117,107 +158,179 @@ class _AbstractRun:
         self.stand_downs: List[Tuple[str, DependencyKey, str, int, float]] = []
         self.lost_takeovers: List[_Race] = []
         self.detections = 0
+        at = self.sim.at
+        for proc, rows in auto.timelines.items():
+            at(0.0, self._unit_ready, (proc, rows), 0)
+        for row in auto.senders:
+            at(0.0, self._sender_ready, row, None)
+        for key in auto.watch_order:
+            at(0.0, self._watch, key, 0)
 
-    # -- crash predicates (every call records a decision) ---------------
+    # -- checkpoints ----------------------------------------------------
+    def checkpoint(self) -> tuple:
+        saved = [getattr(self, name).copy() for name in _COPIED]
+        return self.sim.checkpoint(), self.detections, saved
+
+    def restore(self, checkpoint: tuple, crashes: Dict[str, float]) -> None:
+        """Go back to ``checkpoint`` (it stays valid) under ``crashes``."""
+        engine, self.detections, saved = checkpoint
+        self.sim.restore(engine)
+        for name, value in zip(_COPIED, saved):
+            setattr(self, name, value.copy())
+        self.crashes = crashes
+
+    # -- crash predicate (every call records a decision) ----------------
     def _alive_at(self, proc: str, time: float) -> bool:
+        """Is ``proc`` up at ``time``?  Fail-stop: an execution or a
+        frame ending at ``time`` survives exactly when its host is."""
         at = self.crashes.get(proc)
         if at is None:
             return True
-        alive = self.decisions[(proc, time)] = time < at
+        alive = time < at
+        if (proc, time) not in self.decisions:
+            self.decisions[(proc, time)] = alive
+            if len(self.decisions) >= self.halt_from:
+                self.sim.halt()
         return alive
 
-    def _alive_through(self, proc: str, start: float, end: float) -> bool:
-        at = self.crashes.get(proc)
-        if at is None:
-            return True
-        alive = self.decisions[(proc, end)] = end < at
-        return alive
+    # -- event tables: a key maps to its (fn, a, b) waiters while it is
+    # pending (a missing key has none) and to None once it fired.
+    def _wait(self, table: dict, key, fn, a, b) -> None:
+        table[key] = table.get(key, ()) + ((fn, a, b),)
+
+    def _fire(self, table: dict, key) -> None:
+        waiters = table.get(key, ())
+        if waiters is not None:
+            table[key] = None
+            for fn, a, b in waiters:
+                self.sim.at(self.sim.now, fn, a, b)
 
     # -- processes (mirror the executive's spawn order and branches) ----
-    def execute(self) -> "_AbstractRun":
-        auto = self.auto
-        for proc, rows in auto.timelines.items():
-            self.sim.process(self._computation_unit(proc, rows))
-        for row in auto.senders:
-            self.sim.process(
-                self._replica_sender(row.op, row.processor, row.out_deps)
-            )
-        for op, dep, watcher in auto.watch_order:
-            self.sim.process(self._watchdog(op, dep, watcher))
+    def execute(self, checkpoints_from: float = math.inf) -> List[tuple]:
+        """Run to the end; return ``(n, checkpoint)`` pairs, one before
+        the first kernel step after each step that asked a new decision
+        once ``n >= checkpoints_from`` decisions are recorded."""
+        self.halt_from = checkpoints_from
+        taken = []
         self.sim.run()
-        return self
+        while self.sim.pending:
+            taken.append((len(self.decisions), self.checkpoint()))
+            self.sim.run()
+        return taken
 
-    def _computation_unit(self, proc: str, rows):
-        for op, _proc, predecessors, duration, out_deps, is_output, _ in rows:
-            for pred in predecessors:
-                yield Wait(self.data[((pred, op), proc)])
-            if not self._alive_at(proc, self.sim.now):
-                return
-            start = self.sim.now
-            yield Delay(duration)
-            end = self.sim.now
-            if not self._alive_through(proc, start, end):
-                return
-            for dep in out_deps:
-                self.sim.fire(self.data[(dep, proc)])
-            self.sim.fire(self.produced[(op, proc)])
-            if is_output:
-                self.outputs_done.add(op)
+    def _unit_ready(self, unit, index: int) -> None:
+        """Start row ``index`` once its inputs arrived (a waiter rescans
+        them; fired events stay fired)."""
+        proc, rows = unit
+        if index == len(rows):
+            return
+        op, _proc, predecessors, duration, _out, _output, _ = rows[index]
+        for pred in predecessors:
+            key = ((pred, op), proc)
+            if self.data.get(key, ()) is not None:
+                return self._wait(self.data, key, self._unit_ready, unit, index)
+        now = self.sim.now
+        if self._alive_at(proc, now):
+            self.sim.at(now + duration, self._unit_done, unit, index)
 
-    def _replica_sender(self, op: str, proc: str, out_deps):
-        auto = self.auto
-        yield Wait(self.produced[(op, proc)])
+    def _unit_done(self, unit, index: int) -> None:
+        proc, rows = unit
+        op, _proc, _preds, _duration, out_deps, is_output, _ = rows[index]
         if not self._alive_at(proc, self.sim.now):
+            return
+        for dep in out_deps:
+            self._fire(self.data, (dep, proc))
+        self._fire(self.produced, (op, proc))
+        if is_output:
+            self.outputs_done.add(op)
+        self._unit_ready(unit, index + 1)
+
+    def _sender_ready(self, row, _unused) -> None:
+        """Plan a produced replica's sends, by release date."""
+        auto, op, proc = self.auto, row.op, row.processor
+        if self.produced.get((op, proc), ()) is not None:
+            return self._wait(self.produced, (op, proc), self._sender_ready, row, None)
+        now = self.sim.now
+        if not self._alive_at(proc, now):
             return
         skip_flagged = auto.semantics is ScheduleSemantics.SOLUTION2
         plans = []
-        for dep in out_deps:
+        for dep in row.out_deps:
             dests = [d for d in auto.destinations[dep] if d != proc]
             if skip_flagged:
                 dests = [d for d in dests if d not in self.flags[proc]]
             if not dests:
                 continue
             release = auto.planned_release.get((dep, proc))
-            plans.append(
-                (release if release is not None else self.sim.now, dep, dests)
-            )
+            plans.append((release if release is not None else now, dep, dests))
         plans.sort(key=lambda plan: (plan[0], plan[1]))
-        for release, dep, dests in plans:
-            if self.sim.now < release:
-                yield Delay(release - self.sim.now)
-            if not self._alive_at(proc, self.sim.now):
-                return
-            self._dispatch(dep, proc, dests, takeover=False)
+        self._sender_wait((proc, tuple(plans)), 0)
 
-    def _watchdog(self, op: str, dep: DependencyKey, watcher: str):
-        auto = self.auto
-        ladder = auto.ladders[(op, dep, watcher)]
-        observed = self.observed[dep]
-        for index, rung in enumerate(ladder):
+    def _sender_wait(self, sender, index: int) -> None:
+        """Wait for plan ``index``'s release date if it is ahead."""
+        plans, now = sender[1], self.sim.now
+        if index == len(plans):
+            return
+        release = plans[index][0]
+        if now < release:
+            self.sim.at(now + (release - now), self._sender_send, sender, index)
+        else:
+            self._sender_send(sender, index)
+
+    def _sender_send(self, sender, index: int) -> None:
+        proc, plans = sender
+        if self._alive_at(proc, self.sim.now):
+            self._dispatch(plans[index][1], proc, plans[index][2], takeover=False)
+            self._sender_wait(sender, index + 1)
+
+    def _watch(self, key, start: int) -> None:
+        """Walk the ladder from rung ``start``: skip a flagged candidate,
+        wait on the observe until the next rung's deadline."""
+        _op, dep, watcher = key
+        ladder = self.auto.ladders[key]
+        for index in range(start, len(ladder)):
             if not self._alive_at(watcher, self.sim.now):
                 return
+            rung = ladder[index]
             if rung.candidate in self.flags[watcher]:
                 continue  # coalesced skip: already known faulty, no wait
-            outcome = yield WaitAny((observed,), rung.deadline + DEADLINE_SLACK)
-            if not self._alive_at(watcher, self.sim.now):
-                return
-            if outcome is not None:
-                self.stand_downs.append(
-                    (op, dep, watcher, index, self.sim.now)
-                )
-                return  # one-shot stand-down edge
-            if rung.candidate not in self.flags[watcher]:
-                self.flags[watcher].add(rung.candidate)
-                self.detections += 1
-        if observed.fired:
-            self.stand_downs.append(
-                (op, dep, watcher, len(ladder), self.sim.now)
-            )
+            self.waiting[key] = index
+            if self.observed.get(dep, ()) is None:  # answered at once
+                return self._woken(key, (index, True))
+            self._wait(self.observed, dep, self._woken, key, (index, True))
+            deadline = rung.deadline + DEADLINE_SLACK
+            return self.sim.at(deadline, self._woken, key, (index, False))
+        if self.observed.get(dep, ()) is None:
+            self.stand_downs.append((key[0], dep, watcher, len(ladder), self.sim.now))
+        else:
+            self._take_over(key, None)
+
+    def _woken(self, key, wake) -> None:
+        """The observe fired or the deadline passed, whichever first: a
+        waker of an earlier wait finds another rung pending or none."""
+        index, observed = wake
+        if self.waiting.get(key) != index:
             return
-        yield Wait(self.produced[(op, watcher)])
+        del self.waiting[key]
+        op, dep, watcher = key
         if not self._alive_at(watcher, self.sim.now):
             return
-        dests = [d for d in auto.destinations[dep] if d != watcher]
+        if observed:
+            self.stand_downs.append((op, dep, watcher, index, self.sim.now))
+            return  # one-shot stand-down edge
+        candidate = self.auto.ladders[key][index].candidate
+        if candidate not in self.flags[watcher]:
+            self.flags[watcher] |= {candidate}
+            self.detections += 1
+        self._watch(key, index + 1)
+
+    def _take_over(self, key, _unused) -> None:
+        op, dep, watcher = key
+        if self.produced.get((op, watcher), ()) is not None:
+            return self._wait(self.produced, (op, watcher), self._take_over, key, None)
+        if not self._alive_at(watcher, self.sim.now):
+            return
+        dests = [d for d in self.auto.destinations[dep] if d != watcher]
         if dests:
             self._dispatch(dep, watcher, dests, takeover=True)
         self._fire_observed(dep, "takeover-dispatch", watcher)
@@ -257,7 +370,7 @@ class _AbstractRun:
             return  # fail-stop before grant: frame never exists
         end = start + duration
         self.busy[link] = end
-        if not self._alive_through(sender, start, end):
+        if not self._alive_at(sender, end):
             # The frame occupies the link but is lost mid-transmission.
             if takeover:
                 self.lost_takeovers.append(
@@ -274,8 +387,9 @@ class _AbstractRun:
         if self.auto.observable(link):
             self._fire_observed(dep, "frame", sender)
             if self.auto.snoop_recovery:
-                for flags in self.flags.values():
-                    flags.discard(sender)
+                for proc, flagged in self.flags.items():
+                    if sender in flagged:
+                        self.flags[proc] = flagged - {sender}
         for dest in dests:
             if self._alive_at(dest, end):
                 self._deliver(dep, dest, sender, takeover)
@@ -283,44 +397,24 @@ class _AbstractRun:
             self._forward(dep, route[0], route[1], takeover)
 
     def _deliver(self, dep, dest, sender, takeover) -> None:
-        event = self.data[(dep, dest)]
-        if not event.fired:
+        if self.data.get((dep, dest), ()) is not None:
             kind = "takeover" if takeover else "planned"
             self.delivery_source[(dep, dest)] = (
                 kind,
                 sender,
                 self.auto.rank.get((dep[0], sender), 0),
             )
-        self.sim.fire(event)
+            self._fire(self.data, (dep, dest))
 
     def _fire_observed(self, dep, cause: str, sender: str) -> None:
-        event = self.observed[dep]
-        if not event.fired:
+        if self.observed.get(dep, ()) is not None:
             self.observed_cause[dep] = (cause, sender, self.sim.now)
-        self.sim.fire(event)
+            self._fire(self.observed, dep)
 
     # -- verdict --------------------------------------------------------
     @property
     def missing_outputs(self) -> Tuple[str, ...]:
-        return tuple(
-            op for op in self.auto.outputs if op not in self.outputs_done
-        )
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing_outputs
-
-    def undelivered(self) -> List[Tuple[DependencyKey, str]]:
-        """(dep, destination) pairs where a *surviving* consumer
-        replica never received the data it depends on."""
-        starved = []
-        for dep, dests in sorted(self.auto.destinations.items()):
-            for dest in dests:
-                if dest in self.crashes:
-                    continue
-                if not self.data[(dep, dest)].fired:
-                    starved.append((dep, dest))
-        return starved
+        return tuple(op for op in self.auto.outputs if op not in self.outputs_done)
 
     def races(self) -> List[_Race]:
         """Lost takeover frames whose dispatch-time observe retired
@@ -328,34 +422,57 @@ class _AbstractRun:
         out = []
         for race in self.lost_takeovers:
             cause = self.observed_cause.get(race.dep)
-            if not cause or cause[0] != "takeover-dispatch":
-                continue
-            if cause[1] != race.dispatcher:
+            if not cause or cause[:2] != ("takeover-dispatch", race.dispatcher):
                 continue
             stood = tuple(
                 (watcher, index)
-                for (op, dep, watcher, index, time) in self.stand_downs
+                for (_op, dep, watcher, index, time) in self.stand_downs
                 if dep == race.dep
                 and watcher != race.dispatcher
                 and time >= race.dispatch_time
             )
             if stood:
-                out.append(
-                    _Race(
-                        race.dep,
-                        race.dispatcher,
-                        race.dispatch_time,
-                        race.frame_end,
-                        stood,
-                    )
-                )
+                out.append(replace(race, stood_down=stood))
         return out
 
     def witness_depth(self) -> int:
-        depth = 0
-        for kind, _sender, rank in self.delivery_source.values():
-            depth = max(depth, rank + 1 if kind == "takeover" else 1)
-        return depth
+        return max(
+            (rank + 1 if kind == "takeover" else 1
+             for kind, _sender, rank in self.delivery_source.values()),
+            default=0,
+        )
+
+    def outcome(self) -> RunOutcome:
+        # A starved pair: a *surviving* consumer replica never received
+        # the data it depends on.
+        undelivered = tuple(
+            (dep, dest)
+            for dep, dests in sorted(self.auto.destinations.items())
+            for dest in dests
+            if dest not in self.crashes and self.data.get((dep, dest), ()) is not None
+        )
+        deps = {dep for dep, _dest in undelivered}
+        causes = {d: c for d, c in self.observed_cause.items() if d in deps}
+        produced = (op for (op, _), w in self.produced.items() if w is None)
+        return RunOutcome(
+            self.missing_outputs,
+            undelivered,
+            tuple(self.races()),
+            causes,
+            frozenset(produced),
+        )
+
+
+def run_outcome(
+    auto: DeliveryAutomaton,
+    crashes: Dict[str, float],
+    known_failed: Iterable[str] = (),
+) -> RunOutcome:
+    """One run under concrete crash dates (``0.0``: dead from the
+    start), with ``known_failed`` flagged from the start."""
+    run = _AbstractRun(auto, dict(crashes), known_failed)
+    run.execute()
+    return run.outcome()
 
 
 # ----------------------------------------------------------------------
@@ -366,11 +483,10 @@ class _SubsetResult:
     subset: Tuple[str, ...]
     status: str  # "safe" | "refuted" | "unproven"
     evaluations: int = 0
-    #: Evaluations answered from the decision trie, without a run.
-    replayed: int = 0
-    refuted_cells: List[Tuple[tuple, "_AbstractRun"]] = field(
-        default_factory=list
-    )
+    replayed: int = 0  # evaluations answered from the trie, without a run
+    resumed: int = 0  # runs resumed from a trie node's checkpoint
+    steps: int = 0  # kernel steps the runs executed
+    refuted_cells: List[Tuple[tuple, RunOutcome]] = field(default_factory=list)
     classes_collapsed: int = 0
     witness_depth: int = 0
     chains: Dict[DependencyKey, Dict[Tuple[str, str, int], int]] = field(
@@ -396,20 +512,24 @@ def _sweep_subset(
     result = _SubsetResult(subset=subset, status="safe")
     boundaries = auto.boundaries
     # The decision trie of the runs so far.  A node is the list
-    # ``[proc, date, if_dead, if_alive]``: the question a run asked
-    # and the subtree for each answer.  A leaf is ``(ok,
-    # witness_depth, delivery sources, run if refuted)``.  A run sees
-    # its crash dates only through its decisions, so a representative
-    # that answers a whole root-to-leaf path the same way replays that
-    # run exactly: same verdict, same guards (the path's dates).
+    # ``[proc, date, if_dead, if_alive, checkpoint]``: the question a
+    # run asked, the subtree for each answer and, while an answer is
+    # unexplored, the run before the question.  A leaf is ``(ok,
+    # witness_depth, delivery sources, outcome if refuted)``.  A run
+    # sees its crash dates only through its decisions, so a
+    # representative that answers a whole root-to-leaf path the same
+    # way replays that run exactly: same verdict, same guards (the
+    # path's dates); one that leaves it at a node resumes that run.
     root: list = [None]
     interned: Dict[tuple, tuple] = {}
+    run = _AbstractRun(auto, {})
+    start = run.checkpoint()
     worklist: List[tuple] = [tuple((0.0, math.inf) for _ in subset)]
     while worklist:
         cell = worklist.pop()
         if result.evaluations >= budget:
             result.status = "unproven"
-            return result
+            break
         reps = {p: interval[0] for p, interval in zip(subset, cell)}
         guards: Dict[str, List[float]] = {p: [] for p in subset}
         parent, slot, walked = root, 0, 0
@@ -421,34 +541,32 @@ def _sweep_subset(
             node = node[slot]
             walked += 1
         if node is None:
-            # A miss: run it, and hang its unseen decisions below the
-            # walked prefix (which the run repeated, answer for answer).
-            run = _AbstractRun(auto, reps).execute()
-            for (proc, date), alive in itertools.islice(
-                run.decisions.items(), walked, None
-            ):
-                guards[proc].append(date)
-                child = [proc, date, None, None]
-                parent[slot] = child
-                parent, slot = child, 3 if alive else 2
-            if run.ok:
+            # A miss: resume the run where the walk left the trie (whose
+            # both answers are then explored, so it drops its checkpoint)
+            # and hang its unseen decisions below the walked prefix.
+            resume = start
+            if walked and parent[4] is not None:
+                resume, parent[4] = parent[4], None
+                result.resumed += 1
+            run.restore(resume, reps)
+            taken = [(0, resume), *run.execute(checkpoints_from=walked)]
+            parent, slot = _grow_trie(
+                run.decisions, walked, parent, slot, taken, guards
+            )
+            if run.missing_outputs:
+                node = (False, 0, (), run.outcome())
+            else:
                 sources = tuple(
                     (dep, chain)
                     for (dep, _dest), chain in run.delivery_source.items()
                 )
-                node = (
-                    True,
-                    run.witness_depth(),
-                    interned.setdefault(sources, sources),
-                    None,
-                )
-            else:
-                node = (False, 0, (), run)
+                sources = interned.setdefault(sources, sources)
+                node = (True, run.witness_depth(), sources, None)
             parent[slot] = node
         else:
             result.replayed += 1
         result.evaluations += 1
-        ok, depth, sources, run = node
+        ok, depth, sources, outcome = node
         # Partition the cell along the guards; the verdict holds on
         # the representative's (guard-free) sub-cell.
         axes = []
@@ -482,10 +600,33 @@ def _sweep_subset(
                 per_dep[chain] = per_dep.get(chain, 0) + 1
         else:
             result.status = "refuted"
-            result.refuted_cells.append((rep_cell, run))
+            result.refuted_cells.append((rep_cell, outcome))
             if until_refuted:
-                return result
+                break
+    result.steps = run.sim.steps
     return result
+
+
+def _grow_trie(decisions, walked, parent, slot, taken, guards):
+    """Hang a run's decisions after the ``walked`` ones it shares with
+    the trie below ``parent[slot]``; return the slot for its leaf.
+    Node ``j`` (from 1) keeps the latest ``(n, checkpoint)`` of ``taken``
+    with ``n < j``, unless its path's earlier answers decide it: then no
+    walk can take its other branch."""
+    bounds: Dict[str, Tuple[float, float]] = {}  # crash in (lo, hi]
+    latest = 0
+    for j, ((proc, date), alive) in enumerate(decisions.items(), 1):
+        lo, hi = bounds.get(proc, (-math.inf, math.inf))
+        if j > walked:
+            while latest + 1 < len(taken) and taken[latest + 1][0] < j:
+                latest += 1
+            decided = date <= lo if alive else date >= hi
+            guards[proc].append(date)
+            child = [proc, date, None, None, None if decided else taken[latest][1]]
+            parent[slot] = child
+            parent, slot = child, 3 if alive else 2
+        bounds[proc] = (max(lo, date), hi) if alive else (lo, min(hi, date))
+    return parent, slot
 
 
 # ----------------------------------------------------------------------
@@ -557,14 +698,15 @@ def prove_delivery(
     ):
         # Only a SAFE probe changes the result: stop at its first
         # refutation.
-        beyond = _prove(
-            auto,
-            failures + 1,
-            max_evals_per_subset,
-            obs,
-            sizes=(failures + 1,),
-            until_refuted=True,
-        )
+        with obs.span("proof.probe", failures=failures + 1):
+            beyond = _prove(
+                auto,
+                failures + 1,
+                max_evals_per_subset,
+                obs,
+                sizes=(failures + 1,),
+                until_refuted=True,
+            )
         if beyond.verdict == "SAFE":
             result.beyond = {
                 "certified_failures": failures,
@@ -591,6 +733,8 @@ def _prove(
     pruned = 0
     evaluations = 0
     replayed = 0
+    resumed = 0
+    steps = 0
     classes_collapsed = 0
     witness_depth = 0
     refuted_regions: List[ClassRegion] = []
@@ -626,6 +770,8 @@ def _prove(
         swept = _sweep_subset(auto, combo, budget, until_refuted)
         evaluations += swept.evaluations
         replayed += swept.replayed
+        resumed += swept.resumed
+        steps += swept.steps
         classes_collapsed += swept.classes_collapsed
         witness_depth = max(witness_depth, swept.witness_depth)
         for dep, per_chain in swept.chains.items():
@@ -636,22 +782,24 @@ def _prove(
             unproven_subsets.append(combo)
         elif swept.status == "refuted":
             dead_roots.append(subset)
-            for cell, run in swept.refuted_cells:
+            for cell, outcome in swept.refuted_cells:
                 windows = {}
                 for proc, (lo, hi) in zip(combo, cell):
                     windows[proc] = _cell_windows(auto.boundaries, lo, hi)
                 refuted_regions.append(
                     ClassRegion(windows=windows, subset=combo)
                 )
-                _collect_race_findings(run, races, never_rearms)
-            counterexamples.append(
-                _cell_counterexample(auto, combo, swept.refuted_cells[0])
-            )
+                _collect_race_findings(outcome, races, never_rearms)
+            cell, outcome = swept.refuted_cells[0]
+            crashes = {proc: lo for proc, (lo, _hi) in zip(combo, cell)}
+            counterexamples.append(_counterexample(auto, combo, crashes, outcome))
 
     obs.count("proof.subsets_checked", subsets_checked)
     obs.count("proof.pruned", pruned)
     obs.count("proof.evaluations", evaluations)
     obs.count("proof.replayed", replayed)
+    obs.count("proof.resumed", resumed)
+    obs.count("proof.steps", steps)
     obs.count("proof.classes_collapsed", classes_collapsed)
 
     if counterexamples:
@@ -685,9 +833,9 @@ def _prove(
     )
 
 
-def _collect_race_findings(run: _AbstractRun, races, never_rearms) -> None:
-    undelivered = {dep for dep, _dest in run.undelivered()}
-    for race in run.races():
+def _collect_race_findings(outcome: RunOutcome, races, never_rearms) -> None:
+    undelivered = {dep for dep, _dest in outcome.undelivered}
+    for race in outcome.races:
         if race.dep not in undelivered:
             continue
         key = (race.dep, race.dispatcher)
@@ -704,7 +852,7 @@ def _collect_race_findings(run: _AbstractRun, races, never_rearms) -> None:
             },
         )
     for dep in sorted(undelivered):
-        cause = run.observed_cause.get(dep)
+        cause = outcome.observed_cause.get(dep)
         if cause is None:
             continue
         # The one-shot observe fired, delivery still failed, and no
@@ -752,20 +900,11 @@ def _dependency_witnesses(auto, chains, counterexamples) -> List[DependencyWitne
     return witnesses
 
 
-def _cell_counterexample(
-    auto: DeliveryAutomaton, subset, refuted_cell
-) -> Counterexample:
-    cell, run = refuted_cell
-    crashes = {proc: lo for proc, (lo, hi) in zip(subset, cell)}
-    return _counterexample_from_run(auto, subset, crashes, run)
-
-
 def _certificate_counterexample(
     auto: DeliveryAutomaton, subset, dead_op: str
 ) -> Counterexample:
     crashes = {proc: 0.0 for proc in subset}
-    run = _AbstractRun(auto, crashes).execute()
-    cx = _counterexample_from_run(auto, subset, crashes, run)
+    cx = _counterexample(auto, subset, crashes, run_outcome(auto, crashes))
     cx.narrative = (
         "every replica of %r is hosted on the crashed set %s: production "
         "is impossible from t=0, so this subset (and every superset) is "
@@ -774,17 +913,22 @@ def _certificate_counterexample(
     return cx
 
 
-def _counterexample_from_run(
-    auto: DeliveryAutomaton, subset, crashes: Dict[str, float], run: _AbstractRun
-) -> Counterexample:
-    key = tuple(
-        sorted(
-            (proc, window_index(auto.boundaries, at))
-            for proc, at in crashes.items()
-        )
+def _class_key(auto: DeliveryAutomaton, crashes: Dict[str, float]) -> tuple:
+    return tuple(
+        sorted((p, window_index(auto.boundaries, at)) for p, at in crashes.items())
     )
+
+
+def _starved(outcome: RunOutcome) -> Tuple[str, ...]:
+    return tuple("%s -> %s @ %s" % (*dep, dest) for dep, dest in outcome.undelivered)
+
+
+def _counterexample(
+    auto: DeliveryAutomaton, subset, crashes: Dict[str, float], outcome: RunOutcome
+) -> Counterexample:
+    key = _class_key(auto, crashes)
     narrative_bits = []
-    for race in run.races():
+    for race in outcome.races:
         narrative_bits.append(
             "watchers %s stood down at t=%.6f on %s's takeover frame for "
             "%s -> %s, which was then lost at t=%.6f; no rung re-arms"
@@ -797,7 +941,7 @@ def _counterexample_from_run(
                 race.frame_end,
             )
         )
-    for dep, dest in run.undelivered():
+    for dep, dest in outcome.undelivered:
         narrative_bits.append(
             "%s -> %s never delivered to surviving replica on %s"
             % (dep[0], dep[1], dest)
@@ -807,11 +951,8 @@ def _counterexample_from_run(
         crashes={proc: crashes[proc] for proc in sorted(crashes)},
         class_key=key,
         label=render_class(key),
-        missing_outputs=run.missing_outputs,
-        undelivered=tuple(
-            "%s -> %s @ %s" % (dep[0], dep[1], dest)
-            for dep, dest in run.undelivered()
-        ),
+        missing_outputs=outcome.missing_outputs,
+        undelivered=_starved(outcome),
         narrative="; ".join(narrative_bits),
     )
 
@@ -846,26 +987,16 @@ def check_scenario(
     reproducer's own (processor, window)-class.
     """
     auto = compile_automaton(schedule, detection=detection)
-    run = _AbstractRun(auto, dict(crashes), known_failed=known_failed).execute()
+    outcome = run_outcome(auto, crashes, known_failed=known_failed)
     cx = None
-    if not run.ok:
-        cx = _counterexample_from_run(
-            auto, tuple(sorted(crashes)), dict(crashes), run
-        )
-    key = tuple(
-        sorted(
-            (proc, window_index(auto.boundaries, at))
-            for proc, at in crashes.items()
-        )
-    )
+    if not outcome.ok:
+        cx = _counterexample(auto, tuple(sorted(crashes)), dict(crashes), outcome)
+    key = _class_key(auto, crashes)
     return ScenarioCheck(
-        refuted=not run.ok,
+        refuted=not outcome.ok,
         class_key=key,
         label=render_class(key),
-        missing_outputs=run.missing_outputs,
-        undelivered=tuple(
-            "%s -> %s @ %s" % (dep[0], dep[1], dest)
-            for dep, dest in run.undelivered()
-        ),
+        missing_outputs=outcome.missing_outputs,
+        undelivered=_starved(outcome),
         counterexample=cx,
     )

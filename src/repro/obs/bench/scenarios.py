@@ -382,6 +382,10 @@ def lint_proof_paper_examples(obs, failures: int) -> Dict[str, Metric]:
             max(p.witness_depth for p in proofs),
             unit="hops", direction="exact", kind="counter",
         ),
+        "kernel_steps": Metric(
+            obs.registry.counter_value("proof.steps"),
+            unit="steps", direction="exact", kind="counter",
+        ),
         "proof_wall_s": Metric(
             wall, unit="s", direction="lower", kind="timing", noise=0.75,
         ),

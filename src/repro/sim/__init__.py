@@ -1,54 +1,40 @@
-"""Discrete-event simulation of schedules under processor failures."""
+"""Discrete-event simulation of schedules under processor failures.
 
-from .engine import Delay, Event, SimulationError, Simulator, Wait, WaitAny
-from .executive import ExecutiveRuntime
-from .faults import Crash, FailureScenario, LinkCrash
-from .network import NetworkRuntime
-from .runner import (
-    SimulationRun,
-    simulate,
-    simulate_sequence,
-    transient_then_steady,
-)
-from .trace import (
-    DetectionRecord,
-    ExecutionRecord,
-    FrameRecord,
-    IterationTrace,
-)
-from .montecarlo import AvailabilityEstimate, estimate_availability
-from .pipeline import PipelineResult, simulate_pipelined
-from .values import compute_value, reference_outputs, sample_input
-from .verify import TraceReport, TraceViolation, verify_trace
+The re-exports load their module on first use, so importing one module
+of the package (the prover imports only :mod:`repro.sim.engine`) loads
+no other.
+"""
 
-__all__ = [
-    "Delay",
-    "Event",
-    "SimulationError",
-    "Simulator",
-    "Wait",
-    "WaitAny",
-    "ExecutiveRuntime",
-    "Crash",
-    "FailureScenario",
-    "LinkCrash",
-    "NetworkRuntime",
-    "SimulationRun",
-    "simulate",
-    "simulate_sequence",
-    "transient_then_steady",
-    "DetectionRecord",
-    "ExecutionRecord",
-    "FrameRecord",
-    "IterationTrace",
-    "AvailabilityEstimate",
-    "estimate_availability",
-    "PipelineResult",
-    "simulate_pipelined",
-    "compute_value",
-    "reference_outputs",
-    "sample_input",
-    "TraceReport",
-    "TraceViolation",
-    "verify_trace",
-]
+#: Submodule -> the public names it defines, in ``__all__`` order.
+_EXPORTS = {
+    "engine": ["Delay", "Event", "SimulationError", "Simulator", "Wait", "WaitAny"],
+    "executive": ["ExecutiveRuntime"],
+    "faults": ["Crash", "FailureScenario", "LinkCrash"],
+    "network": ["NetworkRuntime"],
+    "runner": ["SimulationRun", "simulate", "simulate_sequence", "transient_then_steady"],
+    "trace": ["DetectionRecord", "ExecutionRecord", "FrameRecord", "IterationTrace"],
+    "montecarlo": ["AvailabilityEstimate", "estimate_availability"],
+    "pipeline": ["PipelineResult", "simulate_pipelined"],
+    "values": ["compute_value", "reference_outputs", "sample_input"],
+    "verify": ["TraceReport", "TraceViolation", "verify_trace"],
+}
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    value = getattr(importlib.import_module(f".{module_name}", __name__), name)
+    globals()[name] = value  # cache for subsequent lookups
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -1,8 +1,7 @@
 """A small generator-based discrete-event simulation kernel.
 
-The distributed executive of :mod:`repro.sim.executive`, the pipelined
-run of :mod:`repro.sim.pipeline` and the prover's abstract run
-(:mod:`repro.lint.proof.verifier`) are expressed as concurrent
+The distributed executive of :mod:`repro.sim.executive` and the
+pipelined run of :mod:`repro.sim.pipeline` are expressed as concurrent
 *processes* (Python generators) that yield simulation commands:
 
 * ``Delay(dt)`` — suspend for ``dt`` simulated time units;
@@ -23,6 +22,12 @@ same call instead of recursing.  :class:`LazyEvents` creates each
 event of an interpreter's event table on first lookup.  Every
 :meth:`Simulator.run` adds the callbacks it processed to the
 ``sim.engine.events`` counter, whichever interpreter built it.
+
+A *callback-only* program (the prover's abstract run) keeps each
+process's state in the never-mutated arguments of its ``fn(a, b)``
+entries; its kernel state is then the clock, heap and sequence that
+:meth:`Simulator.checkpoint` copies (a generator cannot be copied), and
+:meth:`Simulator.halt` stops a run between two callbacks to take one.
 
 This is deliberately a minimal subset of what a library like simpy
 offers; keeping it local avoids a dependency and keeps the semantics
@@ -173,6 +178,9 @@ class Simulator:
         self.now = 0.0
         self._heap: List[tuple] = []
         self._sequence = itertools.count()
+        self._halted = False
+        #: Callbacks processed by every run() so far (not restored).
+        self.steps = 0
 
     # ------------------------------------------------------------------
     # Low-level scheduling
@@ -266,10 +274,31 @@ class Simulator:
             self._step(pending.body, value)
 
     # ------------------------------------------------------------------
-    # Running
+    # Running (checkpoints: callback-only programs, see the module doc)
     # ------------------------------------------------------------------
+    def checkpoint(self) -> tuple:
+        """The clock, the pending callbacks and the sequence position."""
+        sequence = next(self._sequence)
+        self._sequence = itertools.count(sequence)
+        return self.now, self._heap[:], sequence
+
+    def restore(self, checkpoint: tuple) -> None:
+        """Go back to ``checkpoint`` (which stays valid)."""
+        self.now, heap, sequence = checkpoint
+        self._heap[:] = heap
+        self._sequence = itertools.count(sequence)
+
+    @property
+    def pending(self) -> int:
+        return len(self._heap)
+
+    def halt(self) -> None:
+        """Make :meth:`run` return after the current callback."""
+        self._halted = True
+
     def run(self, until: Optional[float] = None) -> float:
-        """Process events until the heap drains (or ``until`` passes).
+        """Process events until the heap drains (or ``until`` passes,
+        or a callback calls :meth:`halt`).
 
         Returns the final simulated time.  Processes still blocked on
         unfired events when the heap drains are abandoned — this is
@@ -289,8 +318,12 @@ class Simulator:
                 self.now = time
                 fn(a, b)
                 processed += 1
+                if self._halted:
+                    self._halted = False
+                    break
             return self.now
         finally:
             # One registry update per run(), not per event: the hot
             # loop itself only pays a local integer increment.
+            self.steps += processed
             obs.count("sim.engine.events", processed)

@@ -251,6 +251,15 @@ class TestObsIntegration:
         names = {span.name for span in session.tracer.spans}
         assert {"proof.compile", "proof.verify"} <= names
 
+    def test_the_k_plus_1_probe_has_its_own_span(self, bus_solution1):
+        """A SAFE proof probes K+1 crashes inside ``proof.probe``, so the
+        probe is timed directly, not as a difference of two proofs."""
+        with instrumented() as session:
+            proof = prove_delivery(bus_solution1.schedule)
+        assert proof.verdict == "SAFE"
+        (probe,) = [s for s in session.tracer.spans if s.name == "proof.probe"]
+        assert dict(probe.args)["failures"] == proof.failures + 1
+
     def test_replayed_evaluations_are_a_strict_share(self, gap_schedule):
         """Some cells replay an earlier run from the decision trie;
         the rest still execute the automaton."""
@@ -259,6 +268,18 @@ class TestObsIntegration:
         registry = session.registry
         replayed = registry.counter_value("proof.replayed")
         assert 0 < replayed < registry.counter_value("proof.evaluations")
+
+    def test_resumed_runs_are_a_strict_share(self, gap_schedule):
+        """Most trie misses resume a checkpoint; the first run of each
+        subset still starts from date 0."""
+        with instrumented() as session:
+            prove_delivery(gap_schedule)
+        registry = session.registry
+        executed = registry.counter_value(
+            "proof.evaluations"
+        ) - registry.counter_value("proof.replayed")
+        assert 0 < registry.counter_value("proof.resumed") < executed
+        assert registry.counter_value("proof.steps") > 0
 
 
 class TestLintIntegration:

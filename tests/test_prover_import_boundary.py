@@ -5,7 +5,9 @@ sides share no simulation code but the kernel: the prover's modules
 may import ``repro.sim.engine`` and no other ``repro.sim`` module (not
 the executive, network or fault model the campaign simulates), and the
 kernel itself imports nothing from ``repro.sim``, ``repro.core`` or
-``repro.lint``.  Both facts are read from the source, by AST.
+``repro.lint``.  Both facts are read from the source, by AST, and a
+subprocess checks that the first holds in ``sys.modules`` too: the
+``repro.sim`` package loads its re-exports lazily.
 
 One function is exempt: ``counterexample_reproducer`` writes a
 refutation out in the campaign's reproducer format, so it builds the
@@ -13,6 +15,9 @@ campaign's own ``FailureScenario`` (a lazy import, outside any proof).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator, List, Set
 
@@ -99,3 +104,27 @@ def test_engine_imports_nothing_from_sim_core_or_lint():
         )
     )
     assert not forbidden, forbidden
+
+
+def test_importing_the_verifier_loads_no_simulation_module():
+    """``import repro.sim.engine`` runs ``repro/sim/__init__.py``, whose
+    re-exports must not load the rest of the package."""
+    code = (
+        "import sys, repro.lint.proof.verifier\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.sim')))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout
+    for module in (
+        "repro.sim.executive",
+        "repro.sim.network",
+        "repro.sim.faults",
+        "repro.sim.montecarlo",
+    ):
+        assert repr(module) not in loaded, loaded
+    assert "'repro.sim.engine'" in loaded
