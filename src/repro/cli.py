@@ -1679,8 +1679,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prove.add_argument(
         "--max-evals", type=int, default=8000, metavar="N",
-        help="per-subset region-evaluation budget before the verdict "
-        "degrades to UNPROVEN (soundness is never sacrificed)",
+        help="per-subset budget of automaton runs (one per decision-tree "
+        "leaf) before the verdict degrades to UNPROVEN (soundness is never "
+        "sacrificed)",
     )
     p_prove.set_defaults(func=_cmd_prove)
 

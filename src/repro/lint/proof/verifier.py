@@ -13,20 +13,23 @@ Two ideas make the proof both *sound* and *finite*:
    region around the representative in which no guard flips.
 
 2. **Region refinement.**  For each crash subset S (|S| ≤ K) the
-   verifier partitions the crash-date space ``[0, ∞)^S`` along the
-   recorded guards, evaluating one representative per region until the
-   whole space is covered — the "(processor, window)-class collapse"
-   of the static event windows, made exact: one evaluation typically
-   covers many window classes (counted as ``proof.classes_collapsed``),
-   and derived dates (e.g. a takeover frame completing mid-window)
-   split windows that the static boundaries cannot see.  A
-   representative that answers every decision of an earlier run in the
-   same subset the same way replays that run from a decision trie
-   instead of executing it again (``proof.replayed``).  One that
-   leaves the trie at a node resumes, instead of date 0, the run that
-   created the node from a checkpoint taken before the first kernel
-   step after the step that asked the previous new question
+   verifier walks the protocol's decision tree over the crash-date
+   space ``[0, ∞)^S`` depth first, one run per leaf.  A run keeps, for
+   each crashed processor, the bounds its earlier answers put on the
+   crash date; a question they already decide is answered from them.
+   Only an *open* question is recorded (a decision), and each one
+   splits the run's cell in two: the run goes on in the half that holds
+   its representative (the cell's lower corner, which always answers
+   "crashed"), and the other half is pushed with the latest checkpoint
+   taken before the question, to resume there instead of date 0
    (``proof.resumed``; ``proof.steps`` counts executed kernel steps).
+   The half left at the end is the run's leaf, whose verdict holds on
+   all of it — the "(processor, window)-class collapse" of the static
+   event windows, made exact: one run typically covers many window
+   classes (counted as ``proof.classes_collapsed``), and derived dates
+   (e.g. a takeover frame completing mid-window) split windows that
+   the static boundaries cannot see.  The leaves partition the space,
+   so ``proof.evaluations`` counts runs.
 
 Subset-lattice pruning is sound because refutation is monotone in the
 crash *set*: if S fails for dates T, then S ∪ {q} fails for T
@@ -87,7 +90,7 @@ class _Race:
 
 
 class RunOutcome(NamedTuple):
-    """What a finished run decided, as a refuted trie leaf keeps it: the
+    """What a finished run decided, as a refuted leaf keeps it: the
     starved ``(dep, destination)`` pairs, the race facts, the first
     observe of each starved dependency, the operations produced."""
 
@@ -104,18 +107,18 @@ class RunOutcome(NamedTuple):
 
 #: A run's containers, whose entries never change in place (the flag
 #: sets are frozen), so that a shallow copy saves them.
-_COPIED = ("decisions", "busy", "flags", "data", "produced", "observed",
-           "waiting", "outputs_done", "delivery_source", "observed_cause",
-           "stand_downs", "lost_takeovers")
+_COPIED = ("decisions", "bounds", "busy", "flags", "data", "produced",
+           "observed", "waiting", "outputs_done", "delivery_source",
+           "observed_cause", "stand_downs", "lost_takeovers")
 
 
 class _AbstractRun:
     """Interpret the automaton under permanent crash dates ``crashes``.
 
-    Records every comparison of a crash time against a date, in the
-    order first asked (the *decisions*; their dates are the run's
-    *guards*), plus the delivery bookkeeping the proof artifact and the
-    FT4xx rules need.
+    Records every comparison of a crash time against a date that its
+    earlier answers leave open, in the order asked (the *decisions*;
+    their dates are the run's *guards*), plus the delivery bookkeeping
+    the proof artifact and the FT4xx rules need.
 
     The processes are explicit-state callbacks on the kernel: a heap
     entry or a waiter carries only a process's position (a row of its
@@ -134,8 +137,13 @@ class _AbstractRun:
     ) -> None:
         self.auto = auto
         self.crashes = crashes
-        #: ``(proc, date) -> date < crashes[proc]``, in first-asked order.
+        #: ``(proc, date) -> date < crashes[proc]``, in asked order.
         self.decisions: Dict[Tuple[str, float], bool] = {}
+        #: ``proc -> (lo, hi)``: the decisions so far put its crash date
+        #: in ``(lo, hi]``.
+        self.bounds: Dict[str, Tuple[float, float]] = dict.fromkeys(
+            crashes, (-math.inf, math.inf)
+        )
         self.halt_from = math.inf  # see execute()
         self.sim = Simulator()
         self.busy: Dict[str, float] = {link: 0.0 for link in auto.is_bus}
@@ -179,18 +187,23 @@ class _AbstractRun:
             setattr(self, name, value.copy())
         self.crashes = crashes
 
-    # -- crash predicate (every call records a decision) ----------------
+    # -- crash predicate (an open question records a decision) ---------
     def _alive_at(self, proc: str, time: float) -> bool:
         """Is ``proc`` up at ``time``?  Fail-stop: an execution or a
         frame ending at ``time`` survives exactly when its host is."""
         at = self.crashes.get(proc)
         if at is None:
             return True
+        lo, hi = self.bounds[proc]
+        if time <= lo:
+            return True
+        if time >= hi:
+            return False
         alive = time < at
-        if (proc, time) not in self.decisions:
-            self.decisions[(proc, time)] = alive
-            if len(self.decisions) >= self.halt_from:
-                self.sim.halt()
+        self.bounds[proc] = (time, hi) if alive else (lo, time)
+        self.decisions[(proc, time)] = alive
+        if len(self.decisions) >= self.halt_from:
+            self.sim.halt()
         return alive
 
     # -- event tables: a key maps to its (fn, a, b) waiters while it is
@@ -208,7 +221,7 @@ class _AbstractRun:
     # -- processes (mirror the executive's spawn order and branches) ----
     def execute(self, checkpoints_from: float = math.inf) -> List[tuple]:
         """Run to the end; return ``(n, checkpoint)`` pairs, one before
-        the first kernel step after each step that asked a new decision
+        the first kernel step after each step that recorded a decision
         once ``n >= checkpoints_from`` decisions are recorded."""
         self.halt_from = checkpoints_from
         taken = []
@@ -482,9 +495,8 @@ def run_outcome(
 class _SubsetResult:
     subset: Tuple[str, ...]
     status: str  # "safe" | "refuted" | "unproven"
-    evaluations: int = 0
-    replayed: int = 0  # evaluations answered from the trie, without a run
-    resumed: int = 0  # runs resumed from a trie node's checkpoint
+    evaluations: int = 0  # runs, one per leaf of the decision tree
+    resumed: int = 0  # runs resumed from a checkpoint
     steps: int = 0  # kernel steps the runs executed
     refuted_cells: List[Tuple[tuple, RunOutcome]] = field(default_factory=list)
     classes_collapsed: int = 0
@@ -510,123 +522,65 @@ def _sweep_subset(
     until_refuted: bool = False,
 ) -> _SubsetResult:
     result = _SubsetResult(subset=subset, status="safe")
-    boundaries = auto.boundaries
-    # The decision trie of the runs so far.  A node is the list
-    # ``[proc, date, if_dead, if_alive, checkpoint]``: the question a
-    # run asked, the subtree for each answer and, while an answer is
-    # unexplored, the run before the question.  A leaf is ``(ok,
-    # witness_depth, delivery sources, outcome if refuted)``.  A run
-    # sees its crash dates only through its decisions, so a
-    # representative that answers a whole root-to-leaf path the same
-    # way replays that run exactly: same verdict, same guards (the
-    # path's dates); one that leaves it at a node resumes that run.
-    root: list = [None]
-    interned: Dict[tuple, tuple] = {}
-    run = _AbstractRun(auto, {})
-    start = run.checkpoint()
-    worklist: List[tuple] = [tuple((0.0, math.inf) for _ in subset)]
-    while worklist:
-        cell = worklist.pop()
+    axis = {proc: i for i, proc in enumerate(subset)}
+    run = _AbstractRun(auto, dict.fromkeys(subset, 0.0))
+    # Depth first over the decision tree.  An entry is a cell (one
+    # ``[lo, hi)`` crash interval per processor), the number ``j`` of
+    # decisions on its path (the cell is the "alive" side of the
+    # ``j``-th) and a checkpoint of a run on that path taken before the
+    # ``j``-th was asked.  Every crash vector in the cell answers those
+    # ``j`` alike, and every later decision is open in it.
+    stack: List[tuple] = [
+        (tuple((0.0, math.inf) for _ in subset), run.checkpoint(), 0)
+    ]
+    while stack:
         if result.evaluations >= budget:
             result.status = "unproven"
             break
-        reps = {p: interval[0] for p, interval in zip(subset, cell)}
-        guards: Dict[str, List[float]] = {p: [] for p in subset}
-        parent, slot, walked = root, 0, 0
-        node = root[0]
-        while type(node) is list:
-            proc, date = node[0], node[1]
-            guards[proc].append(date)
-            parent, slot = node, 3 if date < reps[proc] else 2
-            node = node[slot]
-            walked += 1
-        if node is None:
-            # A miss: resume the run where the walk left the trie (whose
-            # both answers are then explored, so it drops its checkpoint)
-            # and hang its unseen decisions below the walked prefix.
-            resume = start
-            if walked and parent[4] is not None:
-                resume, parent[4] = parent[4], None
-                result.resumed += 1
-            run.restore(resume, reps)
-            taken = [(0, resume), *run.execute(checkpoints_from=walked)]
-            parent, slot = _grow_trie(
-                run.decisions, walked, parent, slot, taken, guards
-            )
-            if run.missing_outputs:
-                node = (False, 0, (), run.outcome())
-            else:
-                sources = tuple(
-                    (dep, chain)
-                    for (dep, _dest), chain in run.delivery_source.items()
-                )
-                sources = interned.setdefault(sources, sources)
-                node = (True, run.witness_depth(), sources, None)
-            parent[slot] = node
-        else:
-            result.replayed += 1
+        cell, checkpoint, j = stack.pop()
+        result.resumed += j > 0
         result.evaluations += 1
-        ok, depth, sources, outcome = node
-        # Partition the cell along the guards; the verdict holds on
-        # the representative's (guard-free) sub-cell.
-        axes = []
-        for proc, (lo, hi) in zip(subset, cell):
-            cuts = sorted(
-                cut
-                for cut in (
-                    math.nextafter(date, math.inf) for date in guards[proc]
-                )
-                if lo < cut < hi
-            )
-            edges = [lo, *cuts, hi]
-            axes.append(
-                [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-            )
-        rep_cell = tuple(axis[0] for axis in axes)
-        for combo in itertools.product(*axes):
-            if combo != rep_cell:
-                worklist.append(combo)
-        # Account the (processor, window)-classes this one evaluation
-        # decided; anything beyond the first is a collapsed class.
-        covered = 1
-        for (lo, hi) in rep_cell:
-            first, last = _cell_windows(boundaries, lo, hi)
-            covered *= last - first + 1
-        result.classes_collapsed += covered - 1
-        if ok:
-            result.witness_depth = max(result.witness_depth, depth)
-            for dep, chain in sources:
-                per_dep = result.chains.setdefault(dep, {})
-                per_dep[chain] = per_dep.get(chain, 0) + 1
-        else:
-            result.status = "refuted"
-            result.refuted_cells.append((rep_cell, outcome))
-            if until_refuted:
-                break
+        run.restore(checkpoint, {p: lo for p, (lo, _hi) in zip(subset, cell)})
+        taken = [(0, checkpoint), *run.execute(checkpoints_from=j)]
+        # The lower corner answers "crashed" to each open decision after
+        # the j-th: keep the half below its date, push the half above
+        # with the latest checkpoint taken before it was asked.
+        cell, latest = list(cell), 0
+        for k, (proc, date) in enumerate(
+            itertools.islice(run.decisions, j, None), j + 1
+        ):
+            while latest + 1 < len(taken) and taken[latest + 1][0] < k:
+                latest += 1
+            i = axis[proc]
+            lo, hi = cell[i]
+            cut = math.nextafter(date, math.inf)
+            cell[i] = (cut, hi)
+            stack.append((tuple(cell), taken[latest][1], k))
+            cell[i] = (lo, cut)
+        _account_leaf(result, tuple(cell), run)
+        if until_refuted and result.refuted_cells:
+            break
     result.steps = run.sim.steps
     return result
 
 
-def _grow_trie(decisions, walked, parent, slot, taken, guards):
-    """Hang a run's decisions after the ``walked`` ones it shares with
-    the trie below ``parent[slot]``; return the slot for its leaf.
-    Node ``j`` (from 1) keeps the latest ``(n, checkpoint)`` of ``taken``
-    with ``n < j``, unless its path's earlier answers decide it: then no
-    walk can take its other branch."""
-    bounds: Dict[str, Tuple[float, float]] = {}  # crash in (lo, hi]
-    latest = 0
-    for j, ((proc, date), alive) in enumerate(decisions.items(), 1):
-        lo, hi = bounds.get(proc, (-math.inf, math.inf))
-        if j > walked:
-            while latest + 1 < len(taken) and taken[latest + 1][0] < j:
-                latest += 1
-            decided = date <= lo if alive else date >= hi
-            guards[proc].append(date)
-            child = [proc, date, None, None, None if decided else taken[latest][1]]
-            parent[slot] = child
-            parent, slot = child, 3 if alive else 2
-        bounds[proc] = (max(lo, date), hi) if alive else (lo, min(hi, date))
-    return parent, slot
+def _account_leaf(result: _SubsetResult, cell: tuple, run: _AbstractRun) -> None:
+    """Add a finished run's leaf ``cell`` to ``result``: the
+    (processor, window)-classes it decided (beyond the first, collapsed
+    ones), its verdict and its delivery chains."""
+    covered = 1
+    for lo, hi in cell:
+        first, last = _cell_windows(run.auto.boundaries, lo, hi)
+        covered *= last - first + 1
+    result.classes_collapsed += covered - 1
+    if run.missing_outputs:
+        result.status = "refuted"
+        result.refuted_cells.append((cell, run.outcome()))
+    else:
+        result.witness_depth = max(result.witness_depth, run.witness_depth())
+        for (dep, _dest), chain in run.delivery_source.items():
+            per_dep = result.chains.setdefault(dep, {})
+            per_dep[chain] = per_dep.get(chain, 0) + 1
 
 
 # ----------------------------------------------------------------------
@@ -732,7 +686,6 @@ def _prove(
     subsets_checked = 0
     pruned = 0
     evaluations = 0
-    replayed = 0
     resumed = 0
     steps = 0
     classes_collapsed = 0
@@ -769,7 +722,6 @@ def _prove(
             continue
         swept = _sweep_subset(auto, combo, budget, until_refuted)
         evaluations += swept.evaluations
-        replayed += swept.replayed
         resumed += swept.resumed
         steps += swept.steps
         classes_collapsed += swept.classes_collapsed
@@ -797,7 +749,6 @@ def _prove(
     obs.count("proof.subsets_checked", subsets_checked)
     obs.count("proof.pruned", pruned)
     obs.count("proof.evaluations", evaluations)
-    obs.count("proof.replayed", replayed)
     obs.count("proof.resumed", resumed)
     obs.count("proof.steps", steps)
     obs.count("proof.classes_collapsed", classes_collapsed)

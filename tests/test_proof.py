@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -260,24 +261,33 @@ class TestObsIntegration:
         (probe,) = [s for s in session.tracer.spans if s.name == "proof.probe"]
         assert dict(probe.args)["failures"] == proof.failures + 1
 
-    def test_replayed_evaluations_are_a_strict_share(self, gap_schedule):
-        """Some cells replay an earlier run from the decision trie;
-        the rest still execute the automaton."""
+    def test_every_evaluation_is_one_run(self, gap_schedule, monkeypatch):
+        """Each evaluation is one run of the automaton over one leaf of
+        the decision tree: no cell is answered without a run."""
+        from repro.lint.proof import verifier
+
+        execute = verifier._AbstractRun.execute
+        runs = []
+
+        def counted(run, checkpoints_from=math.inf):
+            if checkpoints_from != math.inf:  # a sweep run
+                runs.append(dict(run.crashes))
+            return execute(run, checkpoints_from)
+
+        monkeypatch.setattr(verifier._AbstractRun, "execute", counted)
         with instrumented() as session:
             prove_delivery(gap_schedule)
         registry = session.registry
-        replayed = registry.counter_value("proof.replayed")
-        assert 0 < replayed < registry.counter_value("proof.evaluations")
+        assert registry.counter_value("proof.evaluations") == len(runs) > 0
+        assert "proof.replayed" not in registry.to_dict()["counters"]
 
     def test_resumed_runs_are_a_strict_share(self, gap_schedule):
-        """Most trie misses resume a checkpoint; the first run of each
-        subset still starts from date 0."""
+        """Most runs resume a checkpoint; the first run of each subset
+        still starts from date 0."""
         with instrumented() as session:
             prove_delivery(gap_schedule)
         registry = session.registry
-        executed = registry.counter_value(
-            "proof.evaluations"
-        ) - registry.counter_value("proof.replayed")
+        executed = registry.counter_value("proof.evaluations")
         assert 0 < registry.counter_value("proof.resumed") < executed
         assert registry.counter_value("proof.steps") > 0
 

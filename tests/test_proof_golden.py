@@ -1,6 +1,6 @@
 """Golden proof artifacts: the prover's output is pinned bit for bit.
 
-The prover's speed work (the region sweep's replay of known runs, the
+The prover's speed work (the region sweep's resumed runs, the
 early-exit K+1 probe, the event kernel) must not change a single byte
 of what it proves.  For each seeded case this test hashes
 ``ProofResult.to_dict()`` (the artifact ``repro prove --out`` writes,

@@ -1,11 +1,11 @@
 """The prover's resumed runs and the kernel checkpoints behind them.
 
-The region sweep resumes each trie miss from the checkpoint of the node
-where the walk left the trie instead of running from date 0.  That is
-sound only if a resumed run is the run a fresh start would have made:
-the tests below run every resumed run of a seeded battery again from
-scratch, at the same crash dates, and compare everything the proof
-reads.  The kernel's own ``checkpoint``/``restore`` is checked on random
+The region sweep runs each cell it split off from the latest checkpoint
+the splitting run took before the cell's question, instead of from
+date 0.  That is sound only if a resumed run is the run a fresh start
+would have made: the tests below run every resumed run of a seeded
+battery again from scratch, at the same crash dates, and compare
+everything the proof reads.  The kernel's own ``checkpoint``/``restore`` is checked on random
 callback-only programs.
 """
 
