@@ -22,7 +22,7 @@ Two ideas make the proof both *sound* and *finite*:
    its representative (the cell's lower corner, which always answers
    "crashed"), and the other half is pushed with the latest checkpoint
    taken before the question, to resume there instead of date 0
-   (``proof.resumed``; ``proof.steps`` counts executed kernel steps).
+   (``proof.steps`` counts executed kernel steps).
    The half left at the end is the run's leaf, whose verdict holds on
    all of it — the "(processor, window)-class collapse" of the static
    event windows, made exact: one run typically covers many window
@@ -58,7 +58,7 @@ from typing import (
 from ...core.executive_plan import DEADLINE_SLACK
 from ...core.schedule import Schedule, ScheduleSemantics
 from ...obs import get_instrumentation
-from ...sim.engine import Simulator
+from ...sim.engine import EventTable, Simulator
 from .automaton import DeliveryAutomaton, compile_automaton
 from .model import (
     ClassRegion,
@@ -123,10 +123,10 @@ class _AbstractRun:
     The processes are explicit-state callbacks on the kernel: a heap
     entry or a waiter carries only a process's position (a row of its
     op rows, a send plan, a ladder rung).  They push onto the heap what
-    the generator form of each process (the executive's) would, in the
-    same order, so time ties break the same way.  And the whole state
-    copies in microseconds (:meth:`checkpoint`), and :meth:`restore`
-    resumes it for crash dates that answer its decisions the same way.
+    the executive's callbacks push, in the same order, so time ties
+    break the same way.  And the whole state copies in microseconds
+    (:meth:`checkpoint`), and :meth:`restore` resumes it for crash
+    dates that answer its decisions the same way.
     """
 
     def __init__(
@@ -150,11 +150,12 @@ class _AbstractRun:
         self.flags: Dict[str, FrozenSet[str]] = {
             proc: frozenset(known_failed) for proc in auto.processors
         }
-        #: Event tables for ``(dep, proc)`` arrivals, ``(op, proc)``
-        #: productions and per-dependency observes (see _fire).
-        self.data: Dict[tuple, Optional[tuple]] = {}
-        self.produced: Dict[tuple, Optional[tuple]] = {}
-        self.observed: Dict[tuple, Optional[tuple]] = {}
+        #: Event tables (see repro.sim.engine) for ``(dep, proc)``
+        #: arrivals, ``(op, proc)`` productions and per-dependency
+        #: observes.
+        self.data: EventTable = {}
+        self.produced: EventTable = {}
+        self.observed: EventTable = {}
         #: Watch key -> the rung whose wait is pending (see _woken).
         self.waiting: Dict[Tuple[str, DependencyKey, str], int] = {}
         # Bookkeeping ---------------------------------------------------
@@ -206,18 +207,6 @@ class _AbstractRun:
             self.sim.halt()
         return alive
 
-    # -- event tables: a key maps to its (fn, a, b) waiters while it is
-    # pending (a missing key has none) and to None once it fired.
-    def _wait(self, table: dict, key, fn, a, b) -> None:
-        table[key] = table.get(key, ()) + ((fn, a, b),)
-
-    def _fire(self, table: dict, key) -> None:
-        waiters = table.get(key, ())
-        if waiters is not None:
-            table[key] = None
-            for fn, a, b in waiters:
-                self.sim.at(self.sim.now, fn, a, b)
-
     # -- processes (mirror the executive's spawn order and branches) ----
     def execute(self, checkpoints_from: float = math.inf) -> List[tuple]:
         """Run to the end; return ``(n, checkpoint)`` pairs, one before
@@ -238,10 +227,10 @@ class _AbstractRun:
         if index == len(rows):
             return
         op, _proc, predecessors, duration, _out, _output, _ = rows[index]
+        wait = self.sim.wait
         for pred in predecessors:
-            key = ((pred, op), proc)
-            if self.data.get(key, ()) is not None:
-                return self._wait(self.data, key, self._unit_ready, unit, index)
+            if wait(self.data, ((pred, op), proc), self._unit_ready, unit, index):
+                return
         now = self.sim.now
         if self._alive_at(proc, now):
             self.sim.at(now + duration, self._unit_done, unit, index)
@@ -252,8 +241,8 @@ class _AbstractRun:
         if not self._alive_at(proc, self.sim.now):
             return
         for dep in out_deps:
-            self._fire(self.data, (dep, proc))
-        self._fire(self.produced, (op, proc))
+            self.sim.fire(self.data, (dep, proc))
+        self.sim.fire(self.produced, (op, proc))
         if is_output:
             self.outputs_done.add(op)
         self._unit_ready(unit, index + 1)
@@ -261,8 +250,8 @@ class _AbstractRun:
     def _sender_ready(self, row, _unused) -> None:
         """Plan a produced replica's sends, by release date."""
         auto, op, proc = self.auto, row.op, row.processor
-        if self.produced.get((op, proc), ()) is not None:
-            return self._wait(self.produced, (op, proc), self._sender_ready, row, None)
+        if self.sim.wait(self.produced, (op, proc), self._sender_ready, row, None):
+            return
         now = self.sim.now
         if not self._alive_at(proc, now):
             return
@@ -308,9 +297,8 @@ class _AbstractRun:
             if rung.candidate in self.flags[watcher]:
                 continue  # coalesced skip: already known faulty, no wait
             self.waiting[key] = index
-            if self.observed.get(dep, ()) is None:  # answered at once
-                return self._woken(key, (index, True))
-            self._wait(self.observed, dep, self._woken, key, (index, True))
+            if not self.sim.wait(self.observed, dep, self._woken, key, (index, True)):
+                return self._woken(key, (index, True))  # answered at once
             deadline = rung.deadline + DEADLINE_SLACK
             return self.sim.at(deadline, self._woken, key, (index, False))
         if self.observed.get(dep, ()) is None:
@@ -339,8 +327,8 @@ class _AbstractRun:
 
     def _take_over(self, key, _unused) -> None:
         op, dep, watcher = key
-        if self.produced.get((op, watcher), ()) is not None:
-            return self._wait(self.produced, (op, watcher), self._take_over, key, None)
+        if self.sim.wait(self.produced, (op, watcher), self._take_over, key, None):
+            return
         if not self._alive_at(watcher, self.sim.now):
             return
         dests = [d for d in self.auto.destinations[dep] if d != watcher]
@@ -417,12 +405,12 @@ class _AbstractRun:
                 sender,
                 self.auto.rank.get((dep[0], sender), 0),
             )
-            self._fire(self.data, (dep, dest))
+            self.sim.fire(self.data, (dep, dest))
 
     def _fire_observed(self, dep, cause: str, sender: str) -> None:
         if self.observed.get(dep, ()) is not None:
             self.observed_cause[dep] = (cause, sender, self.sim.now)
-            self._fire(self.observed, dep)
+            self.sim.fire(self.observed, dep)
 
     # -- verdict --------------------------------------------------------
     @property
@@ -496,7 +484,6 @@ class _SubsetResult:
     subset: Tuple[str, ...]
     status: str  # "safe" | "refuted" | "unproven"
     evaluations: int = 0  # runs, one per leaf of the decision tree
-    resumed: int = 0  # runs resumed from a checkpoint
     steps: int = 0  # kernel steps the runs executed
     refuted_cells: List[Tuple[tuple, RunOutcome]] = field(default_factory=list)
     classes_collapsed: int = 0
@@ -538,7 +525,6 @@ def _sweep_subset(
             result.status = "unproven"
             break
         cell, checkpoint, j = stack.pop()
-        result.resumed += j > 0
         result.evaluations += 1
         run.restore(checkpoint, {p: lo for p, (lo, _hi) in zip(subset, cell)})
         taken = [(0, checkpoint), *run.execute(checkpoints_from=j)]
@@ -686,7 +672,6 @@ def _prove(
     subsets_checked = 0
     pruned = 0
     evaluations = 0
-    resumed = 0
     steps = 0
     classes_collapsed = 0
     witness_depth = 0
@@ -722,7 +707,6 @@ def _prove(
             continue
         swept = _sweep_subset(auto, combo, budget, until_refuted)
         evaluations += swept.evaluations
-        resumed += swept.resumed
         steps += swept.steps
         classes_collapsed += swept.classes_collapsed
         witness_depth = max(witness_depth, swept.witness_depth)
@@ -749,7 +733,6 @@ def _prove(
     obs.count("proof.subsets_checked", subsets_checked)
     obs.count("proof.pruned", pruned)
     obs.count("proof.evaluations", evaluations)
-    obs.count("proof.resumed", resumed)
     obs.count("proof.steps", steps)
     obs.count("proof.classes_collapsed", classes_collapsed)
 

@@ -7,7 +7,7 @@ no other.
 
 #: Submodule -> the public names it defines, in ``__all__`` order.
 _EXPORTS = {
-    "engine": ["Delay", "Event", "SimulationError", "Simulator", "Wait", "WaitAny"],
+    "engine": ["SimulationError", "Simulator"],
     "executive": ["ExecutiveRuntime"],
     "faults": ["Crash", "FailureScenario", "LinkCrash"],
     "network": ["NetworkRuntime"],

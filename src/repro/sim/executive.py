@@ -5,10 +5,12 @@ executive: per processor, the computation unit runs its operation
 sequence in static order (each operation blocking until its inputs are
 locally available), and the communication units perform the sends,
 receives and — for Solution 1 — the ``OpComm`` watchdogs of Figure 12.
-This module builds exactly those behaviours as simulation processes,
-reading every static fact (each processor's op rows, the planned
-senders, destinations, planned release dates, watchdog ladders and
-their spawn order) from the schedule's compiled
+This module builds exactly those behaviours as explicit-state
+callbacks on :mod:`repro.sim.engine`, in the prover's form (a
+process's only state is its position: a row of its op rows, a send
+plan, a ladder rung), reading every static fact (each processor's op
+rows, the planned senders, destinations, planned release dates,
+watchdog ladders and their spawn order) from the schedule's compiled
 :class:`~repro.core.executive_plan.ExecutivePlan`, the same plan the
 prover's delivery automaton reads, and parameterized by the schedule's
 semantics:
@@ -53,7 +55,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..core.executive_plan import DEADLINE_SLACK, OpRow, resolve_detection
 from ..core.schedule import Schedule, ScheduleSemantics
-from .engine import Delay, LazyEvents, Simulator, Wait, WaitAny
+from .engine import EventTable, Simulator
 from .faults import FailureScenario
 from .network import NetworkRuntime
 from .trace import DetectionRecord, ExecutionRecord, IterationTrace
@@ -122,10 +124,9 @@ class ExecutiveRuntime:
             expected_outputs=self.plan.outputs,
         )
         self.network = NetworkRuntime(
-            self.sim, self.problem, self.scenario, self.trace
+            self.sim, self.problem, self.scenario, self.trace,
+            self._on_deliver, self._on_observe,
         )
-        self.network.on_deliver = self._on_deliver
-        self.network.on_observe = self._on_observe
 
         #: Per-processor fail-flag arrays (Section 5.5).
         self.flags: Dict[str, Set[str]] = {
@@ -135,23 +136,28 @@ class ExecutiveRuntime:
         for proc, known in (initial_flags or {}).items():
             self.flags[proc].update(known)
 
-        # Events, created on first use: ``(dep, proc)`` arrivals,
-        # ``(op, proc)`` productions, per-dependency observes -----------
-        self._data = LazyEvents()
-        self._produced = LazyEvents()
-        self._observed = LazyEvents()
+        # Event tables (see repro.sim.engine): ``(dep, proc)`` arrivals,
+        # ``(op, proc)`` productions, per-dependency observes ------------
+        self._data: EventTable = {}
+        self._produced: EventTable = {}
+        self._observed: EventTable = {}
+        #: The payload of each ``(dep, proc)`` arrival: the first copy wins.
+        self._payloads: Dict[Tuple[DependencyKey, str], int] = {}
+        #: Watch key -> the rung whose wait is pending (see _woken).
+        self._waiting: Dict[Tuple[str, DependencyKey, str], int] = {}
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
     def run(self) -> IterationTrace:
-        """Build all processes, run to quiescence, return the trace."""
+        """Start all processes, run to quiescence, return the trace."""
+        at = self.sim.at
         for proc, rows in self.plan.timelines.items():
-            self.sim.process(self._computation_unit(proc, rows))
+            at(0.0, self._unit_ready, (proc, rows), 0)
         for row in self.plan.senders:
-            self.sim.process(self._replica_sender(row.op, row.processor, row.out_deps))
-        for op, dep, watcher in self.plan.watch_order:  # Solution 1 only
-            self.sim.process(self._watchdog(op, dep, watcher))
+            at(0.0, self._sender_ready, row, None)
+        for key in self.plan.watch_order:  # Solution 1 only
+            at(0.0, self._watch, key, 0)
         self.sim.run()
         self.trace.final_known_failed = frozenset().union(*self.flags.values())
         return self.trace
@@ -164,14 +170,15 @@ class ExecutiveRuntime:
     ) -> None:
         # First copy wins; redundant later copies are ignored by the
         # one-shot event semantics (the Solution-2 receive rule).
-        self.sim.fire(self._data[(dep, dest)], payload)
+        self._payloads.setdefault((dep, dest), payload)
+        self.sim.fire(self._data, (dep, dest))
 
     def _on_observe(
         self, dep: DependencyKey, sender: str, link: str, time: float
     ) -> None:
         observable = self.detection == "oracle" or self.network.is_bus(link)
         if observable:
-            self.sim.fire(self._observed[dep])
+            self.sim.fire(self._observed, dep)
         if self.snoop_recovery and observable:
             # A frame from a flagged processor proves it came back to
             # life (intermittent fail-silent recovery, Section 6.1).
@@ -187,45 +194,54 @@ class ExecutiveRuntime:
     # ------------------------------------------------------------------
     # Computation units
     # ------------------------------------------------------------------
-    def _computation_unit(self, proc: str, rows: Tuple[OpRow, ...]):
-        """Run the processor's replicas in static order, data-driven."""
-        sim = self.sim
-        data = self._data
-        operation_of = self.problem.algorithm.operation
-        for op, _proc, predecessors, duration, out_deps, is_output, _ in rows:
-            inputs: Dict[str, int] = {}
-            for pred in predecessors:
-                inputs[pred] = yield Wait(data[((pred, op), proc)])
-            if not self._alive(proc):
+    def _unit_ready(self, unit: Tuple[str, Tuple[OpRow, ...]], index: int) -> None:
+        """Start row ``index`` of the processor's replicas, in static
+        order, once its inputs arrived (a waiter rescans them: fired
+        keys stay fired)."""
+        proc, rows = unit
+        if index == len(rows):
+            return
+        op, _proc, predecessors, duration, _out, _output, _ = rows[index]
+        wait = self.sim.wait
+        for pred in predecessors:
+            if wait(self._data, ((pred, op), proc), self._unit_ready, unit, index):
                 return
-            start = sim.now
-            yield Delay(duration)
-            end = sim.now
-            completed = self.scenario.alive_through(proc, start, end)
-            self.trace.executions.append(
-                ExecutionRecord(
-                    op=op, processor=proc, start=start, end=end,
-                    completed=completed,
-                )
+        if self._alive(proc):
+            start = self.sim.now
+            self.sim.at(start + duration, self._unit_done, unit, (index, start))
+
+    def _unit_done(self, unit: Tuple[str, Tuple[OpRow, ...]], position) -> None:
+        proc, rows = unit
+        index, start = position
+        op, _proc, predecessors, _duration, out_deps, is_output, _ = rows[index]
+        end = self.sim.now
+        completed = self.scenario.alive_through(proc, start, end)
+        self.trace.executions.append(
+            ExecutionRecord(
+                op=op, processor=proc, start=start, end=end,
+                completed=completed,
             )
-            if not completed:
-                return
-            operation = operation_of(op)
-            value = compute_value(
-                op,
-                operation.kind,
-                inputs,
-                initial_value=operation.initial_value or 0.0,
-                iteration=self.iteration,
-            )
-            self._values[(op, proc)] = value
-            # The data of op now exists locally: feed local consumers
-            # and mark production for the communication units.
-            for dep in out_deps:
-                sim.fire(data[(dep, proc)], value)
-            sim.fire(self._produced[(op, proc)])
-            if is_output:
-                self._record_output(op, proc, end, value)
+        )
+        if not completed:
+            return
+        operation = self.problem.algorithm.operation(op)
+        payloads = self._payloads
+        value = compute_value(
+            op,
+            operation.kind,
+            {pred: payloads[((pred, op), proc)] for pred in predecessors},
+            initial_value=operation.initial_value or 0.0,
+            iteration=self.iteration,
+        )
+        self._values[(op, proc)] = value
+        # The data of op now exists locally: feed local consumers
+        # and mark production for the communication units.
+        for dep in out_deps:
+            self._on_deliver(dep, proc, end, value)
+        self.sim.fire(self._produced, (op, proc))
+        if is_output:
+            self._record_output(op, proc, end, value)
+        self._unit_ready(unit, index + 1)
 
     def _record_output(self, op: str, proc: str, end: float, value: int) -> None:
         """First production wins; replica disagreement is an anomaly."""
@@ -243,10 +259,8 @@ class ExecutiveRuntime:
     # ------------------------------------------------------------------
     # Communication units: senders
     # ------------------------------------------------------------------
-    def _replica_sender(
-        self, op: str, proc: str, out_deps: Tuple[DependencyKey, ...]
-    ):
-        """Send every outgoing dependency of ``op`` once produced.
+    def _sender_ready(self, row: OpRow, _unused) -> None:
+        """Plan every outgoing send of a produced replica.
 
         The comm side is time-triggered: sends are ordered by their
         planned release dates and emitted no earlier than them, which
@@ -259,12 +273,14 @@ class ExecutiveRuntime:
         mechanism that starves falsely-suspected processors on
         point-to-point links (Section 7.4).
         """
-        yield Wait(self._produced[(op, proc)])
+        op, proc = row.op, row.processor
+        if self.sim.wait(self._produced, (op, proc), self._sender_ready, row, None):
+            return
         if not self._alive(proc):
             return
         skip_flagged = self.schedule.semantics is ScheduleSemantics.SOLUTION2
         plans = []
-        for dep in out_deps:
+        for dep in row.out_deps:
             dests = [d for d in self.plan.destinations[dep] if d != proc]
             if skip_flagged:
                 dests = [d for d in dests if d not in self.flags[proc]]
@@ -274,45 +290,75 @@ class ExecutiveRuntime:
             plans.append((release if release is not None else self.sim.now,
                           dep, dests))
         plans.sort(key=lambda plan: (plan[0], plan[1]))
-        for release, dep, dests in plans:
-            if self.sim.now < release:
-                yield Delay(release - self.sim.now)
-            if not self._alive(proc):
-                return
+        self._sender_wait((op, proc, tuple(plans)), 0)
+
+    def _sender_wait(self, sender, index: int) -> None:
+        """Wait for plan ``index``'s release date if it is ahead."""
+        plans, now = sender[2], self.sim.now
+        if index == len(plans):
+            return
+        release = plans[index][0]
+        if now < release:
+            self.sim.at(now + (release - now), self._sender_send, sender, index)
+        else:
+            self._sender_send(sender, index)
+
+    def _sender_send(self, sender, index: int) -> None:
+        op, proc, plans = sender
+        if self._alive(proc):
+            _release, dep, dests = plans[index]
             self.network.dispatch(
                 dep, proc, dests, payload=self._values.get((op, proc))
             )
+            self._sender_wait(sender, index + 1)
 
     # ------------------------------------------------------------------
     # Communication units: Solution-1 watchdogs (Figure 12's OpComm)
     # ------------------------------------------------------------------
-    def _watchdog(self, op: str, dep: DependencyKey, watcher: str):
+    def _watch(self, key: Tuple[str, DependencyKey, str], start: int) -> None:
         """One OpComm instance: watch the message of ``dep``, take over.
 
         Mirrors Figure 12: ``m`` starts at the main; flagged
         candidates are skipped without waiting; a timeout marks the
-        candidate's unit failed and advances ``m``; if ``m`` reaches
-        the watcher, it sends the result itself.
+        candidate's unit failed and advances ``m`` (the rung ``start``
+        walks on from); if ``m`` reaches the watcher, it sends the
+        result itself.
         """
-        observed = self._observed[dep]
-        for entry in self.plan.ladders[(op, dep, watcher)]:
+        _op, dep, watcher = key
+        ladder = self.plan.ladders[key]
+        for index in range(start, len(ladder)):
             if not self._alive(watcher):
                 return
+            entry = ladder[index]
             if entry.candidate in self.flags[watcher]:
                 continue  # already known faulty: no wait (Figure 12)
-            outcome = yield WaitAny(
-                (observed,), deadline=entry.deadline + DEADLINE_SLACK
-            )
-            if not self._alive(watcher):
-                return
-            if outcome is not None:
-                return  # a healthier candidate sent: nothing to do
-            self._declare_faulty(op, watcher, entry.candidate)
+            self._waiting[key] = index
+            if not self.sim.wait(self._observed, dep, self._woken, key, (index, True)):
+                return self._woken(key, (index, True))  # answered at once
+            deadline = entry.deadline + DEADLINE_SLACK
+            return self.sim.at(deadline, self._woken, key, (index, False))
         # Every earlier candidate is believed dead: the watcher is the
         # effective main for this message.
-        if observed.fired:
+        if self._observed.get(dep, ()) is not None:
+            self._take_over(key, None)
+
+    def _woken(self, key: Tuple[str, DependencyKey, str], wake) -> None:
+        """The observe fired or the deadline passed, whichever first: a
+        waker of an earlier wait finds another rung pending or none."""
+        index, observed = wake
+        if self._waiting.get(key) != index:
             return
-        yield Wait(self._produced[(op, watcher)])
+        del self._waiting[key]
+        op, _dep, watcher = key
+        if not self._alive(watcher) or observed:
+            return  # a healthier candidate sent: nothing to do
+        self._declare_faulty(op, watcher, self.plan.ladders[key][index].candidate)
+        self._watch(key, index + 1)
+
+    def _take_over(self, key: Tuple[str, DependencyKey, str], _unused) -> None:
+        op, dep, watcher = key
+        if self.sim.wait(self._produced, (op, watcher), self._take_over, key, None):
+            return
         if not self._alive(watcher):
             return
         dests = [d for d in self.plan.destinations[dep] if d != watcher]
@@ -323,7 +369,7 @@ class ExecutiveRuntime:
             )
         # The watcher's own send is, of course, observed by the
         # remaining (later) watchers.
-        self.sim.fire(observed)
+        self.sim.fire(self._observed, dep)
 
     def _declare_faulty(self, op: str, watcher: str, suspect: str) -> None:
         if suspect in self.flags[watcher]:

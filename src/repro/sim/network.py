@@ -52,6 +52,8 @@ class NetworkRuntime:
         problem: Problem,
         scenario: FailureScenario,
         trace: IterationTrace,
+        on_deliver: DeliverCallback,
+        on_observe: ObserveCallback,
     ) -> None:
         self._sim = sim
         self._problem = problem
@@ -63,9 +65,8 @@ class NetworkRuntime:
         self._busy_until: Dict[str, float] = {
             link: 0.0 for link in self._arch.link_names
         }
-        #: Set by the executive before the simulation starts.
-        self.on_deliver: Optional[DeliverCallback] = None
-        self.on_observe: Optional[ObserveCallback] = None
+        self._on_deliver = on_deliver
+        self._on_observe = on_observe
 
     # ------------------------------------------------------------------
     # Public API
@@ -103,11 +104,12 @@ class NetworkRuntime:
         link: str,
         takeover: bool,
         payload: object = None,
-        then: Optional[Callable[[float], None]] = None,
+        route: Optional[Tuple[HopPlan, int]] = None,
     ) -> None:
         """Queue one frame on ``link``; deliver (or lose) it when done.
 
-        ``then(end_time)`` continues a multi-hop route after delivery.
+        ``route`` (hops, next index) continues a multi-hop route after
+        delivery.
         """
         duration = self._comm.duration(dep, link)
         start = max(self._sim.now, self._busy_until[link])
@@ -132,22 +134,26 @@ class NetworkRuntime:
                 takeover=takeover,
             )
         )
-        if not delivered:
-            return
+        if delivered:
+            self._sim.at(
+                end, self._complete,
+                (dep, sender, dests, link, takeover, payload, route), end,
+            )
 
-        def complete() -> None:
-            # The executive decides what is observable (bus snooping
-            # vs. oracle detection), so every completed frame is
-            # reported together with its carrying link.
-            if self.on_observe is not None:
-                self.on_observe(dep, sender, link, end)
-            for dest in dests:
-                if self.on_deliver is not None and self._scenario.alive_at(dest, end):
-                    self.on_deliver(dep, dest, end, payload)
-            if then is not None:
-                then(end)
-
-        self._sim.call_at(end, complete)
+    def _complete(self, frame: tuple, end: float) -> None:
+        """A frame finished transmission: observe, deliver, relay on."""
+        dep, sender, dests, link, takeover, payload, route = frame
+        # The executive decides what is observable (bus snooping vs.
+        # oracle detection), so every completed frame is reported
+        # together with its carrying link.
+        self._on_observe(dep, sender, link, end)
+        for dest in dests:
+            if self._scenario.alive_at(dest, end):
+                self._on_deliver(dep, dest, end, payload)
+        if route is not None:
+            # The relay forwards only if alive when the data reached it
+            # (checked by _emit's alive_at on the next hop's sender).
+            self._forward(dep, route[0], route[1], takeover, payload)
 
     def is_bus(self, link: str) -> bool:
         """True when ``link`` is a multi-point link."""
@@ -179,12 +185,6 @@ class NetworkRuntime:
             return
         hop_from, hop_to, link, _duration = hops[index]
         is_last = index == len(hops) - 1
-
-        def continue_route(_end: float) -> None:
-            # The relay forwards only if alive when the data reached it
-            # (checked by _emit's alive_at on the next hop's sender).
-            self._forward(dep, hops, index + 1, takeover, payload)
-
         self._emit(
             dep,
             hop_from,
@@ -192,5 +192,5 @@ class NetworkRuntime:
             link,
             takeover,
             payload,
-            then=None if is_last else continue_route,
+            route=None if is_last else (hops, index + 1),
         )

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.executive_plan import OpRow
 from ..core.schedule import Schedule, ScheduleSemantics
-from .engine import Delay, LazyEvents, Simulator, Wait
+from .engine import EventTable, Simulator
 from .faults import FailureScenario
 from .network import NetworkRuntime
 from .trace import IterationTrace
@@ -122,19 +122,18 @@ def simulate_pipelined(
 
     sim = Simulator()
     trace = IterationTrace(scenario_name=f"pipelined(T={period:g})")
-    network = NetworkRuntime(sim, problem, scenario, trace)
+    # Event tables (see repro.sim.engine): ``(dep, proc, iteration)``
+    # arrivals, ``(op, proc, iteration)`` productions.
+    data: EventTable = {}
+    produced: EventTable = {}
+    wait, fire = sim.wait, sim.fire
 
-    # ``(dep, proc, iteration)`` arrivals, ``(op, proc, iteration)``
-    # productions: each event is created on first use.
-    data = LazyEvents()
-    produced = LazyEvents()
+    def on_deliver(dep: DependencyKey, dest: str, time: float, iteration) -> None:
+        fire(data, (dep, dest, iteration))  # a frame's payload: its iteration
 
-    def on_deliver(dep: DependencyKey, dest: str, time: float, payload) -> None:
-        iteration = payload
-        sim.fire(data[(dep, dest, iteration)])
-
-    network.on_deliver = on_deliver
-    network.on_observe = lambda *args: None
+    network = NetworkRuntime(
+        sim, problem, scenario, trace, on_deliver, lambda *_frame: None
+    )
 
     plan = schedule.executive_plan
     outputs = plan.outputs
@@ -145,59 +144,93 @@ def simulate_pipelined(
     def alive(proc: str) -> bool:
         return scenario.alive_at(proc, sim.now)
 
-    def computation_unit(proc: str, rows: Tuple[OpRow, ...]):
-        for iteration in range(iterations):
-            release = iteration * period
-            for op, _proc, preds, duration, out_deps, is_output, _ in rows:
-                if not preds and sim.now < release:
-                    # Input extios sample the event of *this* iteration,
-                    # which exists only from its release date on.
-                    yield Delay(release - sim.now)
-                for pred in preds:
-                    yield Wait(data[((pred, op), proc, iteration)])
-                if not alive(proc):
-                    return
-                start = sim.now
-                yield Delay(duration)
-                end = sim.now
-                if not scenario.alive_through(proc, start, end):
-                    return
-                for dep in out_deps:
-                    sim.fire(data[(dep, proc, iteration)])
-                sim.fire(produced[(op, proc, iteration)])
-                if is_output:
-                    key = (iteration, op)
-                    if key not in first_output:
-                        first_output[key] = end
-                    if all(
-                        (iteration, out) in first_output for out in outputs
-                    ):
-                        completion[iteration] = max(
-                            first_output[(iteration, out)] for out in outputs
-                        )
-
-    def sender(op: str, proc: str, out_deps: Tuple[DependencyKey, ...]):
-        for iteration in range(iterations):
-            yield Wait(produced[(op, proc, iteration)])
-            if not alive(proc):
+    # A computation unit runs its rows once per iteration, at position
+    # ``(iteration, index)``; a sender sends its plans in ``out_deps``
+    # order once per iteration.  Both are explicit-state callbacks.
+    def unit_ready(unit: Tuple[str, Tuple[OpRow, ...]], position) -> None:
+        proc, rows = unit
+        iteration, index = position
+        if iteration == iterations or not rows:
+            return
+        op, _proc, preds, _duration, _out, _output, _ = rows[index]
+        if not preds:
+            release, now = iteration * period, sim.now
+            if now < release:
+                # Input extios sample the event of *this* iteration,
+                # which exists only from its release date on.
+                return sim.at(now + (release - now), unit_start, unit, position)
+        for pred in preds:
+            if wait(data, ((pred, op), proc, iteration), unit_ready, unit, position):
                 return
-            for dep in out_deps:
-                dests = [d for d in plan.destinations[dep] if d != proc]
-                if not dests:
-                    continue
-                planned = plan.planned_release[(dep, proc)]
-                if planned is not None:
-                    target = iteration * period + planned
-                    if sim.now < target:
-                        yield Delay(target - sim.now)
-                if not alive(proc):
-                    return
-                network.dispatch(dep, proc, dests, payload=iteration)
+        unit_start(unit, position)
+
+    def unit_start(unit: Tuple[str, Tuple[OpRow, ...]], position) -> None:
+        proc, rows = unit
+        if alive(proc):
+            iteration, index = position
+            start = sim.now
+            sim.at(start + rows[index][3], unit_done, unit, (iteration, index, start))
+
+    def unit_done(unit: Tuple[str, Tuple[OpRow, ...]], position) -> None:
+        proc, rows = unit
+        iteration, index, start = position
+        op, _proc, _preds, _duration, out_deps, is_output, _ = rows[index]
+        end = sim.now
+        if not scenario.alive_through(proc, start, end):
+            return
+        for dep in out_deps:
+            fire(data, (dep, proc, iteration))
+        fire(produced, (op, proc, iteration))
+        if is_output:
+            key = (iteration, op)
+            if key not in first_output:
+                first_output[key] = end
+            if all((iteration, out) in first_output for out in outputs):
+                completion[iteration] = max(
+                    first_output[(iteration, out)] for out in outputs
+                )
+        next_row = (iteration, index + 1)
+        unit_ready(unit, next_row if index + 1 < len(rows) else (iteration + 1, 0))
+
+    def sender_ready(sender, iteration: int) -> None:
+        op, proc, _plans = sender
+        if iteration == iterations:
+            return
+        if wait(produced, (op, proc, iteration), sender_ready, sender, iteration):
+            return
+        if alive(proc):
+            sender_wait(sender, (iteration, 0))
+
+    def sender_wait(sender, position) -> None:
+        """Wait for the planned date of send ``index`` if it is ahead."""
+        iteration, index = position
+        plans = sender[2]
+        if index == len(plans):
+            return sender_ready(sender, iteration + 1)
+        planned = plans[index][0]
+        if planned is not None:
+            target, now = iteration * period + planned, sim.now
+            if now < target:
+                return sim.at(now + (target - now), sender_send, sender, position)
+        sender_send(sender, position)
+
+    def sender_send(sender, position) -> None:
+        _op, proc, plans = sender
+        if alive(proc):
+            iteration, index = position
+            _planned, dep, dests = plans[index]
+            network.dispatch(dep, proc, dests, payload=iteration)
+            sender_wait(sender, (iteration, index + 1))
 
     for proc, rows in plan.timelines.items():
-        sim.process(computation_unit(proc, rows))
+        sim.at(0.0, unit_ready, (proc, rows), (0, 0))
     for row in plan.senders:
-        sim.process(sender(row.op, row.processor, row.out_deps))
+        plans = []
+        for dep in row.out_deps:
+            dests = [d for d in plan.destinations[dep] if d != row.processor]
+            if dests:
+                plans.append((plan.planned_release[(dep, row.processor)], dep, dests))
+        sim.at(0.0, sender_ready, (row.op, row.processor, tuple(plans)), 0)
 
     sim.run()
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import instrumented
-from repro.sim.engine import Delay, SimulationError, Simulator, Wait, WaitAny
+from repro.sim.engine import SimulationError, Simulator
+
+from .test_engine import record, timed_wait
 
 FAST = settings(max_examples=50, deadline=None)
 
@@ -25,8 +27,12 @@ class TestTimerOrdering:
     def test_callbacks_fire_in_nondecreasing_time_order(self, dates):
         sim = Simulator()
         fired = []
+
+        def note(fired, date):
+            fired.append((sim.now, date))
+
         for date in dates:
-            sim.call_at(date, lambda d=date: fired.append((sim.now, d)))
+            sim.at(date, note, fired, date)
         sim.run()
         observed = [now for now, _ in fired]
         assert observed == sorted(observed)
@@ -43,7 +49,7 @@ class TestTimerOrdering:
     def test_final_time_is_latest_callback(self, dates):
         sim = Simulator()
         for date in dates:
-            sim.call_at(date, lambda: None)
+            sim.at(date, record, [], None)
         assert sim.run() == pytest.approx(max(dates))
 
 
@@ -60,12 +66,13 @@ class TestProcessDelays:
         sim = Simulator()
         seen = []
 
-        def proc():
-            for delay in delays:
-                yield Delay(delay)
+        def step(seen, index):
+            if index:
                 seen.append(sim.now)
+            if index < len(delays):
+                sim.at(sim.now + delays[index], step, seen, index + 1)
 
-        sim.process(proc())
+        sim.at(0.0, step, seen, 0)
         sim.run()
         expected = []
         total = 0.0
@@ -85,19 +92,21 @@ class TestEventSemantics:
     def test_wait_gets_the_value_regardless_of_ordering(
         self, fire_at, wait_from, value
     ):
-        """Level-triggered events: waiting before or after the fire
-        date yields the same value; resume time is max(fire, wait)."""
+        """Level-triggered keys: waiting before or after the fire date
+        goes on with the same value; resume time is max(fire, wait)."""
         sim = Simulator()
-        event = sim.event()
+        table = {}
         got = []
 
-        def waiter():
-            yield Delay(wait_from)
-            received = yield Wait(event)
+        def resumed(got, received):
             got.append((sim.now, received))
 
-        sim.process(waiter())
-        sim.call_at(fire_at, lambda: sim.fire(event, value))
+        def waiter(got, value):
+            if not sim.wait(table, "e", resumed, got, value):
+                resumed(got, value)
+
+        sim.at(wait_from, waiter, got, value)
+        sim.at(fire_at, sim.fire, table, "e")
         sim.run()
         (resumed_at, received) = got[0]
         assert received == value
@@ -110,15 +119,10 @@ class TestEventSemantics:
     )
     def test_waitany_outcome_matches_the_race(self, deadline, fire_at):
         sim = Simulator()
-        event = sim.event()
+        table = {}
         outcomes = []
-
-        def waiter():
-            outcome = yield WaitAny((event,), deadline=deadline)
-            outcomes.append((sim.now, outcome))
-
-        sim.process(waiter())
-        sim.call_at(fire_at, lambda: sim.fire(event))
+        timed_wait(sim, table, ("e",), deadline, outcomes)
+        sim.at(fire_at, sim.fire, table, "e")
         sim.run()
         resumed_at, outcome = outcomes[0]
         if fire_at < deadline:
@@ -134,12 +138,20 @@ class TestEventSemantics:
     @FAST
     @given(values=st.lists(st.integers(), min_size=2, max_size=8))
     def test_first_fire_wins_always(self, values):
+        """Only the first fire pushes the waiters; later fires of the
+        key find it fired and push nothing."""
         sim = Simulator()
-        event = sim.event()
-        for index, value in enumerate(values):
-            sim.call_at(float(index), lambda v=value: sim.fire(event, v))
-        sim.run()
-        assert event.value == values[0]
+        table = {}
+        log = []
+        for value in values:
+            sim.wait(table, "e", record, log, value)
+        for index in range(len(values)):
+            sim.at(float(index), sim.fire, table, "e")
+        with instrumented() as session:
+            sim.run()
+        assert log == values
+        assert table == {"e": None}
+        assert session.registry.counter_value("sim.engine.events") == 2 * len(values)
 
 
 # ----------------------------------------------------------------------
@@ -148,22 +160,16 @@ class TestEventSemantics:
 class _ReferenceEvent:
     """The event of the reference kernel: waiters are zero-arg closures."""
 
-    def __init__(self, name=""):
-        self.name = name
+    def __init__(self):
         self.fired = False
-        self.value = None
-        self.fire_time = None
         self._waiters = []
-
-    def add_waiter(self, callback):
-        self._waiters.append(callback)
 
 
 class ReferenceSimulator:
-    """The simulation kernel as it was before the closure-free rewrite:
-    a heap of ``(time, seq, callback)``, one lambda per process start
-    and per delay, and a ``done`` dict plus one closure per waited event
-    and per deadline.  Kept as the oracle of the differential test."""
+    """The kernel written with closures and event objects: a heap of
+    ``(time, seq, callback)`` with one lambda per scheduled callback and
+    per waiter, and tables that map a key to an event object created on
+    first use.  Kept as the oracle of the differential test."""
 
     def __init__(self):
         self.now = 0.0
@@ -176,64 +182,28 @@ class ReferenceSimulator:
             raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
         heapq.heappush(self._heap, (max(time, self.now), next(self._sequence), callback))
 
-    def call_after(self, delay, callback):
-        self.call_at(self.now + delay, callback)
+    def at(self, time, fn, a, b):
+        self.call_at(time, lambda: fn(a, b))
 
-    def event(self, name=""):
-        return _ReferenceEvent(name)
+    def wait(self, table, key, fn, a, b):
+        event = table.setdefault(key, _ReferenceEvent())
+        if event.fired:
+            return False
+        event._waiters.append(lambda: fn(a, b))
+        return True
 
-    def fire(self, event, value=None):
+    def fire(self, table, key):
+        event = table.setdefault(key, _ReferenceEvent())
         if event.fired:
             return
         event.fired = True
-        event.value = value
-        event.fire_time = self.now
         waiters, event._waiters = event._waiters, []
         for callback in waiters:
             self.call_at(self.now, callback)
 
-    def process(self, body):
-        self.call_at(self.now, lambda: self._step(body, None))
-
-    def _step(self, body, send_value):
-        try:
-            command = body.send(send_value)
-        except StopIteration:
-            return
-        self._dispatch(body, command)
-
-    def _dispatch(self, body, command):
-        if isinstance(command, Delay):
-            self.call_after(command.duration, lambda: self._step(body, None))
-        elif isinstance(command, Wait):
-            self._wait_any(body, (command.event,), None, single=True)
-        elif isinstance(command, WaitAny):
-            self._wait_any(body, command.events, command.deadline, single=False)
-        else:
-            raise SimulationError(f"unknown simulation command: {command!r}")
-
-    def _wait_any(self, body, events, deadline, single):
-        done = {"resumed": False}
-
-        def resume(result):
-            if done["resumed"]:
-                return
-            done["resumed"] = True
-            self._step(body, result)
-
-        for index, event in enumerate(events):
-            if event.fired:
-                resume(event.value if single else index)
-                return
-
-        for index, event in enumerate(events):
-            def on_fire(idx=index, ev=event):
-                resume(ev.value if single else idx)
-
-            event.add_waiter(on_fire)
-
-        if deadline is not None:
-            self.call_at(deadline, lambda: resume(None))
+    @staticmethod
+    def fired(table, key):
+        return key in table and table[key].fired
 
     def run(self, until=None):
         while self._heap:
@@ -248,6 +218,10 @@ class ReferenceSimulator:
         return self.now
 
 
+def _table_fired(table, key):
+    return table.get(key, ()) is None
+
+
 #: Dates on a coarse grid, so that fires, delays and deadlines tie often.
 _DATES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
 _EVENTS = 4
@@ -260,71 +234,93 @@ _STEP = st.one_of(
         st.lists(st.integers(0, _EVENTS - 1), min_size=1, max_size=3),
         st.one_of(st.none(), _DATES),
     ),
-    st.tuples(st.just("fire"), st.integers(0, _EVENTS - 1), st.integers(0, 9)),
+    st.tuples(st.just("fire"), st.integers(0, _EVENTS - 1)),
     st.tuples(st.just("waiter"), st.integers(0, _EVENTS - 1)),
 )
 
 _PROGRAM = st.fixed_dictionaries(
     {
         "processes": st.lists(st.lists(_STEP, max_size=8), min_size=1, max_size=5),
-        # call_at callbacks: (date, event, value) fires.
+        # Scheduled callbacks: (date, event) fires.
         "fires": st.lists(
-            st.tuples(_DATES, st.integers(0, _EVENTS - 1), st.integers(0, 9)),
-            max_size=5,
+            st.tuples(_DATES, st.integers(0, _EVENTS - 1)), max_size=5
         ),
-        # add_waiter callbacks registered before the run.
+        # Plain waiters registered before the run.
         "waiters": st.lists(st.integers(0, _EVENTS - 1), max_size=4),
         "until": st.one_of(st.none(), _DATES),
     }
 )
 
 
-def _run_program(sim, program):
-    """Interpret ``program`` on ``sim``; return the callback log, the
-    final time and each event's ``(value, fire_time)``."""
+def _run_program(sim, program, fired):
+    """Interpret ``program`` on ``sim`` as explicit-state callbacks (a
+    process's position is ``(pid, step index)``); return the callback
+    log, the final time and which event keys fired."""
     log = []
-    events = [sim.event(f"e{index}") for index in range(_EVENTS)]
+    table = {}
+    #: pid -> the step index of its pending timed wait.
+    waiting = {}
+    processes = program["processes"]
 
-    def body(pid, steps):
+    def note(label, _unused):
+        log.append((sim.now, label))
+
+    def start(pid, _unused):
         log.append((sim.now, f"p{pid} start"))
-        for index, step in enumerate(steps):
-            label = f"p{pid}.{index}"
+        run(pid, 0)
+
+    def resumed(pid, position):
+        index, what = position
+        log.append((sim.now, f"p{pid}.{index} {what}"))
+        run(pid, index + 1)
+
+    def woken(pid, position):
+        index, outcome = position
+        if waiting.get(pid) != index:
+            return
+        del waiting[pid]
+        resumed(pid, (index, f"any={outcome}"))
+
+    def run(pid, index):
+        """Run process ``pid`` from step ``index`` until it blocks."""
+        steps = processes[pid]
+        while index < len(steps):
+            step, label = steps[index], f"p{pid}.{index}"
             kind = step[0]
             if kind == "delay":
-                yield Delay(step[1])
-                log.append((sim.now, f"{label} delay"))
-            elif kind == "wait":
-                value = yield Wait(events[step[1]])
-                log.append((sim.now, f"{label} wait={value}"))
-            elif kind == "waitany":
-                # A deadline relative to now, so it never lies in the past.
-                deadline = None if step[2] is None else sim.now + step[2]
-                outcome = yield WaitAny(
-                    tuple(events[i] for i in step[1]), deadline=deadline
-                )
-                log.append((sim.now, f"{label} any={outcome}"))
-            elif kind == "fire":
-                sim.fire(events[step[1]], step[2])
+                return sim.at(sim.now + step[1], resumed, pid, (index, "delay"))
+            if kind == "wait":
+                if not sim.wait(table, step[1], resumed, pid, (index, "wait")):
+                    return resumed(pid, (index, "wait"))
+                return
+            if kind == "waitany":
+                waiting[pid] = index
+                for position, key in enumerate(step[1]):
+                    if not sim.wait(table, key, woken, pid, (index, position)):
+                        return woken(pid, (index, position))
+                if step[2] is not None:
+                    # A deadline relative to now, so never in the past.
+                    sim.at(sim.now + step[2], woken, pid, (index, None))
+                return
+            if kind == "fire":
+                sim.fire(table, step[1])
                 log.append((sim.now, f"{label} fire"))
-            else:
-                events[step[1]].add_waiter(
-                    lambda label=label: log.append((sim.now, f"{label} waiter"))
-                )
+            elif not sim.wait(table, step[1], note, f"{label} waiter", None):
+                log.append((sim.now, f"{label} fired before"))
+            index += 1
 
-    for pid, steps in enumerate(program["processes"]):
-        sim.process(body(pid, steps))
-    for index, (date, event, value) in enumerate(program["fires"]):
-        def fire(index=index, event=event, value=value):
+    for pid in range(len(processes)):
+        sim.at(0.0, start, pid, None)
+    for index, (date, event) in enumerate(program["fires"]):
+        def fire(index, event):
             log.append((sim.now, f"call{index}"))
-            sim.fire(events[event], value)
+            sim.fire(table, event)
 
-        sim.call_at(date, fire)
+        sim.at(date, fire, index, event)
     for index, event in enumerate(program["waiters"]):
-        events[event].add_waiter(
-            lambda index=index: log.append((sim.now, f"waiter{index}"))
-        )
+        sim.wait(table, event, note, f"waiter{index}", None)
     final = sim.run(until=program["until"])
-    return log, final, [(e.value, e.fire_time) for e in events]
+    return log, final, [fired(table, key) for key in range(_EVENTS)]
 
 
 class TestKernelMatchesReference:
@@ -332,9 +328,9 @@ class TestKernelMatchesReference:
     @given(program=_PROGRAM)
     def test_same_log_and_event_count(self, program):
         reference = ReferenceSimulator()
-        expected = _run_program(reference, program)
+        expected = _run_program(reference, program, reference.fired)
         with instrumented() as session:
-            got = _run_program(Simulator(), program)
+            got = _run_program(Simulator(), program, _table_fired)
         assert got == expected
         assert session.registry.counter_value("sim.engine.events") == (
             reference.processed
@@ -342,27 +338,19 @@ class TestKernelMatchesReference:
 
     def test_public_errors_are_kept(self):
         sim = Simulator()
-        sim.call_at(2.0, lambda: None)
+        sim.at(2.0, record, [], None)
         sim.run()
         with pytest.raises(SimulationError, match="in the past"):
-            sim.call_at(1.0, lambda: None)
-        with pytest.raises(SimulationError, match="negative delay"):
-            Delay(-0.5)
-
-        def bad():
-            yield 42
-
-        sim.process(bad())
-        with pytest.raises(SimulationError, match="unknown simulation command"):
-            sim.run()
+            sim.at(1.0, record, [], None)
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.at(sim.now - 0.5, record, [], None)
 
     def test_waitany_deadline_in_the_past_is_rejected(self):
         sim = Simulator()
 
-        def late():
-            yield Delay(3.0)
-            yield WaitAny((sim.event(),), deadline=1.0)
+        def late(_a, _b):
+            timed_wait(sim, {}, ("e",), 1.0, [])
 
-        sim.process(late())
+        sim.at(3.0, late, None, None)
         with pytest.raises(SimulationError, match="in the past"):
             sim.run()

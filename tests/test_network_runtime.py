@@ -12,23 +12,28 @@ from repro.sim.trace import IterationTrace
 def make_network(problem, scenario=None):
     sim = Simulator()
     trace = IterationTrace()
-    network = NetworkRuntime(sim, problem, scenario or FailureScenario.none(), trace)
     deliveries = []
     observations = []
-    network.on_deliver = lambda dep, dest, t, payload=None: deliveries.append(
-        (dep, dest, t)
-    )
-    network.on_observe = lambda dep, sender, link, t: observations.append(
-        (dep, sender, link, t)
+    network = NetworkRuntime(
+        sim,
+        problem,
+        scenario or FailureScenario.none(),
+        trace,
+        lambda dep, dest, t, payload=None: deliveries.append((dep, dest, t)),
+        lambda dep, sender, link, t: observations.append((dep, sender, link, t)),
     )
     return sim, network, trace, deliveries, observations
+
+
+def _call(callback, _unused):
+    callback()
 
 
 class TestBusDispatch:
     def test_broadcast_single_frame(self):
         problem = first_example_problem(1)
         sim, network, trace, deliveries, observations = make_network(problem)
-        sim.call_at(1.0, lambda: network.dispatch(("A", "B"), "P1", ["P2", "P3"]))
+        sim.at(1.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P2", "P3"]), None)
         sim.run()
         assert len(trace.frames) == 1
         frame = trace.frames[0]
@@ -45,7 +50,7 @@ class TestBusDispatch:
             network.dispatch(("A", "B"), "P1", ["P2"])
             network.dispatch(("A", "C"), "P1", ["P3"])
 
-        sim.call_at(0.0, send_two)
+        sim.at(0.0, _call, send_two, None)
         sim.run()
         assert trace.frames[0].end == pytest.approx(0.5)
         assert trace.frames[1].start == pytest.approx(0.5)
@@ -53,7 +58,7 @@ class TestBusDispatch:
     def test_self_destination_ignored(self):
         problem = first_example_problem(1)
         sim, network, trace, deliveries, _ = make_network(problem)
-        sim.call_at(0.0, lambda: network.dispatch(("A", "B"), "P1", ["P1"]))
+        sim.at(0.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P1"]), None)
         sim.run()
         assert trace.frames == []
         assert deliveries == []
@@ -64,7 +69,7 @@ class TestFailures:
         problem = first_example_problem(1)
         scenario = FailureScenario.crash("P1", at=0.5)
         sim, network, trace, deliveries, _ = make_network(problem, scenario)
-        sim.call_at(1.0, lambda: network.dispatch(("A", "B"), "P1", ["P2"]))
+        sim.at(1.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P2"]), None)
         sim.run()
         assert trace.frames == []
         assert deliveries == []
@@ -73,7 +78,7 @@ class TestFailures:
         problem = first_example_problem(1)
         scenario = FailureScenario.crash("P1", at=1.2)
         sim, network, trace, deliveries, _ = make_network(problem, scenario)
-        sim.call_at(1.0, lambda: network.dispatch(("A", "B"), "P1", ["P2"]))
+        sim.at(1.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P2"]), None)
         sim.run()
         assert len(trace.frames) == 1
         assert not trace.frames[0].delivered
@@ -83,7 +88,7 @@ class TestFailures:
         problem = first_example_problem(1)
         scenario = FailureScenario.crash("P3", at=0.0)
         sim, network, trace, deliveries, _ = make_network(problem, scenario)
-        sim.call_at(1.0, lambda: network.dispatch(("A", "B"), "P1", ["P2", "P3"]))
+        sim.at(1.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P2", "P3"]), None)
         sim.run()
         assert [d[1] for d in deliveries] == ["P2"]
 
@@ -92,7 +97,7 @@ class TestRoutedTransfers:
     def test_two_hop_route_store_and_forward(self):
         problem = figure8_problem()
         sim, network, trace, deliveries, _ = make_network(problem)
-        sim.call_at(0.0, lambda: network.dispatch(("A", "B"), "P1", ["P3"]))
+        sim.at(0.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P3"]), None)
         sim.run()
         assert [f.link for f in trace.frames] == ["L1.2", "L2.3"]
         assert trace.frames[1].start == pytest.approx(trace.frames[0].end)
@@ -103,7 +108,7 @@ class TestRoutedTransfers:
         problem = figure8_problem()
         scenario = FailureScenario.crash("P2", at=0.0)
         sim, network, trace, deliveries, _ = make_network(problem, scenario)
-        sim.call_at(0.0, lambda: network.dispatch(("A", "B"), "P1", ["P3"]))
+        sim.at(0.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P3"]), None)
         sim.run()
         # First hop transmits (P1 alive) but P2 never forwards.
         assert [f.link for f in trace.frames] == ["L1.2"]
@@ -115,7 +120,7 @@ class TestRoutedTransfers:
         sim, network, trace, deliveries, _ = make_network(problem, scenario)
         # A->B costs 0.5 per hop; P2 receives at 0.5, dies at 0.6,
         # so the forward (0.5-1.0) is lost mid-frame.
-        sim.call_at(0.0, lambda: network.dispatch(("A", "B"), "P1", ["P3"]))
+        sim.at(0.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P3"]), None)
         sim.run()
         assert len(trace.frames) == 2
         assert trace.frames[0].delivered
