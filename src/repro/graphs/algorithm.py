@@ -31,10 +31,10 @@ Operations come in three kinds (Section 4.2 of the paper):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+import heapq
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "OperationKind",
@@ -145,13 +145,21 @@ class AlgorithmGraph:
 
     Operations are added with :meth:`add_operation` (or the
     ``add_comp`` / ``add_mem`` / ``add_input`` / ``add_output``
-    shorthands) and wired with :meth:`add_dependency`.
+    shorthands) and wired with :meth:`add_dependency`.  Each call
+    updates plain tables (the dependency records per source, the sorted
+    predecessor and successor names per operation), so queries read
+    them without sorting or searching.
     """
 
     def __init__(self, name: str = "algorithm") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._operations: Dict[str, Operation] = {}
+        # Per source, its dependency records keyed by destination; both
+        # levels keep insertion order (the order of ``dependencies``).
+        self._out: Dict[str, Dict[str, Dependency]] = {}
+        # Per operation, its predecessor and successor names, sorted.
+        self._preds: Dict[str, Tuple[str, ...]] = {}
+        self._succs: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -161,12 +169,13 @@ class AlgorithmGraph:
 
         Raises :class:`AlgorithmGraphError` on duplicate names.
         """
-        if operation.name in self._operations:
-            raise AlgorithmGraphError(
-                f"duplicate operation name {operation.name!r}"
-            )
-        self._operations[operation.name] = operation
-        self._graph.add_node(operation.name)
+        name = operation.name
+        if name in self._operations:
+            raise AlgorithmGraphError(f"duplicate operation name {name!r}")
+        self._operations[name] = operation
+        self._out[name] = {}
+        self._preds[name] = ()
+        self._succs[name] = ()
         return operation
 
     def add_comp(self, name: str) -> Operation:
@@ -195,9 +204,11 @@ class AlgorithmGraph:
             if end not in self._operations:
                 raise AlgorithmGraphError(f"unknown operation {end!r}")
         dep = Dependency(src, dst, label)
-        if self._graph.has_edge(src, dst):
+        if dst in self._out[src]:
             raise AlgorithmGraphError(f"duplicate dependency {dep}")
-        self._graph.add_edge(src, dst, dependency=dep)
+        self._out[src][dst] = dep
+        self._succs[src] = _insert_sorted(self._succs[src], dst)
+        self._preds[dst] = _insert_sorted(self._preds[dst], src)
         return dep
 
     # ------------------------------------------------------------------
@@ -231,27 +242,34 @@ class AlgorithmGraph:
 
     @property
     def dependencies(self) -> List[Dependency]:
-        """All data-dependencies, in edge insertion order."""
-        return [data["dependency"] for _, _, data in self._graph.edges(data=True)]
+        """All data-dependencies, source-major: the sources in operation
+        insertion order, then each source's dependencies in the order
+        they were added (not the global order of the
+        :meth:`add_dependency` calls)."""
+        return [dep for out in self._out.values() for dep in out.values()]
 
     def dependency(self, src: str, dst: str) -> Dependency:
         """Return the dependency ``src -> dst``."""
         try:
-            return self._graph.edges[src, dst]["dependency"]
+            return self._out[src][dst]
         except KeyError:
             raise AlgorithmGraphError(
                 f"unknown dependency {src!r} -> {dst!r}"
             ) from None
 
     def predecessors(self, name: str) -> List[str]:
-        """Names of the operations producing inputs of ``name``."""
-        self.operation(name)
-        return sorted(self._graph.predecessors(name))
+        """Names of the operations producing inputs of ``name``, sorted."""
+        try:
+            return list(self._preds[name])
+        except KeyError:
+            raise AlgorithmGraphError(f"unknown operation {name!r}") from None
 
     def successors(self, name: str) -> List[str]:
-        """Names of the operations consuming outputs of ``name``."""
-        self.operation(name)
-        return sorted(self._graph.successors(name))
+        """Names of the operations consuming outputs of ``name``, sorted."""
+        try:
+            return list(self._succs[name])
+        except KeyError:
+            raise AlgorithmGraphError(f"unknown operation {name!r}") from None
 
     def in_dependencies(self, name: str) -> List[Dependency]:
         """Dependencies entering ``name``."""
@@ -261,42 +279,116 @@ class AlgorithmGraph:
         """Dependencies leaving ``name``."""
         return [self.dependency(name, s) for s in self.successors(name)]
 
+    def arcs(self) -> Iterator[Tuple[str, str, Optional[Dependency]]]:
+        """Every arc of the adjacency tables with its dependency record,
+        or ``None`` where the record table lacks it: the raw storage,
+        for consistency checks (lint rule FT102)."""
+        for src, succs in self._succs.items():
+            records = self._out.get(src, {})
+            for dst in succs:
+                yield src, dst, records.get(dst)
+
     @property
     def inputs(self) -> List[str]:
         """Operations with no predecessor (the input interface)."""
-        return [n for n in self._operations if self._graph.in_degree(n) == 0]
+        return [n for n, preds in self._preds.items() if not preds]
 
     @property
     def outputs(self) -> List[str]:
         """Operations with no successor (the output interface)."""
-        return [n for n in self._operations if self._graph.out_degree(n) == 0]
+        return [n for n, succs in self._succs.items() if not succs]
 
     def topological_order(self) -> List[str]:
         """A deterministic topological order of the operation names.
 
         Ties are broken lexicographically so that all runs of the
-        scheduler are reproducible.
+        scheduler are reproducible: Kahn's algorithm, taking the
+        smallest ready name first.
         """
-        self.check()
-        return list(nx.lexicographical_topological_sort(self._graph))
+        indegree = {name: len(preds) for name, preds in self._preds.items()}
+        ready = [name for name, count in indegree.items() if not count]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for succ in self._succs[name]:
+                indegree[succ] -= 1
+                if not indegree[succ]:
+                    heapq.heappush(ready, succ)
+        if not order or len(order) < len(self._operations):
+            self.check()  # raises: an empty graph, or a cycle
+        return order
 
-    def ancestors(self, name: str) -> set:
+    def ancestors(self, name: str) -> Set[str]:
         """All transitive predecessors of ``name``."""
-        self.operation(name)
-        return nx.ancestors(self._graph, name)
+        return self._reach(name, self._preds)
 
-    def descendants(self, name: str) -> set:
+    def descendants(self, name: str) -> Set[str]:
         """All transitive successors of ``name``."""
-        self.operation(name)
-        return nx.descendants(self._graph, name)
+        return self._reach(name, self._succs)
 
-    def as_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying networkx digraph."""
-        return self._graph.copy()
+    def _reach(self, name: str, table: Dict[str, Tuple[str, ...]]) -> Set[str]:
+        """The names reachable from ``name`` in ``table``, without it."""
+        try:
+            frontier = list(table[name])
+        except KeyError:
+            raise AlgorithmGraphError(f"unknown operation {name!r}") from None
+        seen = set(frontier)
+        while frontier:
+            for nxt in table[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        seen.discard(name)
+        return seen
+
+    def as_networkx(self) -> "networkx.DiGraph":
+        """A networkx copy of the graph, each edge carrying its record
+        as ``dependency``.  An adapter for tests and users: it imports
+        networkx when called, and nothing in the package calls it."""
+        import networkx
+
+        graph = networkx.DiGraph()
+        graph.add_nodes_from(self._operations)
+        for dep in self.dependencies:
+            graph.add_edge(dep.src, dep.dst, dependency=dep)
+        return graph
 
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
+    def find_cycle(self) -> Optional[List[Tuple[str, str]]]:
+        """The arcs of the first cycle a depth-first search meets, or
+        ``None`` when the graph is acyclic.
+
+        The search starts from each operation in insertion order and
+        follows each one's dependencies in insertion order, so the
+        cycle reported is deterministic.
+        """
+        done: Set[str] = set()
+        for start in self._operations:
+            if start in done:
+                continue
+            path = [start]
+            on_path = {start}
+            stack = [iter(self._out[start])]
+            while stack:
+                node = next(stack[-1], None)
+                if node is None:
+                    stack.pop()
+                    finished = path.pop()
+                    on_path.discard(finished)
+                    done.add(finished)
+                elif node in on_path:
+                    cycle = path[path.index(node):] + [node]
+                    return list(zip(cycle, cycle[1:]))
+                elif node not in done:
+                    path.append(node)
+                    on_path.add(node)
+                    stack.append(iter(self._out[node]))
+        return None
+
     def check(self) -> None:
         """Validate structural invariants; raise on violation.
 
@@ -307,9 +399,9 @@ class AlgorithmGraph:
         """
         if not self._operations:
             raise AlgorithmGraphError("algorithm graph is empty")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
-            arcs = ", ".join(f"{u}->{v}" for u, v, *_ in cycle)
+        cycle = self.find_cycle()
+        if cycle:
+            arcs = ", ".join(f"{u}->{v}" for u, v in cycle)
             raise AlgorithmGraphError(f"algorithm graph has a cycle: {arcs}")
 
     def is_valid(self) -> bool:
@@ -330,12 +422,10 @@ class AlgorithmGraph:
         costs are not counted (communication estimates are handled by
         the schedule-pressure pre-pass, see :mod:`repro.core.pressure`).
         """
-        self.check()
         best: Dict[str, float] = {}
         for node in self.topological_order():
-            here = weight[node]
-            preds = list(self._graph.predecessors(node))
-            best[node] = here + (max(best[p] for p in preds) if preds else 0.0)
+            preds = self._preds[node]
+            best[node] = weight[node] + (max(best[p] for p in preds) if preds else 0.0)
         return max(best.values())
 
     def copy(self, name: Optional[str] = None) -> "AlgorithmGraph":
@@ -348,10 +438,17 @@ class AlgorithmGraph:
         return clone
 
     def __repr__(self) -> str:
+        count = sum(len(out) for out in self._out.values())
         return (
             f"AlgorithmGraph({self.name!r}, operations={len(self)}, "
-            f"dependencies={self._graph.number_of_edges()})"
+            f"dependencies={count})"
         )
+
+
+def _insert_sorted(names: Tuple[str, ...], name: str) -> Tuple[str, ...]:
+    """``names`` (sorted) with ``name`` inserted in place."""
+    at = bisect_left(names, name)
+    return names[:at] + (name,) + names[at:]
 
 
 def chain(names: Sequence[str], kind: OperationKind = OperationKind.COMP) -> AlgorithmGraph:

@@ -23,8 +23,9 @@ Links come in two kinds:
 
 The architecture is modeled as a non-oriented hypergraph: vertices are
 computation/communication units; a bus is a single hyperedge joining
-several communication units.  For routing purposes we also expose a
-plain processor-level multigraph.
+several communication units.  For routing purposes we also keep a
+processor-level adjacency map: each processor's one-hop neighbours,
+each with the sorted names of the links joining the two.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
     "LinkKind",
@@ -143,6 +142,8 @@ class Architecture:
         self.name = name
         self._processors: Dict[str, Processor] = {}
         self._links: Dict[str, Link] = {}
+        # processor -> neighbour -> sorted names of the links joining them
+        self._adjacency: Dict[str, Dict[str, Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -153,6 +154,7 @@ class Architecture:
             raise ArchitectureError(f"duplicate processor name {name!r}")
         proc = Processor(name, description)
         self._processors[name] = proc
+        self._adjacency[name] = {}
         return proc
 
     def add_link(self, name: str, proc_a: str, proc_b: str) -> Link:
@@ -171,6 +173,9 @@ class Architecture:
                 raise ArchitectureError(f"unknown processor {proc!r}")
         link = Link(name, endpoints, kind)
         self._links[name] = link
+        for proc_a, proc_b in itertools.permutations(sorted(endpoints), 2):
+            joining = self._adjacency[proc_a].get(proc_b, ()) + (name,)
+            self._adjacency[proc_a][proc_b] = tuple(sorted(joining))
         return link
 
     # ------------------------------------------------------------------
@@ -242,11 +247,14 @@ class Architecture:
 
     def neighbors(self, proc: str) -> List[str]:
         """Processors reachable from ``proc`` in one hop."""
-        seen = set()
-        for link in self.links_of(proc):
-            seen.update(link.endpoints)
-        seen.discard(proc)
-        return sorted(seen)
+        self.processor(proc)
+        return sorted(self._adjacency[proc])
+
+    def adjacency(self) -> Dict[str, Dict[str, Tuple[str, ...]]]:
+        """Processor -> one-hop neighbour -> sorted names of the links
+        joining the two (a bus joins every pair of its processors).
+        A copy: changing it leaves the architecture as it is."""
+        return {proc: dict(nbrs) for proc, nbrs in self._adjacency.items()}
 
     @property
     def is_single_bus(self) -> bool:
@@ -266,14 +274,14 @@ class Architecture:
     # ------------------------------------------------------------------
     # Graph views
     # ------------------------------------------------------------------
-    def routing_graph(self) -> nx.MultiGraph:
-        """Processor-level multigraph used for static routing.
+    def routing_graph(self) -> "networkx.MultiGraph":
+        """Processor-level networkx multigraph, one edge per link per
+        processor pair it joins, keyed by link name.  An adapter for
+        tests and users: it imports networkx when called, and nothing
+        in the package calls it."""
+        import networkx
 
-        A bus contributes one edge per processor pair attached to it
-        (every pair can talk over the bus in one hop); the edge data
-        records the carrying link name.
-        """
-        graph = nx.MultiGraph()
+        graph = networkx.MultiGraph()
         graph.add_nodes_from(self._processors)
         for link in self._links.values():
             for proc_a, proc_b in itertools.combinations(sorted(link.endpoints), 2):
@@ -282,9 +290,7 @@ class Architecture:
 
     def is_connected(self) -> bool:
         """True when every processor can reach every other one."""
-        if len(self._processors) <= 1:
-            return True
-        return nx.is_connected(self.routing_graph())
+        return self.connectivity_after_failures(())
 
     def cut_processors(self) -> List[str]:
         """Processors whose death disconnects the surviving network.
@@ -294,13 +300,9 @@ class Architecture:
         each resulting segment; the K-fault certifier detects the
         violation, and this query lets users diagnose it up front.
         """
-        import networkx as nx
-
-        graph = self.routing_graph()
-        if graph.number_of_nodes() <= 2:
+        if len(self._processors) <= 2:
             return []
-        simple = nx.Graph(graph)
-        return sorted(nx.articulation_points(simple))
+        return sorted(_articulation_points(self._adjacency))
 
     def connectivity_after_failures(self, failed: Iterable[str]) -> bool:
         """True when surviving processors still form a connected network.
@@ -309,11 +311,17 @@ class Architecture:
         (Section 5.5), so a route through a failed processor is dead.
         """
         failed_set = set(failed)
-        graph = self.routing_graph()
-        graph.remove_nodes_from(failed_set)
-        if graph.number_of_nodes() <= 1:
+        alive = [proc for proc in self._processors if proc not in failed_set]
+        if len(alive) <= 1:
             return True
-        return nx.is_connected(graph)
+        seen = {alive[0]}
+        frontier = [alive[0]]
+        while frontier:
+            for nbr in self._adjacency[frontier.pop()]:
+                if nbr not in seen and nbr not in failed_set:
+                    seen.add(nbr)
+                    frontier.append(nbr)
+        return len(seen) == len(alive)
 
     # ------------------------------------------------------------------
     # Validation
@@ -351,6 +359,40 @@ class Architecture:
             f"Architecture({self.name!r}, processors={len(self)}, "
             f"links={len(self._links)})"
         )
+
+
+def _articulation_points(adjacency: Dict[str, Dict[str, Tuple[str, ...]]]) -> Set[str]:
+    """Tarjan's articulation points of an undirected adjacency map (an
+    iterative depth-first search, one per connected component)."""
+    depth: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    cuts: Set[str] = set()
+    for root in adjacency:
+        if root in depth:
+            continue
+        depth[root] = low[root] = 0
+        root_children = 0
+        # (node, its DFS parent, iterator over its neighbours)
+        stack = [(root, None, iter(adjacency[root]))]
+        while stack:
+            node, parent, nbrs = stack[-1]
+            nbr = next(nbrs, None)
+            if nbr is None:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[node])
+                    if parent != root and low[node] >= depth[parent]:
+                        cuts.add(parent)
+            elif nbr not in depth:
+                depth[nbr] = low[nbr] = depth[node] + 1
+                if node == root:
+                    root_children += 1
+                stack.append((nbr, node, iter(adjacency[nbr])))
+            elif nbr != parent:
+                low[node] = min(low[node], depth[nbr])
+        if root_children > 1:
+            cuts.add(root)
+    return cuts
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,8 @@ minimizing the dependency's total transfer time.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from .architecture import Architecture, ArchitectureError, Link
 from .constraints import CommunicationTable, DependencyKey
@@ -124,7 +121,8 @@ class RoutingTable:
     def __init__(self, architecture: Architecture) -> None:
         architecture.check()
         self._architecture = architecture
-        self._graph = architecture.routing_graph()
+        # processor -> neighbour -> sorted names of the joining links
+        self._adjacency = architecture.adjacency()
         self._routes: Dict[Tuple[str, str], Route] = {}
         # Min-hop processor paths per ordered pair, enumerated once at
         # construction; route_for_dependency only re-ranks these small
@@ -154,44 +152,43 @@ class RoutingTable:
         return self._architecture
 
     def _compute_all(self) -> None:
-        graph = self._graph
+        adjacency = self._adjacency
         names = self._architecture.processor_names
         for proc in names:
             self._routes[(proc, proc)] = Route((proc,), ())
-        lengths = dict(nx.all_pairs_shortest_path_length(graph))
-        for src, dst in itertools.permutations(names, 2):
-            if dst not in lengths.get(src, {}):
-                raise RoutingError(f"no route from {src!r} to {dst!r}")
-            self._min_hop_paths[(src, dst)] = tuple(
-                tuple(path) for path in nx.all_shortest_paths(graph, src, dst)
-            )
-            self._routes[(src, dst)] = self._best_route(graph, src, dst)
-            paths = self._min_hop_paths[(src, dst)]
-            if len(paths) == 1 and all(
-                len(graph[proc_a][proc_b]) == 1
-                for proc_a, proc_b in zip(paths[0], paths[0][1:])
-            ):
-                self._single_route.add((src, dst))
+        for src in names:
+            reached = _min_hop_paths(adjacency, src)
+            for dst in names:
+                if dst == src:
+                    continue
+                paths = reached.get(dst)
+                if not paths:
+                    raise RoutingError(f"no route from {src!r} to {dst!r}")
+                self._min_hop_paths[(src, dst)] = paths
+                self._routes[(src, dst)] = self._best_route(src, dst)
+                if len(paths) == 1 and all(
+                    len(adjacency[proc_a][proc_b]) == 1
+                    for proc_a, proc_b in zip(paths[0], paths[0][1:])
+                ):
+                    self._single_route.add((src, dst))
         for proc in names:
             self._bus_links[proc] = tuple(
                 link for link in self._architecture.links_of(proc) if link.is_bus
             )
 
-    def _best_route(self, graph: nx.MultiGraph, src: str, dst: str) -> Route:
+    def _best_route(self, src: str, dst: str) -> Route:
         """Deterministically pick a minimum-hop route from src to dst.
 
-        Among the minimum-hop processor paths (enumerated in a
-        deterministic order), each hop picks the lexicographically
-        smallest link available between the consecutive processors; the
-        path whose (processors, links) pair is smallest wins.
+        Among the minimum-hop processor paths, each hop takes the
+        lexicographically smallest link available between the
+        consecutive processors; the path whose (processors, links) pair
+        is smallest wins.
         """
-        candidates: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
-        for path in self._min_hop_paths[(src, dst)]:
-            links = []
-            for proc_a, proc_b in zip(path, path[1:]):
-                keys = sorted(graph[proc_a][proc_b])
-                links.append(keys[0])
-            candidates.append((tuple(path), tuple(links)))
+        adjacency = self._adjacency
+        candidates: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = [
+            (path, tuple(adjacency[a][b][0] for a, b in zip(path, path[1:])))
+            for path in self._min_hop_paths[(src, dst)]
+        ]
         if not candidates:  # pragma: no cover - guarded by caller
             raise RoutingError(f"no route from {src!r} to {dst!r}")
         processors, links = min(candidates)
@@ -244,17 +241,18 @@ class RoutingTable:
         cached = self._dep_routes.get(cache_key)
         if cached is not None:
             return cached
-        graph = self._graph
+        adjacency = self._adjacency
         best: Optional[Tuple[float, Tuple[str, ...], Tuple[str, ...]]] = None
         for path in self._min_hop_paths[(src, dst)]:
             links = []
             for proc_a, proc_b in zip(path, path[1:]):
-                keys = sorted(
-                    graph[proc_a][proc_b],
-                    key=lambda name: (comm_table.duration(dep, name), name),
+                links.append(
+                    min(
+                        adjacency[proc_a][proc_b],
+                        key=lambda name: (comm_table.duration(dep, name), name),
+                    )
                 )
-                links.append(keys[0])
-            route = Route(tuple(path), tuple(links))
+            route = Route(path, tuple(links))
             cost = route.transfer_time(dep, comm_table)
             key = (cost, route.processors, route.links)
             if best is None or key < best:
@@ -361,3 +359,28 @@ class RoutingTable:
             for key, route in self._routes.items()
             if not failed_set.intersection(route.processors)
         }
+
+
+def _min_hop_paths(
+    adjacency: Dict[str, Dict[str, Tuple[str, ...]]], src: str
+) -> Dict[str, Tuple[Tuple[str, ...], ...]]:
+    """Every minimum-hop processor path out of ``src``, by one BFS.
+
+    Maps each reachable processor to its paths, sorted.  The BFS goes
+    layer by layer; a processor first met in a layer extends every path
+    of each of its neighbours in the layer before.
+    """
+    paths: Dict[str, Tuple[Tuple[str, ...], ...]] = {src: ((src,),)}
+    layer = [src]
+    while layer:
+        parents: Dict[str, List[str]] = {}
+        for proc in layer:
+            for nbr in adjacency[proc]:
+                if nbr not in paths:
+                    parents.setdefault(nbr, []).append(proc)
+        for proc, nearer in parents.items():
+            paths[proc] = tuple(
+                sorted(path + (proc,) for parent in nearer for path in paths[parent])
+            )
+        layer = list(parents)
+    return paths

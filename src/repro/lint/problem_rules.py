@@ -15,8 +15,6 @@ import itertools
 from collections import Counter
 from typing import Iterator, Tuple
 
-import networkx as nx
-
 from ..graphs.problem import Problem
 from .model import Diagnostic, Severity
 from .registry import Scope, rule
@@ -38,10 +36,9 @@ MAX_SURVIVABILITY_PATTERNS = 20_000
     "the algorithm data-flow graph must be acyclic",
 )
 def check_algorithm_cycle(problem: Problem) -> Iterator[Finding]:
-    graph = problem.algorithm.as_networkx()
-    if graph.number_of_nodes() and not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph)
-        arcs = ", ".join(f"{u}->{v}" for u, v, *_ in cycle)
+    cycle = problem.algorithm.find_cycle()
+    if cycle:
+        arcs = ", ".join(f"{u}->{v}" for u, v in cycle)
         yield (
             f"algorithm graph has a cycle: {arcs} (the intra-iteration "
             f"data-flow must be a DAG; inter-iteration feedback belongs "
@@ -63,8 +60,8 @@ def check_dangling_dependency(problem: Problem) -> Iterator[Finding]:
         yield ("algorithm graph has no operation", "")
         return
     known = set(algorithm.operation_names)
-    graph = algorithm.as_networkx()
-    for src, dst, data in graph.edges(data=True):
+    records = []
+    for src, dst, record in algorithm.arcs():
         for end in (src, dst):
             if end not in known:
                 yield (
@@ -74,26 +71,19 @@ def check_dangling_dependency(problem: Problem) -> Iterator[Finding]:
                 )
         if src == dst:
             yield (f"self-dependency {src}->{dst}", f"{src}->{dst}")
-        if "dependency" not in data:
+        if record is None:
             yield (
                 f"edge {src}->{dst} carries no dependency record",
                 f"{src}->{dst}",
             )
-        elif data["dependency"].key != (src, dst):
+            continue
+        records.append(record.key)
+        if record.key != (src, dst):
             yield (
-                f"edge {src}->{dst} carries the dependency record of "
-                f"{data['dependency']}",
+                f"edge {src}->{dst} carries the dependency record of {record}",
                 f"{src}->{dst}",
             )
-    duplicated = [
-        key
-        for key, count in Counter(
-            data["dependency"].key
-            for _, _, data in graph.edges(data=True)
-            if "dependency" in data
-        ).items()
-        if count > 1
-    ]
+    duplicated = [key for key, count in Counter(records).items() if count > 1]
     for src, dst in duplicated:
         yield (f"dependency {src}->{dst} is declared twice", f"{src}->{dst}")
 

@@ -232,7 +232,8 @@ def test_ft101_algorithm_cycle():
 
 def test_ft102_dangling_dependency():
     problem = chain_problem()
-    problem.algorithm._graph.edges["a", "b"].pop("dependency")
+    # The adjacency tables keep the arc a->b; its record is gone.
+    del problem.algorithm._out["a"]["b"]
     report = lint_problem(problem)
     assert "FT102" in error_rules(report)
 
