@@ -10,8 +10,12 @@ arriving.  Three bounds frame it (see
     (modulo sched.)     (in-order pipelining)  (run-to-completion)
 
 This bench reports all three per method, and validates the executive
-bound *dynamically*: the pipelined simulation sustains exactly it and
-drifts linearly below it.
+bound *dynamically* on the p2p example: the pipelined simulation (the
+executive's own process bodies, one runtime per iteration) sustains
+it and drifts linearly below it.  The bound is sufficient, not tight
+in general: ``tests/test_pipeline.py`` checks that every schedule of
+the compile-golden battery sustains it, and some of them sustain
+shorter periods too.
 """
 
 import pytest
@@ -65,7 +69,7 @@ def test_throughput_bounds_per_method(
 
 
 def test_executive_bound_is_dynamically_tight(benchmark, fig24_result):
-    """X9b: the pipelined executive sustains its bound exactly."""
+    """X9b: the pipelined executive sustains its bound, not 8% below."""
     schedule = fig24_result.schedule
     bound = executive_period_bound(schedule)
 

@@ -1,8 +1,8 @@
 """A small callback-based discrete-event simulation kernel.
 
 Every interpreter of the executive runs on it: the simulated executive
-of :mod:`repro.sim.executive`, the pipelined run of
-:mod:`repro.sim.pipeline` and the prover's abstract run.  Each writes
+of :mod:`repro.sim.executive` (which :mod:`repro.sim.pipeline` runs
+once per iteration) and the prover's abstract run.  Each writes
 its processes as explicit-state callbacks: a heap entry is
 ``(time, seq, fn, a, b)`` and runs as ``fn(a, b)``, and a process's
 only state is its position (a row of its op rows, a send plan, a

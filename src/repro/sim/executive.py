@@ -38,6 +38,10 @@ semantics:
     behaviour that makes recovery of an intermittently failed
     processor impossible on point-to-point links (Section 7.4).
 
+A pipelined run (:mod:`repro.sim.pipeline`) chains one runtime per
+iteration with :meth:`ExecutiveRuntime.successor`; a single run has
+no successor and is released at 0.
+
 Failure detection observability is configurable:
 
 * ``snoop`` — a watchdog observes a frame only if it was carried by a
@@ -145,6 +149,28 @@ class ExecutiveRuntime:
         self._payloads: Dict[Tuple[DependencyKey, str], int] = {}
         #: Watch key -> the rung whose wait is pending (see _woken).
         self._waiting: Dict[Tuple[str, DependencyKey, str], int] = {}
+        #: The iteration's release date and, in a pipelined run, the
+        #: runtime of the next iteration (see successor).
+        self.release = 0.0
+        self._successor: Optional["ExecutiveRuntime"] = None
+
+    def successor(self, release: float) -> "ExecutiveRuntime":
+        """The next iteration of a pipelined run, released at ``release``,
+        on this runtime's simulator and links.  Each unit and sender
+        goes on to it when done here, a unit no earlier than
+        ``release`` (its input extios sample that iteration's event).
+        Solution-1 watchdogs are not handed on."""
+        follower = ExecutiveRuntime(
+            self.schedule, self.scenario, self.detection,
+            snoop_recovery=self.snoop_recovery, iteration=self.iteration + 1,
+        )
+        follower.sim = self.sim
+        follower.network = self.network.sibling(
+            follower.trace, follower._on_deliver, follower._on_observe
+        )
+        follower.release = release
+        self._successor = follower
+        return follower
 
     # ------------------------------------------------------------------
     # Entry point
@@ -197,9 +223,16 @@ class ExecutiveRuntime:
     def _unit_ready(self, unit: Tuple[str, Tuple[OpRow, ...]], index: int) -> None:
         """Start row ``index`` of the processor's replicas, in static
         order, once its inputs arrived (a waiter rescans them: fired
-        keys stay fired)."""
+        keys stay fired); after the last row, go on to the successor."""
         proc, rows = unit
         if index == len(rows):
+            follower = self._successor
+            if follower is not None and rows:
+                release, now = follower.release, self.sim.now
+                if now < release:
+                    self.sim.at(release, follower._unit_ready, unit, 0)
+                else:
+                    follower._unit_ready(unit, 0)
             return
         op, _proc, predecessors, duration, _out, _output, _ = rows[index]
         wait = self.sim.wait
@@ -263,7 +296,8 @@ class ExecutiveRuntime:
         """Plan every outgoing send of a produced replica.
 
         The comm side is time-triggered: sends are ordered by their
-        planned release dates and emitted no earlier than them, which
+        planned release dates (offset by the iteration's release) and
+        emitted no earlier than them, which
         makes the failure-free run reproduce the planned communication
         schedule exactly, and so keeps the watchdog deadlines (anchored
         on the static frame ends) free of spurious elections.  Frames
@@ -279,23 +313,25 @@ class ExecutiveRuntime:
         if not self._alive(proc):
             return
         skip_flagged = self.schedule.semantics is ScheduleSemantics.SOLUTION2
-        plans = []
+        offset, plans = self.release, []
         for dep in row.out_deps:
             dests = [d for d in self.plan.destinations[dep] if d != proc]
             if skip_flagged:
                 dests = [d for d in dests if d not in self.flags[proc]]
             if not dests:
                 continue
-            release = self.plan.planned_release[(dep, proc)]
-            plans.append((release if release is not None else self.sim.now,
+            planned = self.plan.planned_release[(dep, proc)]
+            plans.append((self.sim.now if planned is None else offset + planned,
                           dep, dests))
         plans.sort(key=lambda plan: (plan[0], plan[1]))
-        self._sender_wait((op, proc, tuple(plans)), 0)
+        self._sender_wait((row, tuple(plans)), 0)
 
     def _sender_wait(self, sender, index: int) -> None:
         """Wait for plan ``index``'s release date if it is ahead."""
-        plans, now = sender[2], self.sim.now
+        plans, now = sender[1], self.sim.now
         if index == len(plans):
+            if self._successor is not None:
+                self._successor._sender_ready(sender[0], None)
             return
         release = plans[index][0]
         if now < release:
@@ -304,7 +340,8 @@ class ExecutiveRuntime:
             self._sender_send(sender, index)
 
     def _sender_send(self, sender, index: int) -> None:
-        op, proc, plans = sender
+        row, plans = sender
+        op, proc = row.op, row.processor
         if self._alive(proc):
             _release, dep, dests = plans[index]
             self.network.dispatch(

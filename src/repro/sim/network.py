@@ -22,6 +22,7 @@ decided at grant time, keeping the simulation deterministic.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..graphs.problem import Problem
@@ -71,6 +72,20 @@ class NetworkRuntime:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    def sibling(
+        self,
+        trace: IterationTrace,
+        on_deliver: DeliverCallback,
+        on_observe: ObserveCallback,
+    ) -> "NetworkRuntime":
+        """A runtime for another iteration on the same simulator and
+        links: the frames of both serialize on each link."""
+        other = copy.copy(self)
+        other._trace, other._on_deliver, other._on_observe = (
+            trace, on_deliver, on_observe
+        )
+        return other
+
     def dispatch(
         self,
         dep: DependencyKey,

@@ -1,5 +1,6 @@
 """Tests for pipelined (overlapping-iteration) execution."""
 
+import functools
 import math
 
 import pytest
@@ -14,8 +15,20 @@ from repro.graphs.algorithm import chain
 from repro.graphs.architecture import fully_connected_architecture
 from repro.graphs.constraints import CommunicationTable, ExecutionTable, INFINITY
 from repro.graphs.problem import Problem
-from repro.sim import FailureScenario
+from repro.sim import FailureScenario, simulate
 from repro.sim.pipeline import simulate_pipelined
+
+from .test_compile_golden import CASES, METHODS
+
+#: The compile-golden battery, for the methods the pipeline runs.
+BATTERY = [
+    (label, method) for label in sorted(CASES) for method in ("baseline", "solution2")
+]
+
+
+@functools.lru_cache(maxsize=None)
+def battery_schedule(label, method):
+    return METHODS[method](CASES[label]()).schedule
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +158,33 @@ class TestFailuresDuringPipelining:
         )
         assert not result.all_completed
         assert math.isinf(result.completion_times[-1])
+
+
+class TestExecutiveEquivalence:
+    """Each pipelined iteration runs the executive's own process bodies:
+    alone, it is the executive's run; at the executive period bound, no
+    iteration delays the next."""
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["failure-free", "P2-mid"])
+    @pytest.mark.parametrize("label,method", BATTERY)
+    def test_one_iteration_is_the_executive_run(self, label, method, crash):
+        schedule = battery_schedule(label, method)
+        scenario = (
+            FailureScenario.crash("P2", at=schedule.makespan / 2)
+            if crash
+            else FailureScenario.none()
+        )
+        expected = simulate(schedule, scenario).response_time
+        for period in (schedule.makespan / 2, 10 * schedule.makespan):
+            result = simulate_pipelined(schedule, period, 1, scenario)
+            assert result.completion_times[0] == expected
+
+    @pytest.mark.parametrize("label,method", BATTERY)
+    def test_sustains_the_executive_bound(self, label, method):
+        schedule = battery_schedule(label, method)
+        bound = executive_period_bound(schedule)
+        result = simulate_pipelined(schedule, bound, iterations=12)
+        assert result.is_sustainable(tolerance=1e-6)
+        assert result.max_response == pytest.approx(
+            simulate(schedule).response_time, abs=1e-9
+        )
