@@ -2,12 +2,12 @@
 
 Two ideas make the proof both *sound* and *finite*:
 
-1. **Guard-recording abstract interpretation.**  One evaluation of the
-   delivery automaton under concrete crash dates follows exactly the
-   branch structure of the generated executive (planned time-triggered
-   sends, timeout-ladder watchdogs with one-shot stand-down, link
-   serialization, store-and-forward relays).  Every branch that
-   depends on a crash date goes through :meth:`_AbstractRun._alive_at`,
+1. **Guard-recording abstract interpretation.**  One evaluation runs
+   the generated executive's own protocol under concrete crash dates
+   (planned time-triggered sends, timeout-ladder watchdogs with
+   one-shot stand-down, link serialization, store-and-forward relays:
+   :mod:`repro.sim.protocol`).  Every branch that
+   depends on a crash date goes through :meth:`_AbstractRun.alive_at`,
    which records the compared date as a *guard*.  The run's verdict is
    therefore valid for every crash-date assignment in the maximal
    region around the representative in which no guard flips.
@@ -37,13 +37,13 @@ extended with q crashing after all activity (identical trajectory).
 Proven-dead subsets therefore retire all their supersets
 (``proof.pruned``).
 
-Each run interprets the compiled
-:class:`~repro.lint.proof.automaton.DeliveryAutomaton` on the
-discrete-event kernel of :mod:`repro.sim.engine`, as explicit-state
-callbacks whose whole state a checkpoint copies, and nothing else in
-:mod:`repro.sim` is imported: the executive, network and fault model
-the campaign simulates stay out of the prover's reading of the
-protocol.
+Each run is the prover's world of :class:`repro.sim.protocol.Protocol`,
+the process bodies and frame model the simulated executive runs too,
+over the compiled :class:`~repro.lint.proof.automaton.DeliveryAutomaton`
+and the discrete-event kernel of :mod:`repro.sim.engine`.  The world
+answers aliveness by recording guards and keeps the delivery facts of
+the proof artifact; the executive, the fault model and the trace the
+campaign simulates are not imported.
 """
 
 from __future__ import annotations
@@ -52,13 +52,12 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import (
-    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
 )
 
-from ...core.executive_plan import DEADLINE_SLACK
-from ...core.schedule import Schedule, ScheduleSemantics
+from ...core.schedule import Schedule
 from ...obs import get_instrumentation
-from ...sim.engine import EventTable, Simulator
+from ...sim.protocol import Protocol
 from .automaton import DeliveryAutomaton, compile_automaton
 from .model import (
     ClassRegion,
@@ -112,21 +111,18 @@ _COPIED = ("decisions", "bounds", "busy", "flags", "data", "produced",
            "observed_cause", "stand_downs", "lost_takeovers")
 
 
-class _AbstractRun:
-    """Interpret the automaton under permanent crash dates ``crashes``.
+class _AbstractRun(Protocol):
+    """Run the protocol under permanent crash dates ``crashes``.
 
-    Records every comparison of a crash time against a date that its
+    The prover's world of :class:`~repro.sim.protocol.Protocol`: it
+    records every comparison of a crash time against a date that its
     earlier answers leave open, in the order asked (the *decisions*;
     their dates are the run's *guards*), plus the delivery bookkeeping
     the proof artifact and the FT4xx rules need.
 
-    The processes are explicit-state callbacks on the kernel: a heap
-    entry or a waiter carries only a process's position (a row of its
-    op rows, a send plan, a ladder rung).  They push onto the heap what
-    the executive's callbacks push, in the same order, so time ties
-    break the same way.  And the whole state copies in microseconds
-    (:meth:`checkpoint`), and :meth:`restore` resumes it for crash
-    dates that answer its decisions the same way.
+    The whole state copies in microseconds (:meth:`checkpoint`), and
+    :meth:`restore` resumes it for crash dates that answer its
+    decisions the same way.
     """
 
     def __init__(
@@ -135,6 +131,12 @@ class _AbstractRun:
         crashes: Dict[str, float],
         known_failed: Iterable[str] = (),
     ) -> None:
+        super().__init__(
+            auto.schedule,
+            auto.detection,
+            auto.snoop_recovery,
+            dict.fromkeys(auto.processors, frozenset(known_failed)),
+        )
         self.auto = auto
         self.crashes = crashes
         #: ``(proc, date) -> date < crashes[proc]``, in asked order.
@@ -145,19 +147,6 @@ class _AbstractRun:
             crashes, (-math.inf, math.inf)
         )
         self.halt_from = math.inf  # see execute()
-        self.sim = Simulator()
-        self.busy: Dict[str, float] = {link: 0.0 for link in auto.is_bus}
-        self.flags: Dict[str, FrozenSet[str]] = {
-            proc: frozenset(known_failed) for proc in auto.processors
-        }
-        #: Event tables (see repro.sim.engine) for ``(dep, proc)``
-        #: arrivals, ``(op, proc)`` productions and per-dependency
-        #: observes.
-        self.data: EventTable = {}
-        self.produced: EventTable = {}
-        self.observed: EventTable = {}
-        #: Watch key -> the rung whose wait is pending (see _woken).
-        self.waiting: Dict[Tuple[str, DependencyKey, str], int] = {}
         # Bookkeeping ---------------------------------------------------
         self.outputs_done: Set[str] = set()
         self.delivery_source: Dict[
@@ -167,13 +156,7 @@ class _AbstractRun:
         self.stand_downs: List[Tuple[str, DependencyKey, str, int, float]] = []
         self.lost_takeovers: List[_Race] = []
         self.detections = 0
-        at = self.sim.at
-        for proc, rows in auto.timelines.items():
-            at(0.0, self._unit_ready, (proc, rows), 0)
-        for row in auto.senders:
-            at(0.0, self._sender_ready, row, None)
-        for key in auto.watch_order:
-            at(0.0, self._watch, key, 0)
+        self.start()
 
     # -- checkpoints ----------------------------------------------------
     def checkpoint(self) -> tuple:
@@ -188,10 +171,21 @@ class _AbstractRun:
             setattr(self, name, value.copy())
         self.crashes = crashes
 
-    # -- crash predicate (an open question records a decision) ---------
-    def _alive_at(self, proc: str, time: float) -> bool:
-        """Is ``proc`` up at ``time``?  Fail-stop: an execution or a
-        frame ending at ``time`` survives exactly when its host is."""
+    def execute(self, checkpoints_from: float = math.inf) -> List[tuple]:
+        """Run to the end; return ``(n, checkpoint)`` pairs, one before
+        the first kernel step after each step that recorded a decision
+        once ``n >= checkpoints_from`` decisions are recorded."""
+        self.halt_from = checkpoints_from
+        taken = []
+        self.sim.run()
+        while self.sim.pending:
+            taken.append((len(self.decisions), self.checkpoint()))
+            self.sim.run()
+        return taken
+
+    # -- the protocol's questions (an open one records a decision) -----
+    def alive_at(self, proc: str, time: float) -> bool:
+        """Is ``proc`` up at ``time``?"""
         at = self.crashes.get(proc)
         if at is None:
             return True
@@ -207,197 +201,20 @@ class _AbstractRun:
             self.sim.halt()
         return alive
 
-    # -- processes (mirror the executive's spawn order and branches) ----
-    def execute(self, checkpoints_from: float = math.inf) -> List[tuple]:
-        """Run to the end; return ``(n, checkpoint)`` pairs, one before
-        the first kernel step after each step that recorded a decision
-        once ``n >= checkpoints_from`` decisions are recorded."""
-        self.halt_from = checkpoints_from
-        taken = []
-        self.sim.run()
-        while self.sim.pending:
-            taken.append((len(self.decisions), self.checkpoint()))
-            self.sim.run()
-        return taken
+    def _completes(self, row, _start: float, end: float) -> bool:
+        # Fail-stop: an execution ending at ``end`` survives exactly
+        # when its host is up at ``end``.
+        return self.alive_at(row.processor, end)
 
-    def _unit_ready(self, unit, index: int) -> None:
-        """Start row ``index`` once its inputs arrived (a waiter rescans
-        them; fired events stay fired)."""
-        proc, rows = unit
-        if index == len(rows):
-            return
-        op, _proc, predecessors, duration, _out, _output, _ = rows[index]
-        wait = self.sim.wait
-        for pred in predecessors:
-            if wait(self.data, ((pred, op), proc), self._unit_ready, unit, index):
-                return
-        now = self.sim.now
-        if self._alive_at(proc, now):
-            self.sim.at(now + duration, self._unit_done, unit, index)
+    def _transmits(self, frame: tuple, _start: float, end: float) -> bool:
+        if self.alive_at(frame[1], end):
+            return True
+        if frame[4]:  # a takeover frame, lost mid-transmission
+            self.lost_takeovers.append(_Race(frame[0], frame[1], self.sim.now, end))
+        return False
 
-    def _unit_done(self, unit, index: int) -> None:
-        proc, rows = unit
-        op, _proc, _preds, _duration, out_deps, is_output, _ = rows[index]
-        if not self._alive_at(proc, self.sim.now):
-            return
-        for dep in out_deps:
-            self.sim.fire(self.data, (dep, proc))
-        self.sim.fire(self.produced, (op, proc))
-        if is_output:
-            self.outputs_done.add(op)
-        self._unit_ready(unit, index + 1)
-
-    def _sender_ready(self, row, _unused) -> None:
-        """Plan a produced replica's sends, by release date."""
-        auto, op, proc = self.auto, row.op, row.processor
-        if self.sim.wait(self.produced, (op, proc), self._sender_ready, row, None):
-            return
-        now = self.sim.now
-        if not self._alive_at(proc, now):
-            return
-        skip_flagged = auto.semantics is ScheduleSemantics.SOLUTION2
-        plans = []
-        for dep in row.out_deps:
-            dests = [d for d in auto.destinations[dep] if d != proc]
-            if skip_flagged:
-                dests = [d for d in dests if d not in self.flags[proc]]
-            if not dests:
-                continue
-            release = auto.planned_release.get((dep, proc))
-            plans.append((release if release is not None else now, dep, dests))
-        plans.sort(key=lambda plan: (plan[0], plan[1]))
-        self._sender_wait((proc, tuple(plans)), 0)
-
-    def _sender_wait(self, sender, index: int) -> None:
-        """Wait for plan ``index``'s release date if it is ahead."""
-        plans, now = sender[1], self.sim.now
-        if index == len(plans):
-            return
-        release = plans[index][0]
-        if now < release:
-            self.sim.at(now + (release - now), self._sender_send, sender, index)
-        else:
-            self._sender_send(sender, index)
-
-    def _sender_send(self, sender, index: int) -> None:
-        proc, plans = sender
-        if self._alive_at(proc, self.sim.now):
-            self._dispatch(plans[index][1], proc, plans[index][2], takeover=False)
-            self._sender_wait(sender, index + 1)
-
-    def _watch(self, key, start: int) -> None:
-        """Walk the ladder from rung ``start``: skip a flagged candidate,
-        wait on the observe until the next rung's deadline."""
-        _op, dep, watcher = key
-        ladder = self.auto.ladders[key]
-        for index in range(start, len(ladder)):
-            if not self._alive_at(watcher, self.sim.now):
-                return
-            rung = ladder[index]
-            if rung.candidate in self.flags[watcher]:
-                continue  # coalesced skip: already known faulty, no wait
-            self.waiting[key] = index
-            if not self.sim.wait(self.observed, dep, self._woken, key, (index, True)):
-                return self._woken(key, (index, True))  # answered at once
-            deadline = rung.deadline + DEADLINE_SLACK
-            return self.sim.at(deadline, self._woken, key, (index, False))
-        if self.observed.get(dep, ()) is None:
-            self.stand_downs.append((key[0], dep, watcher, len(ladder), self.sim.now))
-        else:
-            self._take_over(key, None)
-
-    def _woken(self, key, wake) -> None:
-        """The observe fired or the deadline passed, whichever first: a
-        waker of an earlier wait finds another rung pending or none."""
-        index, observed = wake
-        if self.waiting.get(key) != index:
-            return
-        del self.waiting[key]
-        op, dep, watcher = key
-        if not self._alive_at(watcher, self.sim.now):
-            return
-        if observed:
-            self.stand_downs.append((op, dep, watcher, index, self.sim.now))
-            return  # one-shot stand-down edge
-        candidate = self.auto.ladders[key][index].candidate
-        if candidate not in self.flags[watcher]:
-            self.flags[watcher] |= {candidate}
-            self.detections += 1
-        self._watch(key, index + 1)
-
-    def _take_over(self, key, _unused) -> None:
-        op, dep, watcher = key
-        if self.sim.wait(self.produced, (op, watcher), self._take_over, key, None):
-            return
-        if not self._alive_at(watcher, self.sim.now):
-            return
-        dests = [d for d in self.auto.destinations[dep] if d != watcher]
-        if dests:
-            self._dispatch(dep, watcher, dests, takeover=True)
-        self._fire_observed(dep, "takeover-dispatch", watcher)
-
-    # -- network --------------------------------------------------------
-    def _dispatch(
-        self, dep: DependencyKey, sender: str, dests: Sequence[str], takeover: bool
-    ) -> None:
-        # Planner-identical frames, from the problem's static comm plan.
-        routing = self.auto.problem.routing
-        comm = self.auto.problem.communication
-        groups, unicast = routing.frame_plan(dep, sender, dests, comm)
-        for link, served in groups:
-            self._emit(dep, sender, served, link, takeover, route=None)
-        for dest in unicast:
-            hops = routing.hop_plan(dep, sender, dest, comm)
-            self._forward(dep, hops, 0, takeover)
-
-    def _forward(self, dep, hops, index, takeover) -> None:
-        if index >= len(hops):
-            return
-        hop_from, hop_to, link, _duration = hops[index]
-        is_last = index == len(hops) - 1
-        self._emit(
-            dep,
-            hop_from,
-            (hop_to,),
-            link,
-            takeover,
-            route=None if is_last else (hops, index + 1),
-        )
-
-    def _emit(self, dep, sender, dests, link, takeover, route) -> None:
-        duration = self.auto.comm_duration(dep, link)
-        start = max(self.sim.now, self.busy[link])
-        if not self._alive_at(sender, start):
-            return  # fail-stop before grant: frame never exists
-        end = start + duration
-        self.busy[link] = end
-        if not self._alive_at(sender, end):
-            # The frame occupies the link but is lost mid-transmission.
-            if takeover:
-                self.lost_takeovers.append(
-                    _Race(dep, sender, self.sim.now, end)
-                )
-            return
-        self.sim.at(
-            end, self._complete, (dep, sender, dests, link, takeover, route), end
-        )
-
-    def _complete(self, frame, end: float) -> None:
-        """A frame finished transmission: observe, deliver, relay on."""
-        dep, sender, dests, link, takeover, route = frame
-        if self.auto.observable(link):
-            self._fire_observed(dep, "frame", sender)
-            if self.auto.snoop_recovery:
-                for proc, flagged in self.flags.items():
-                    if sender in flagged:
-                        self.flags[proc] = flagged - {sender}
-        for dest in dests:
-            if self._alive_at(dest, end):
-                self._deliver(dep, dest, sender, takeover)
-        if route is not None:
-            self._forward(dep, route[0], route[1], takeover)
-
-    def _deliver(self, dep, dest, sender, takeover) -> None:
+    # -- bookkeeping ----------------------------------------------------
+    def _deliver(self, dep, dest, sender, takeover, _payload) -> None:
         if self.data.get((dep, dest), ()) is not None:
             kind = "takeover" if takeover else "planned"
             self.delivery_source[(dep, dest)] = (
@@ -407,10 +224,20 @@ class _AbstractRun:
             )
             self.sim.fire(self.data, (dep, dest))
 
-    def _fire_observed(self, dep, cause: str, sender: str) -> None:
+    def _observe(self, dep, cause: str, sender: str) -> None:
         if self.observed.get(dep, ()) is not None:
             self.observed_cause[dep] = (cause, sender, self.sim.now)
             self.sim.fire(self.observed, dep)
+
+    def _output(self, op: str, _proc: str) -> None:
+        self.outputs_done.add(op)
+
+    def _detected(self, _op: str, _watcher: str, _suspect: str) -> None:
+        self.detections += 1
+
+    def _stood_down(self, key, index: int) -> None:
+        op, dep, watcher = key
+        self.stand_downs.append((op, dep, watcher, index, self.sim.now))
 
     # -- verdict --------------------------------------------------------
     @property
@@ -448,7 +275,7 @@ class _AbstractRun:
         # the data it depends on.
         undelivered = tuple(
             (dep, dest)
-            for dep, dests in sorted(self.auto.destinations.items())
+            for dep, dests in sorted(self.plan.destinations.items())
             for dest in dests
             if dest not in self.crashes and self.data.get((dep, dest), ()) is not None
         )
@@ -577,7 +404,7 @@ def _reaches_output(auto: DeliveryAutomaton) -> Set[str]:
     changed = True
     while changed:
         changed = False
-        for src, dst in auto.destinations:  # every dependency key
+        for src, dst in auto.plan.destinations:  # every dependency key
             if dst in reaches and src not in reaches:
                 reaches.add(src)
                 changed = True
@@ -807,9 +634,9 @@ def _dependency_witnesses(auto, chains, counterexamples) -> List[DependencyWitne
     for cx in counterexamples:
         refuted_deps.update(cx.undelivered_deps())
     witnesses = []
-    for dep in sorted(auto.destinations):
+    for dep, dests in sorted(auto.plan.destinations.items()):
         label = "%s -> %s" % dep
-        if not auto.destinations[dep]:
+        if not dests:
             witnesses.append(
                 DependencyWitness(dependency=label, status="local", chains=())
             )

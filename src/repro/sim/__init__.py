@@ -1,8 +1,8 @@
 """Discrete-event simulation of schedules under processor failures.
 
 The re-exports load their module on first use, so importing one module
-of the package (the prover imports only :mod:`repro.sim.engine`) loads
-no other.
+of the package (the prover imports only :mod:`repro.sim.protocol` and
+:mod:`repro.sim.engine`) loads no other.
 """
 
 #: Submodule -> the public names it defines, in ``__all__`` order.
@@ -10,7 +10,6 @@ _EXPORTS = {
     "engine": ["SimulationError", "Simulator"],
     "executive": ["ExecutiveRuntime"],
     "faults": ["Crash", "FailureScenario", "LinkCrash"],
-    "network": ["NetworkRuntime"],
     "runner": ["SimulationRun", "simulate", "simulate_sequence", "transient_then_steady"],
     "trace": ["DetectionRecord", "ExecutionRecord", "FrameRecord", "IterationTrace"],
     "montecarlo": ["AvailabilityEstimate", "estimate_availability"],

@@ -1,9 +1,10 @@
 """A small callback-based discrete-event simulation kernel.
 
-Every interpreter of the executive runs on it: the simulated executive
-of :mod:`repro.sim.executive` (which :mod:`repro.sim.pipeline` runs
-once per iteration) and the prover's abstract run.  Each writes
-its processes as explicit-state callbacks: a heap entry is
+The executive's protocol (:mod:`repro.sim.protocol`) runs on it, in
+both of its worlds: the simulated executive of
+:mod:`repro.sim.executive` (which :mod:`repro.sim.pipeline` runs once
+per iteration) and the prover's abstract run.  The protocol's
+processes are explicit-state callbacks: a heap entry is
 ``(time, seq, fn, a, b)`` and runs as ``fn(a, b)``, and a process's
 only state is its position (a row of its op rows, a send plan, a
 ladder rung), carried in ``a`` and ``b``.
@@ -20,7 +21,7 @@ Determinism: simultaneous callbacks run in scheduling order (a
 monotonically increasing sequence number breaks time ties), so runs
 are exactly reproducible — which the tests rely on.  Every
 :meth:`Simulator.run` adds the callbacks it processed to the
-``sim.engine.events`` counter, whichever interpreter built it.
+``sim.engine.events`` counter, whichever world built it.
 
 A program whose containers never change their entries in place (the
 prover's abstract run) is saved whole by copying them and the kernel

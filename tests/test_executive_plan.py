@@ -219,11 +219,5 @@ def test_detection_defaults(schedule):
 def test_automaton_holds_the_plans_own_objects(schedule):
     plan = schedule.executive_plan
     auto = compile_automaton(schedule)
-    assert auto.destinations is plan.destinations
-    assert auto.planned_senders is plan.planned_senders
-    assert auto.planned_release is plan.planned_release
-    assert auto.ladders is plan.ladders
-    assert auto.watch_order is plan.watch_order
-    assert auto.timelines is plan.timelines
-    assert auto.senders is plan.senders
+    assert auto.plan is plan
     assert (auto.detection, auto.snoop_recovery) == old_detection(schedule)

@@ -1,28 +1,43 @@
-"""Unit tests for the runtime network model."""
+"""Unit tests for the runtime frame model.
+
+The frames are the protocol's (:mod:`repro.sim.protocol`), run here in
+the executive's world: each test dispatches a send straight through
+:meth:`~repro.sim.protocol.Protocol.dispatch` on a runtime whose
+processes are not started, and reads the frames its trace records and
+the deliveries and observes the frame model reports.
+"""
 
 import pytest
 
+from repro.core import schedule_baseline
 from repro.paper.examples import figure8_problem, first_example_problem
-from repro.sim.engine import Simulator
+from repro.sim.executive import ExecutiveRuntime
 from repro.sim.faults import FailureScenario
-from repro.sim.network import NetworkRuntime
-from repro.sim.trace import IterationTrace
+
+
+class Recorder(ExecutiveRuntime):
+    """An executive that logs every delivery and every observe."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.deliveries = []
+        self.observations = []
+
+    def _deliver(self, dep, dest, sender, takeover, payload):
+        self.deliveries.append((dep, dest, self.sim.now))
+        super()._deliver(dep, dest, sender, takeover, payload)
+
+    def _observe(self, dep, cause, sender):
+        self.observations.append((dep, sender, cause, self.sim.now))
+        super()._observe(dep, cause, sender)
 
 
 def make_network(problem, scenario=None):
-    sim = Simulator()
-    trace = IterationTrace()
-    deliveries = []
-    observations = []
-    network = NetworkRuntime(
-        sim,
-        problem,
-        scenario or FailureScenario.none(),
-        trace,
-        lambda dep, dest, t, payload=None: deliveries.append((dep, dest, t)),
-        lambda dep, sender, link, t: observations.append((dep, sender, link, t)),
+    runtime = Recorder(
+        schedule_baseline(problem).schedule, scenario, detection="snoop"
     )
-    return sim, network, trace, deliveries, observations
+    return (runtime.sim, runtime, runtime.trace, runtime.deliveries,
+            runtime.observations)
 
 
 def _call(callback, _unused):
@@ -40,7 +55,10 @@ class TestBusDispatch:
         assert frame.start == 1.0 and frame.end == pytest.approx(1.5)
         assert set(frame.destinations) == {"P2", "P3"}
         assert sorted(d[1] for d in deliveries) == ["P2", "P3"]
-        assert observations[0][2] == "bus"
+        # Every bus member snoops the frame: the dependency is observed.
+        assert observations[0][:3] == (("A", "B"), "P1", "frame")
+        assert frame.link == "bus"
+        assert network.observed[("A", "B")] is None
 
     def test_serialization_on_bus(self):
         problem = first_example_problem(1)
@@ -128,6 +146,8 @@ class TestRoutedTransfers:
         assert [d[1] for d in deliveries] == ["P2"]
 
     def test_is_bus(self):
-        problem = first_example_problem(1)
-        _, network, _, _, _ = make_network(problem)
-        assert network.is_bus("bus")
+        # Under snoop detection a frame is observable exactly on a bus.
+        _, network, _, _, _ = make_network(first_example_problem(1))
+        assert network.observable["bus"]
+        _, routed, _, _, _ = make_network(figure8_problem())
+        assert not any(routed.observable.values())

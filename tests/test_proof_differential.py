@@ -9,6 +9,9 @@ schedule deliver under ≤K crashes?" — must agree on every problem:
   the real simulator (not merely *some* campaign scenario);
 * spot-check: concrete crash assignments decided by
   ``check_scenario`` match ``simulate()`` exactly;
+* the prover's run and the executive's run of the one protocol module
+  (``repro.sim.protocol``) take the same kernel steps, produce the
+  same replicas, detect as often and end with the same fail flags;
 * certification is one-sided against the prover: a pattern
   ``certify_fault_tolerance`` fails (processors dead from the start)
   is a region of the prover's sweep, so certify FAIL ⇒ prover UNSAFE,
@@ -21,13 +24,21 @@ same gate as a job so drift between the layers blocks merges.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import schedule_baseline, schedule_solution1, schedule_solution2
 from repro.core.timeline import event_boundaries
 from repro.core.validate import certify_fault_tolerance
 from repro.graphs.generators import random_bus_problem, random_p2p_problem
-from repro.lint.proof import check_scenario, counterexample_reproducer, prove_delivery
+from repro.lint.proof import (
+    check_scenario,
+    compile_automaton,
+    counterexample_reproducer,
+    prove_delivery,
+    verifier,
+)
 from repro.obs.campaign import (
     CampaignScenario,
     class_key,
@@ -37,7 +48,7 @@ from repro.obs.campaign import (
     run_campaign,
     scenario_from_dict,
 )
-from repro.sim import FailureScenario, simulate
+from repro.sim import Crash, ExecutiveRuntime, FailureScenario, simulate
 from repro.sim.values import reference_outputs
 
 #: The seeded battery: (label, generator, kwargs, method).  Bus
@@ -128,6 +139,42 @@ class TestProverAgreesWithCampaign:
                 f"{'refuted' if static.refuted else 'delivered'} but "
                 f"simulator completed={trace.completed}"
             )
+
+
+    def test_prover_and_executive_worlds_run_alike(self, target):
+        """Both worlds run one protocol module: on seeded permanent-crash
+        vectors of up to K+1 processors, dated in [0, 1.1·makespan],
+        the prover's run and the executive's take the same kernel
+        steps, produce the same replicas, detect as often and end with
+        the same fail flags."""
+        label, problem, schedule, method, spec = target
+        auto = compile_automaton(schedule)
+        names = problem.architecture.processor_names
+        rng = random.Random(7)
+        for trial in range(60):
+            size = rng.randint(0, min(problem.failures + 1, len(names)))
+            crashes = {
+                proc: rng.uniform(0.0, 1.1 * schedule.makespan)
+                for proc in rng.sample(names, size)
+            }
+            run = verifier._AbstractRun(auto, dict(crashes))
+            run.execute()
+            runtime = ExecutiveRuntime(
+                schedule,
+                FailureScenario(
+                    crashes=tuple(Crash(p, at) for p, at in crashes.items())
+                ),
+            )
+            trace = runtime.run()
+            where = f"{label} trial {trial}: {crashes}"
+            assert run.sim.steps == runtime.sim.steps, where
+            assert _fired(run.produced) == _fired(runtime.produced), where
+            assert run.detections == len(trace.detections), where
+            assert run.flags == runtime.flags, where
+
+
+def _fired(table) -> set:
+    return {key for key, waiters in table.items() if waiters is None}
 
 
 class TestCertifyIsOneSidedAgainstProver:

@@ -1,13 +1,17 @@
-"""The prover reads the protocol on the event kernel alone.
+"""The prover runs the executive's protocol on the event kernel alone.
 
-The prover-vs-campaign differential is only a cross-check if the two
-sides share no simulation code but the kernel: the prover's modules
-may import ``repro.sim.engine`` and no other ``repro.sim`` module (not
-the executive, network or fault model the campaign simulates), and the
-kernel itself imports nothing from ``repro.sim``, ``repro.core`` or
-``repro.lint``.  Both facts are read from the source, by AST, and a
-subprocess checks that the first holds in ``sys.modules`` too: the
-``repro.sim`` package loads its re-exports lazily.
+The prover and the simulated executive run one protocol module,
+``repro.sim.protocol`` (Figure 12's process bodies and the frame
+model), so that the artefact the prover verifies is the one the
+simulator runs.  What they do not share is everything else: the
+prover's modules import ``repro.sim.engine`` and ``repro.sim.protocol``
+and no other ``repro.sim`` module (not the executive, the fault model
+or the trace the campaign simulates), the protocol imports no
+``repro.sim`` module but the kernel, and the kernel itself imports
+nothing from ``repro.sim``, ``repro.core`` or ``repro.lint``.  These
+facts are read from the source, by AST, and a subprocess checks that
+the first holds in ``sys.modules`` too: the ``repro.sim`` package
+loads its re-exports lazily.
 
 One function is exempt: ``counterexample_reproducer`` writes a
 refutation out in the campaign's reproducer format, so it builds the
@@ -79,18 +83,29 @@ def _proof_modules() -> List[Path]:
     return modules
 
 
-def test_prover_imports_no_sim_module_but_the_engine():
-    offending = {}
+def _sim_imports(path: Path, skip: Set[str] = frozenset()) -> Set[str]:
+    return {name for name in _imports(path, skip) if _within(name, "repro.sim")}
+
+
+def test_prover_imports_only_the_engine_and_the_protocol_from_sim():
+    allowed = ("repro.sim.engine", "repro.sim.protocol")
+    offending, imported = {}, set()
     for path in _proof_modules():
-        sim = {
-            name
-            for name in _imports(path, EXPORT_BRIDGES)
-            if _within(name, "repro.sim")
-            and not _within(name, "repro.sim.engine")
-        }
-        if sim:
-            offending[path.name] = sorted(sim)
+        sim = _sim_imports(path, EXPORT_BRIDGES)
+        imported |= sim
+        other = sorted(
+            name for name in sim
+            if not any(_within(name, package) for package in allowed)
+        )
+        if other:
+            offending[path.name] = other
     assert not offending, offending
+    assert any(_within(name, "repro.sim.protocol") for name in imported), imported
+
+
+def test_protocol_imports_no_sim_module_but_the_engine():
+    sim = _sim_imports(PACKAGE / "sim" / "protocol.py")
+    assert sim and all(_within(name, "repro.sim.engine") for name in sim), sim
 
 
 def test_engine_imports_nothing_from_sim_core_or_lint():
@@ -122,9 +137,10 @@ def test_importing_the_verifier_loads_no_simulation_module():
     ).stdout
     for module in (
         "repro.sim.executive",
-        "repro.sim.network",
         "repro.sim.faults",
+        "repro.sim.trace",
         "repro.sim.montecarlo",
     ):
         assert repr(module) not in loaded, loaded
     assert "'repro.sim.engine'" in loaded
+    assert "'repro.sim.protocol'" in loaded

@@ -89,7 +89,7 @@ MODULES = [
     "repro.sim",
     "repro.sim.engine",
     "repro.sim.faults",
-    "repro.sim.network",
+    "repro.sim.protocol",
     "repro.sim.executive",
     "repro.sim.trace",
     "repro.sim.runner",
