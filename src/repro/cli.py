@@ -537,8 +537,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
                 counterexample_reproducer(check.counterexample, spec, method),
                 args.counterexample,
             )
-        # Mirror `campaign run --repro`: exit 1 while the reproducer
-        # still fails (CI inverts this until the fix PR lands).
+        # Mirror `campaign run --repro`: exit 1 when the reproducer's
+        # scenario fails.
         return 1 if check.refuted else 0
 
     problem = _resolve_problem(args)

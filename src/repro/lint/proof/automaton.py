@@ -11,8 +11,8 @@ executive will do at run time to deliver each data-dependency:
   rungs (from ``core/timeouts.py``), in rank order — each rung is an
   edge that can *re-arm* a takeover;
 * the **stand-down edge**: the per-dependency ``observed`` signal is
-  one-shot, so the first observable frame (or the mere *dispatch* of a
-  takeover frame) permanently retires every still-waiting watcher.
+  one-shot, so the first observable frame to *complete* permanently
+  retires every still-waiting watcher.
 
 The automaton holds the schedule's compiled
 :class:`~repro.core.executive_plan.ExecutivePlan` itself (``plan``:
@@ -49,7 +49,6 @@ class DeliveryAutomaton:
     semantics: ScheduleSemantics
     processors: Tuple[str, ...]
     failures: int
-    outputs: Tuple[str, ...]
     boundaries: Tuple[float, ...]
     operations: Tuple[str, ...]
     replicas: Dict[str, Tuple[str, ...]]
@@ -114,7 +113,6 @@ def compile_automaton(
         semantics=schedule.semantics,
         processors=tuple(schedule.problem.architecture.processor_names),
         failures=schedule.problem.failures,
-        outputs=plan.outputs,
         boundaries=tuple(event_boundaries(schedule)),
         operations=operations,
         replicas=replicas,

@@ -187,7 +187,6 @@ class ProofResult:
     dependencies: List[DependencyWitness] = field(default_factory=list)
     refuted_regions: List[ClassRegion] = field(default_factory=list)
     counterexamples: List[Counterexample] = field(default_factory=list)
-    races: List[Dict[str, Any]] = field(default_factory=list)
     never_rearms: List[Dict[str, Any]] = field(default_factory=list)
     unproven_subsets: Tuple[Tuple[str, ...], ...] = ()
     automaton: Dict[str, Any] = field(default_factory=dict)
@@ -278,7 +277,6 @@ class ProofResult:
             "dependencies": [w.to_dict() for w in self.dependencies],
             "refuted_regions": [r.to_dict() for r in self.refuted_regions],
             "counterexamples": [c.to_dict() for c in self.counterexamples],
-            "races": [dict(r) for r in self.races],
             "never_rearms": [dict(r) for r in self.never_rearms],
             "unproven_subsets": [list(s) for s in self.unproven_subsets],
             "automaton": dict(self.automaton),
@@ -315,7 +313,6 @@ class ProofResult:
                 Counterexample.from_dict(c)
                 for c in data.get("counterexamples", [])
             ],
-            races=[dict(r) for r in data.get("races", [])],
             never_rearms=[dict(r) for r in data.get("never_rearms", [])],
             unproven_subsets=tuple(
                 tuple(s) for s in data.get("unproven_subsets", [])

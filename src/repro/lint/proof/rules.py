@@ -9,17 +9,18 @@ identity), so ``lint_schedule`` pays the proof cost once:
 * **FT402 ladder-never-rearms** (warning) — a refutation in which the
   per-dependency one-shot observe fired and yet delivery failed: once
   every watcher stood down, no timeout rung ever re-arms.
-* **FT403 stand-down-races-lost-frame** (warning) — the precise race:
-  a takeover dispatch retires still-armed watchers at dispatch time,
-  then the frame itself is lost mid-transmission.
+* **FT403 stand-down-races-lost-frame** (warning) — registered, never
+  fires: the race it reported (watchers standing down when a takeover
+  frame was *dispatched*, before it was lost mid-transmission) cannot
+  happen, because a watcher stands down only on a *completed* frame.
 * **FT404 realized-tolerance-exceeds-certified-K** (info) — the prover
   additionally verified all (K+1)-subsets: the schedule is better
   than its certificate claims.
 
 FT216 remains as a *fast heuristic* beside FT401: it inspects only
-the static plan (no protocol interpretation), misses dynamic races,
-and can fire on a schedule FT401 proves safe (a backup with no ladder
-entry takes over unconditionally).
+the static plan (no protocol interpretation) and can fire on a
+schedule FT401 proves safe (a backup with no ladder entry takes over
+unconditionally).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def check_ladder_never_rearms(schedule: Schedule) -> Iterator[Diagnostic]:
     for entry in result.never_rearms:
         yield (
             f"dependency {entry['dependency']}: the one-shot observe fired "
-            f"at t={entry['observed_at']:g} ({entry['cause']} by "
+            f"at t={entry['observed_at']:g} (a frame from "
             f"{entry['observed_by']}) yet delivery still failed — every "
             "watcher is permanently stood down and no rung can re-arm the "
             "takeover",
@@ -132,18 +133,9 @@ def check_ladder_never_rearms(schedule: Schedule) -> Iterator[Diagnostic]:
     "survives transmission",
 )
 def check_stand_down_race(schedule: Schedule) -> Iterator[Diagnostic]:
-    if not _provable(schedule):
-        return
-    result = proof_for(schedule)
-    for race in result.races:
-        yield (
-            f"dependency {race['dependency']}: {race['dispatcher']}'s "
-            f"takeover dispatch at t={race['dispatch_time']:g} stood "
-            f"watcher(s) {', '.join(race['stood_down'])} down, then the "
-            f"frame was lost at t={race['frame_end']:g} — the stand-down "
-            "races the frame's own fate",
-            race["dependency"],
-        )
+    # A watcher stands down only on a completed frame, so the race this
+    # ID names has nothing left to report (the ID stays registered).
+    return ()
 
 
 @rule(

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
 )
@@ -77,26 +77,15 @@ DependencyKey = Tuple[str, str]
 # ----------------------------------------------------------------------
 # One abstract run: concrete crash dates in, verdict + guards out
 # ----------------------------------------------------------------------
-@dataclass
-class _Race:
-    """A takeover frame that stood watchers down and was then lost."""
-
-    dep: DependencyKey
-    dispatcher: str
-    dispatch_time: float
-    frame_end: float
-    stood_down: Tuple[Tuple[str, int], ...] = ()
-
-
 class RunOutcome(NamedTuple):
     """What a finished run decided, as a refuted leaf keeps it: the
-    starved ``(dep, destination)`` pairs, the race facts, the first
-    observe of each starved dependency, the operations produced."""
+    starved ``(dep, destination)`` pairs, the first observe
+    ``(sender, date)`` of each starved dependency, the operations
+    produced."""
 
     missing_outputs: Tuple[str, ...]
     undelivered: Tuple[Tuple[DependencyKey, str], ...]
-    races: Tuple[_Race, ...]
-    observed_cause: Dict[DependencyKey, Tuple[str, str, float]]
+    observed_cause: Dict[DependencyKey, Tuple[str, float]]
     produced: FrozenSet[str]
 
     @property
@@ -108,7 +97,7 @@ class RunOutcome(NamedTuple):
 #: sets are frozen), so that a shallow copy saves them.
 _COPIED = ("decisions", "bounds", "busy", "flags", "data", "produced",
            "observed", "waiting", "outputs_done", "delivery_source",
-           "observed_cause", "stand_downs", "lost_takeovers")
+           "observed_cause")
 
 
 class _AbstractRun(Protocol):
@@ -152,9 +141,7 @@ class _AbstractRun(Protocol):
         self.delivery_source: Dict[
             Tuple[DependencyKey, str], Tuple[str, str, int]
         ] = {}
-        self.observed_cause: Dict[DependencyKey, Tuple[str, str, float]] = {}
-        self.stand_downs: List[Tuple[str, DependencyKey, str, int, float]] = []
-        self.lost_takeovers: List[_Race] = []
+        self.observed_cause: Dict[DependencyKey, Tuple[str, float]] = {}
         self.detections = 0
         self.start()
 
@@ -207,11 +194,7 @@ class _AbstractRun(Protocol):
         return self.alive_at(row.processor, end)
 
     def _transmits(self, frame: tuple, _start: float, end: float) -> bool:
-        if self.alive_at(frame[1], end):
-            return True
-        if frame[4]:  # a takeover frame, lost mid-transmission
-            self.lost_takeovers.append(_Race(frame[0], frame[1], self.sim.now, end))
-        return False
+        return self.alive_at(frame[1], end)
 
     # -- bookkeeping ----------------------------------------------------
     def _deliver(self, dep, dest, sender, takeover, _payload) -> None:
@@ -224,9 +207,9 @@ class _AbstractRun(Protocol):
             )
             self.sim.fire(self.data, (dep, dest))
 
-    def _observe(self, dep, cause: str, sender: str) -> None:
+    def _observe(self, dep, sender: str) -> None:
         if self.observed.get(dep, ()) is not None:
-            self.observed_cause[dep] = (cause, sender, self.sim.now)
+            self.observed_cause[dep] = (sender, self.sim.now)
             self.sim.fire(self.observed, dep)
 
     def _output(self, op: str, _proc: str) -> None:
@@ -235,33 +218,10 @@ class _AbstractRun(Protocol):
     def _detected(self, _op: str, _watcher: str, _suspect: str) -> None:
         self.detections += 1
 
-    def _stood_down(self, key, index: int) -> None:
-        op, dep, watcher = key
-        self.stand_downs.append((op, dep, watcher, index, self.sim.now))
-
     # -- verdict --------------------------------------------------------
     @property
     def missing_outputs(self) -> Tuple[str, ...]:
-        return tuple(op for op in self.auto.outputs if op not in self.outputs_done)
-
-    def races(self) -> List[_Race]:
-        """Lost takeover frames whose dispatch-time observe retired
-        watchers that still held armed rungs — the stand-down race."""
-        out = []
-        for race in self.lost_takeovers:
-            cause = self.observed_cause.get(race.dep)
-            if not cause or cause[:2] != ("takeover-dispatch", race.dispatcher):
-                continue
-            stood = tuple(
-                (watcher, index)
-                for (_op, dep, watcher, index, time) in self.stand_downs
-                if dep == race.dep
-                and watcher != race.dispatcher
-                and time >= race.dispatch_time
-            )
-            if stood:
-                out.append(replace(race, stood_down=stood))
-        return out
+        return tuple(op for op in self.plan.outputs if op not in self.outputs_done)
 
     def witness_depth(self) -> int:
         return max(
@@ -285,7 +245,6 @@ class _AbstractRun(Protocol):
         return RunOutcome(
             self.missing_outputs,
             undelivered,
-            tuple(self.races()),
             causes,
             frozenset(produced),
         )
@@ -400,7 +359,7 @@ def _account_leaf(result: _SubsetResult, cell: tuple, run: _AbstractRun) -> None
 # Monotone dead-subset certificate
 # ----------------------------------------------------------------------
 def _reaches_output(auto: DeliveryAutomaton) -> Set[str]:
-    reaches = set(auto.outputs)
+    reaches = set(auto.plan.outputs)
     changed = True
     while changed:
         changed = False
@@ -504,8 +463,7 @@ def _prove(
     witness_depth = 0
     refuted_regions: List[ClassRegion] = []
     counterexamples: List[Counterexample] = []
-    races: Dict[tuple, dict] = {}
-    never_rearms: Dict[tuple, dict] = {}
+    never_rearms: Dict[DependencyKey, dict] = {}
     unproven_subsets: List[Tuple[str, ...]] = []
     chains: Dict[DependencyKey, Dict[Tuple[str, str, int], int]] = {}
 
@@ -552,7 +510,7 @@ def _prove(
                 refuted_regions.append(
                     ClassRegion(windows=windows, subset=combo)
                 )
-                _collect_race_findings(outcome, races, never_rearms)
+                _collect_never_rearms(outcome, never_rearms)
             cell, outcome = swept.refuted_cells[0]
             crashes = {proc: lo for proc, (lo, _hi) in zip(combo, cell)}
             counterexamples.append(_counterexample(auto, combo, crashes, outcome))
@@ -585,7 +543,6 @@ def _prove(
         dependencies=_dependency_witnesses(auto, chains, counterexamples),
         refuted_regions=refuted_regions,
         counterexamples=counterexamples,
-        races=sorted(races.values(), key=lambda r: (r["dependency"], r["dispatcher"])),
         never_rearms=sorted(
             never_rearms.values(), key=lambda r: r["dependency"]
         ),
@@ -594,37 +551,19 @@ def _prove(
     )
 
 
-def _collect_race_findings(outcome: RunOutcome, races, never_rearms) -> None:
-    undelivered = {dep for dep, _dest in outcome.undelivered}
-    for race in outcome.races:
-        if race.dep not in undelivered:
-            continue
-        key = (race.dep, race.dispatcher)
-        races.setdefault(
-            key,
-            {
-                "dependency": "%s -> %s" % race.dep,
-                "dispatcher": race.dispatcher,
-                "dispatch_time": round(race.dispatch_time, 6),
-                "frame_end": round(race.frame_end, 6),
-                "stood_down": sorted(
-                    {watcher for watcher, _rank in race.stood_down}
-                ),
-            },
-        )
-    for dep in sorted(undelivered):
+def _collect_never_rearms(outcome: RunOutcome, never_rearms) -> None:
+    for dep in sorted({dep for dep, _dest in outcome.undelivered}):
         cause = outcome.observed_cause.get(dep)
         if cause is None:
             continue
         # The one-shot observe fired, delivery still failed, and no
         # rung can ever re-arm: the ladder is permanently retired.
         never_rearms.setdefault(
-            (dep,),
+            dep,
             {
                 "dependency": "%s -> %s" % dep,
-                "observed_by": cause[1],
-                "observed_at": round(cause[2], 6),
-                "cause": cause[0],
+                "observed_by": cause[0],
+                "observed_at": round(cause[1], 6),
             },
         )
 
@@ -688,25 +627,11 @@ def _counterexample(
     auto: DeliveryAutomaton, subset, crashes: Dict[str, float], outcome: RunOutcome
 ) -> Counterexample:
     key = _class_key(auto, crashes)
-    narrative_bits = []
-    for race in outcome.races:
-        narrative_bits.append(
-            "watchers %s stood down at t=%.6f on %s's takeover frame for "
-            "%s -> %s, which was then lost at t=%.6f; no rung re-arms"
-            % (
-                ", ".join(sorted({w for w, _r in race.stood_down})),
-                race.dispatch_time,
-                race.dispatcher,
-                race.dep[0],
-                race.dep[1],
-                race.frame_end,
-            )
-        )
-    for dep, dest in outcome.undelivered:
-        narrative_bits.append(
-            "%s -> %s never delivered to surviving replica on %s"
-            % (dep[0], dep[1], dest)
-        )
+    narrative_bits = [
+        "%s -> %s never delivered to surviving replica on %s"
+        % (dep[0], dep[1], dest)
+        for dep, dest in outcome.undelivered
+    ]
     return Counterexample(
         subset=tuple(sorted(subset)),
         crashes={proc: crashes[proc] for proc in sorted(crashes)},

@@ -329,11 +329,11 @@ def check_delivery_gap(schedule: Schedule) -> Iterator[Finding]:
     runs in microseconds, not a proof.  It can flag a schedule that
     delivers: a backup whose ladder has no entry does not wait at all
     and takes over as soon as its own replica completes, so the data
-    still flows (FT211 reports the missing entry).  Dynamic
-    stand-down races (a ladder entry that exists but is cancelled by
-    a doomed frame, the ROADMAP delivery gap) are invisible here and
-    only the :mod:`repro.lint.proof` automaton interpretation
-    (FT401/FT403) finds them statically.
+    still flows (FT211 reports the missing entry).  A failure that
+    only shows in the protocol's run (a Solution-1 schedule on
+    point-to-point links can starve a consumer under one crash) is
+    invisible here; the :mod:`repro.lint.proof` automaton
+    interpretation (FT401) finds it.
     """
     import itertools
 

@@ -9,13 +9,12 @@ fired and didn't.  This module walks an
 and produces exactly that account, as structured data
 (:class:`Diagnosis`) and as readable text (:meth:`Diagnosis.render`).
 
-The canonical consumer is the ROADMAP Solution-1 delivery gap: a
-backup stands down on a takeover frame that is later lost
-mid-transmission, so a survivor holds the data but never sends it.
-Diagnosed, that renders as a sender-candidate list ("survivor holding
-the data ... never sent") plus a never-fired ladder entry ("stood
-down on the frame ..., which was LOST") instead of a bare falsified
-property.
+A typical consumer is a takeover frame lost mid-transmission with its
+sender: diagnosed, that renders as a sender-candidate list ("takeover
+frame lost mid-transmission (P2 crashed at ...)", or "survivor holding
+the data ... never sent") plus the state of every ladder rung
+guarding the input ("fired", "skipped", "never-fired") instead of a
+bare falsified property.
 """
 
 from __future__ import annotations

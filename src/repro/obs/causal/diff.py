@@ -17,10 +17,10 @@ Two divergences matter and both are reported:
 * the **first fatal divergence** — the earliest *unhealed* breakdown:
   a value that nominal put on some surviving processor, that *was*
   produced somewhere in the faulty run, but whose every delivery
-  attempt failed.  The terminal attempt (typically a frame lost
-  mid-transmission while the next watcher stood down on it) is the
-  event named, together with the ladder forensics and the causal
-  frontier of nominal events it poisons.
+  attempt failed.  The terminal attempt (typically a takeover frame
+  lost mid-transmission with its sender) is the event named, together
+  with the ladder forensics and the causal frontier of nominal events
+  it poisons.
 """
 
 from __future__ import annotations

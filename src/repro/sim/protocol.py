@@ -45,9 +45,9 @@ A world answers the protocol's questions and records what it keeps:
 ``_deliver(dep, dest, sender, takeover, payload)``
     A completed frame reached a live ``dest``: fire its arrival.
 ``_output(op, proc)``, ``_detected(op, watcher, suspect)``,
-``_observe(dep, cause, sender)``, ``_stood_down(key, index)``
-    Bookkeeping of a produced output, a new fail flag, the
-    dependency's one-shot observe and a watchdog standing down.
+``_observe(dep, sender)``
+    Bookkeeping of a produced output, a new fail flag and the
+    dependency's one-shot observe (a completed observable frame).
 
 The fail-flag arrays are frozen sets, rebound and never changed in
 place, so that a shallow copy of a run's containers saves it (the
@@ -133,13 +133,10 @@ class Protocol:
     # ------------------------------------------------------------------
     # Default bookkeeping (a world overrides what it keeps)
     # ------------------------------------------------------------------
-    def _observe(self, dep: DependencyKey, cause: str, sender: str) -> None:
-        """Fire ``dep``'s one-shot observe (``cause`` is ``"frame"`` or
-        ``"takeover-dispatch"``)."""
+    def _observe(self, dep: DependencyKey, sender: str) -> None:
+        """Fire ``dep``'s one-shot observe: ``sender``'s frame completed
+        on an observable link."""
         self.sim.fire(self.observed, dep)
-
-    def _stood_down(self, key: WatchKey, index: int) -> None:
-        """The watchdog ``key`` retired at rung ``index`` on an observe."""
 
     # ------------------------------------------------------------------
     # Computation units
@@ -266,9 +263,7 @@ class Protocol:
             return self.sim.at(deadline, self._woken, key, (index, False))
         # Every earlier candidate is believed dead: the watcher is the
         # effective main for this message, unless a frame was observed.
-        if self.observed.get(dep, ()) is None:
-            self._stood_down(key, len(ladder))
-        else:
+        if self.observed.get(dep, ()) is not None:
             self._take_over(key, None)
 
     def _woken(self, key: WatchKey, wake) -> None:
@@ -282,7 +277,7 @@ class Protocol:
         if not self.alive_at(watcher, self.sim.now):
             return
         if observed:
-            return self._stood_down(key, index)  # one-shot stand-down edge
+            return  # one-shot stand-down edge
         candidate = self.plan.ladders[key][index].candidate
         flagged = self.flags[watcher]
         if candidate not in flagged:
@@ -299,11 +294,6 @@ class Protocol:
         dests = [d for d in self.plan.destinations[dep] if d != watcher]
         if dests:
             self.dispatch(dep, watcher, dests, True, self.values.get((op, watcher)))
-        # The takeover is observed by the later watchers when it is
-        # dispatched, not when its frame completes: a crash
-        # mid-transmission then loses a frame they stood down on (the
-        # known delivery gap that tests/test_known_bugs.py pins).
-        self._observe(dep, "takeover-dispatch", watcher)
 
     # ------------------------------------------------------------------
     # Frames
@@ -361,7 +351,7 @@ class Protocol:
         """A frame finished transmission: observe, deliver, relay on."""
         dep, sender, dests, link, takeover, payload, route = frame
         if self.observable[link]:
-            self._observe(dep, "frame", sender)
+            self._observe(dep, sender)
             if self.snoop_recovery:
                 # A frame from a flagged processor proves it came back
                 # to life (intermittent fail-silent recovery, 6.1).

@@ -154,7 +154,8 @@ def simulate_sequence(
             flags = _post_iteration_flags(
                 schedule, scenario, flags, propagate_flags
             )
-    run.final_flags = flags
+    # The runtime's arrays are frozen sets: hand back mutable copies.
+    run.final_flags = {proc: set(known) for proc, known in flags.items()}
     return run
 
 

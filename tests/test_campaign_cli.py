@@ -8,9 +8,11 @@ import pytest
 from repro.cli import main
 from repro.obs.campaign import load_campaigns
 
-FIXTURE = str(
-    Path(__file__).parent / "fixtures" / "roadmap_delivery_gap.json"
-)
+FIXTURES = Path(__file__).parent / "fixtures"
+#: The fixed ROADMAP delivery gap: its scenario now passes.
+ROADMAP_FIXTURE = str(FIXTURES / "roadmap_delivery_gap.json")
+#: One crash beyond K on the same schedule: fails by design.
+FIXTURE = str(FIXTURES / "k_plus_one_takeover_loss.json")
 
 
 def _run_fig17(tmp_path, *extra):
@@ -68,7 +70,12 @@ class TestCampaignRun:
 
 
 class TestCampaignReproducer:
-    def test_roadmap_reproducer_fails_and_prints_diagnosis(self, capsys):
+    def test_roadmap_reproducer_passes(self, capsys):
+        code = main(["campaign", "run", "--repro", ROADMAP_FIXTURE])
+        assert code == 0
+        assert "-> pass (expected pass)" in capsys.readouterr().out
+
+    def test_k_plus_one_reproducer_fails_and_prints_diagnosis(self, capsys):
         code = main(["campaign", "run", "--repro", FIXTURE])
         assert code == 1
         text = capsys.readouterr().out

@@ -10,9 +10,9 @@ processed (the work of every simulation it ran, minimisation and the
 nominal run of each diagnosis included).
 
 Cases: the three bus problems of the ``verify-bus`` benchmark workload
-under Solution 1 (a SAFE K=1 schedule, a refuted K=2 schedule whose
-campaign finds a failure, and the pinned delivery gap), plus ``repro
-campaign run --suite smoke``.
+under Solution 1 (a K=1 schedule and two K=2 schedules, one of them
+the fixed ROADMAP delivery gap; all three are SAFE and their
+campaigns pass), plus ``repro campaign run --suite smoke``.
 
 Regenerate the fixture only when the simulated output is meant to
 change::

@@ -10,9 +10,10 @@ seeded random problems):
 * per-event local slack is never negative;
 * diffing a trace against an identically-simulated run is empty.
 
-Plus the pinned ROADMAP delivery-gap regression: the differ must name
-the lost takeover frame (P3's stand-down on P2's frame) as the first
-fatal divergence, and the campaign diagnoser must surface it.
+Plus a failure by design, one crash beyond K (the K+1 takeover-loss
+reproducer): the differ must name the last lost takeover frame (P3's,
+after P2's was lost too) as the first fatal divergence, and the
+campaign diagnoser must surface it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.obs.runtime import instrumented
 from repro.sim import FailureScenario, simulate
 from repro.sim.values import reference_outputs
 
-FIXTURE = Path(__file__).parent / "fixtures" / "roadmap_delivery_gap.json"
+FIXTURE = Path(__file__).parent / "fixtures" / "k_plus_one_takeover_loss.json"
 
 TOL = 1e-6
 
@@ -196,7 +197,9 @@ class TestFaultCost:
 
 
 class TestDeliveryGapDivergence:
-    """The pinned reproducer's differ verdict (acceptance criterion)."""
+    """The K+1 reproducer's differ verdict: P4 dies early, and both
+    takeover frames for (L1N2, L2N0), P2's and then P3's, are lost
+    mid-transmission, so survivor L2N0@P1 starves."""
 
     @pytest.fixture(scope="class")
     def gap(self):
@@ -213,26 +216,25 @@ class TestDeliveryGapDivergence:
         diff = diff_traces(nominal, faulty, schedule, scenario)
         assert not diff.identical
         assert diff.fatal is not None
-        # The root cause: the (L1N2, L2N0) takeover frame P2 dispatched
-        # towards P1 was lost mid-transmission.
+        # The root cause: the last delivery attempt, the (L1N2, L2N0)
+        # takeover frame P3 dispatched towards P1, was lost
+        # mid-transmission.
         assert diff.fatal.op == "L1N2"
         assert diff.fatal.processor == "P1"
         assert diff.fatal.event.kind == "lost"
-        assert "L1N2" in diff.fatal.event.describe()
-        # ... and the forensics: P3 (rank 1) stood down on that frame.
-        stood_down = [
+        assert "L1N2->L2N0 P3" in diff.fatal.event.describe()
+        # ... and the forensics: P3's rank-1 rung fired on P2.
+        fired = [
             entry for entry in diff.fatal.ladder
-            if entry.watcher == "P3" and entry.state == "never-fired"
+            if entry.watcher == "P3" and entry.state == "fired"
         ]
-        assert stood_down, diff.fatal.ladder
-        assert "LOST" in stood_down[0].detail
+        assert fired, diff.fatal.ladder
         rendered = diff.render()
         assert "first fatal divergence" in rendered
         assert "takeover frame was lost" in rendered
-        assert "stood down" in rendered
 
     def test_diagnosis_ladder_is_the_differs_ladder(self, gap):
-        """One copy of the stand-down forensics: the campaign diagnosis
+        """One copy of the ladder forensics: the campaign diagnosis
         reports exactly the differ's ladder for the starved input."""
         schedule, scenario = gap
         nominal = simulate(schedule, FailureScenario.none())
@@ -249,12 +251,12 @@ class TestDeliveryGapDivergence:
         ] == [
             ("P2", "P4", 0, "skipped"),
             ("P3", "P4", 0, "skipped"),
-            ("P3", "P2", 1, "never-fired"),
+            ("P3", "P2", 1, "fired"),
         ]
         # The skip names the message whose detection set the fail flag.
         assert "(for 'L0N0')" in missing.ladder[0].detail
         text = diagnosis.render()
-        assert "stood down" in text and "LOST" in text
+        assert text.count("takeover frame lost mid-transmission") == 2
 
     def test_frontier_is_the_unreproduced_value_cone(self, gap):
         schedule, scenario = gap

@@ -21,7 +21,7 @@ from repro.graphs.io import save_problem
 from repro.obs.causal import SCHEMA_ID, load_report
 
 FIXTURE = str(
-    Path(__file__).parent / "fixtures" / "roadmap_delivery_gap.json"
+    Path(__file__).parent / "fixtures" / "k_plus_one_takeover_loss.json"
 )
 
 
@@ -112,7 +112,6 @@ class TestCausalCommand:
         assert "first fatal divergence" in out
         assert "L1N2" in out
         assert "takeover frame was lost" in out
-        assert "stood down" in out
 
     def test_bad_repro_file_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

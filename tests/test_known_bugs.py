@@ -1,14 +1,16 @@
-"""Pinned regression tests for known, not-yet-fixed bugs.
+"""Regression tests for bugs that were pinned and then fixed.
 
-Each test here documents a bug listed under "Open items" in
-ROADMAP.md.  They are marked ``xfail(strict=True)``: the suite stays
-green while the bug exists, and the fix PR *must* flip the marker —
-an unexpected pass fails the build, so the pin can never go stale.
+Each test here replays the scenario of a bug that ROADMAP.md once
+listed under "Open items" and that a strict ``xfail`` pinned until
+its fix.  The campaign reproducer fixture
+(``tests/fixtures/roadmap_delivery_gap.json``, ``expect: "pass"``) is
+the executable form of the same scenario: ``repro campaign run
+--repro`` replays it.
 
-The campaign reproducer fixture
-(``tests/fixtures/roadmap_delivery_gap.json``) is the executable form
-of the same bug: ``repro campaign run --repro`` replays it and prints
-the full trace-level diagnosis.
+The Solution-1 take-over delivery gap: a watchdog stood down when a
+takeover frame was *dispatched*, so a crash of the sender
+mid-transmission lost a frame the later watchers had given up on.  A
+watchdog now stands down only on a *completed* observable frame.
 """
 
 from pathlib import Path
@@ -45,28 +47,33 @@ def _bug_scenario(problem):
 
 
 class TestSolution1DeliveryGap:
-    """ROADMAP known bug: Solution-1 take-over delivery gap under
+    """Fixed ROADMAP bug: Solution-1 take-over delivery gap under
     double failures (found by Hypothesis during PR 4)."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP known bug: Solution-1 take-over delivery gap — "
-        "L2N0@P1 survives P4@2.031 + P2@15.09 but its inputs are never "
-        "delivered; the fix PR must flip this marker (and the fixture's "
-        "'expect' field) to pass.",
-    )
     def test_double_crash_iteration_completes(self):
         problem = _bug_problem()
         schedule = schedule_solution1(problem).schedule
         scenario = _bug_scenario(problem)
         trace = simulate(schedule, scenario)
         assert trace.completed
+        # P2's takeover frame for L1N2 -> L2N0 is lost when P2 crashes
+        # at 15.09; P3's rank-1 rung fires and P3 takes over at 18.259.
+        takeovers = [
+            frame
+            for frame in trace.frames
+            if frame.dependency == ("L1N2", "L2N0") and frame.takeover
+        ]
+        assert [(f.sender, f.delivered) for f in takeovers] == [
+            ("P2", False),
+            ("P3", True),
+        ]
+        assert takeovers[1].start == pytest.approx(18.259, abs=1e-3)
 
-    def test_campaign_reproducer_pins_the_diagnosis(self):
-        # The committed reproducer replays the same bug through the
-        # campaign executor and must keep naming the same root cause.
+    def test_campaign_reproducer_passes(self):
+        # The committed reproducer replays the same scenario through
+        # the campaign executor: it now passes, with no diagnosis.
         repro = load_reproducer(FIXTURE)
-        assert repro["expect"] == "fail"
+        assert repro["expect"] == "pass"
         problem = problem_from_spec(repro["problem"])
         schedule = schedule_solution1(problem).schedule
         scenario = scenario_from_dict(repro["scenario"])
@@ -83,14 +90,8 @@ class TestSolution1DeliveryGap:
             problem_spec=repro["problem"],
             method=repro["method"],
         )
-        assert not outcome.passed
-        assert "incomplete" in outcome.reasons
-        text = outcome.diagnosis["text"]
-        assert "L2N0@P1" in text
-        assert "L1N2 -> L2N0" in text
-        assert "never delivered" in text
-        assert "SURVIVOR holding the data" in text
-        assert "stood down" in text
+        assert outcome.passed, outcome.reasons
+        assert outcome.diagnosis is None
 
     def test_reproducer_matches_the_roadmap_scenario(self):
         # Guard the fixture itself: it must encode exactly the crash

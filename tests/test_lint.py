@@ -702,8 +702,8 @@ def gap_schedule(with_ladder=False):
     """``a`` replicated on P1/P2, consumer ``b`` on P3, one static send.
 
     Without a timeout ladder, crashing P1 (the only scheduled sender)
-    leaves survivor ``a@P2`` holding data it will never send — the
-    static shadow of the ROADMAP delivery gap.
+    leaves survivor ``a@P2`` holding data it will never send (what
+    FT216 flags).
     """
     from repro.core.schedule import TimeoutEntry
 

@@ -27,9 +27,9 @@ class Recorder(ExecutiveRuntime):
         self.deliveries.append((dep, dest, self.sim.now))
         super()._deliver(dep, dest, sender, takeover, payload)
 
-    def _observe(self, dep, cause, sender):
-        self.observations.append((dep, sender, cause, self.sim.now))
-        super()._observe(dep, cause, sender)
+    def _observe(self, dep, sender):
+        self.observations.append((dep, sender, self.sim.now))
+        super()._observe(dep, sender)
 
 
 def make_network(problem, scenario=None):
@@ -56,7 +56,7 @@ class TestBusDispatch:
         assert set(frame.destinations) == {"P2", "P3"}
         assert sorted(d[1] for d in deliveries) == ["P2", "P3"]
         # Every bus member snoops the frame: the dependency is observed.
-        assert observations[0][:3] == (("A", "B"), "P1", "frame")
+        assert observations[0] == (("A", "B"), "P1", pytest.approx(1.5))
         assert frame.link == "bus"
         assert network.observed[("A", "B")] is None
 

@@ -1,10 +1,12 @@
 """The FT4xx static delivery prover (``repro.lint.proof``).
 
 The prover must (a) prove the paper's examples safe without running a
-single simulation, (b) statically rediscover the pinned ROADMAP
-delivery-gap bug with a counterexample in the committed reproducer's
-exact (processor, window)-class, and (c) stay sound: SAFE only when
-every ≤K crash subset is covered, UNPROVEN when the budget runs out.
+single simulation, (b) prove the schedule of the fixed ROADMAP
+delivery gap safe and its committed reproducer delivered, while a
+crash beyond K (the K+1 takeover-loss reproducer) is refuted with a
+counterexample in the reproducer's exact (processor, window)-class,
+and (c) stay sound: SAFE only when every ≤K crash subset is covered,
+UNPROVEN when the budget runs out.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 
 from repro.core import schedule_baseline, schedule_solution1, schedule_solution2
 from repro.core.timeline import event_boundaries
-from repro.graphs.generators import random_bus_problem
+from repro.graphs.generators import random_bus_problem, random_p2p_problem
 from repro.lint import lint_schedule
 from repro.lint.proof import (
     PROOF_SCHEMA_ID,
@@ -29,7 +31,7 @@ from repro.lint.proof import (
     prove_delivery,
     save_proof,
 )
-from repro.lint.proof.model import render_class, window_index
+from repro.lint.proof.model import ProofResult, render_class, window_index
 from repro.obs import instrumented
 from repro.obs.campaign import (
     REPRODUCER_SCHEMA_ID,
@@ -45,7 +47,11 @@ from repro.paper import examples
 from repro.sim import FailureScenario
 from repro.sim.values import reference_outputs
 
-FIXTURE = Path(__file__).parent / "fixtures" / "roadmap_delivery_gap.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+#: The fixed ROADMAP delivery gap (expect "pass").
+FIXTURE = FIXTURES / "roadmap_delivery_gap.json"
+#: The same schedule with a third crash, beyond K (expect "fail").
+K_PLUS_ONE = FIXTURES / "k_plus_one_takeover_loss.json"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +69,18 @@ def gap_schedule():
 @pytest.fixture(scope="module")
 def gap_proof(gap_schedule):
     return prove_delivery(gap_schedule)
+
+
+def p2p_solution1_schedule():
+    """A Solution-1 schedule on point-to-point links that one crash of
+    P1 starves (ROADMAP item 11)."""
+    problem = random_p2p_problem(operations=10, processors=4, failures=1, seed=5)
+    return schedule_solution1(problem).schedule
+
+
+def _crashes(path):
+    scenario = scenario_from_dict(load_reproducer(path)["scenario"])
+    return scenario, {crash.processor: crash.at for crash in scenario.crashes}
 
 
 class TestPaperExamplesSafe:
@@ -109,35 +127,48 @@ class TestPaperExamplesSafe:
         assert [w.dependency for w in loaded.dependencies] == [
             w.dependency for w in first_proof.dependencies
         ]
+        # Artifacts written before the race bookkeeping was deleted
+        # carry a ``races`` key, which loading ignores.
+        payload["races"] = []
+        path.write_text(json.dumps(payload))
+        assert load_proof(path).to_dict() == first_proof.to_dict()
 
 
-class TestRoadmapGapRefuted:
-    """The prover rediscovers the pinned Solution-1 delivery gap
-    statically — no simulation, the automaton alone."""
+class TestRoadmapGapDelivered:
+    """The schedule of the fixed ROADMAP delivery gap: a watchdog stands
+    down only on a completed frame, so the prover proves it SAFE and
+    the committed reproducer is statically delivered."""
 
-    def test_verdict_unsafe(self, gap_proof):
-        assert gap_proof.verdict == "UNSAFE"
-        assert not gap_proof.safe
-        assert gap_proof.counterexamples
-        assert "refuted" in gap_proof.summary_line()
+    def test_verdict_safe(self, gap_proof):
+        assert gap_proof.verdict == "SAFE"
+        assert gap_proof.safe
+        assert not gap_proof.counterexamples
+        assert not gap_proof.never_rearms
+        assert gap_proof.evaluations == 2080
+        assert "races" not in gap_proof.to_dict()
 
-    def test_committed_class_is_refuted(self, gap_proof, gap_schedule):
-        """The committed reproducer's (processor, window)-class is in
-        the refuted region set."""
-        reproducer = load_reproducer(FIXTURE)
-        scenario = scenario_from_dict(reproducer["scenario"])
+    def test_committed_scenario_is_delivered(self, gap_schedule):
+        """``repro prove --repro``: the reproducer's exact crash dates
+        deliver every output, in the reproducer's own class."""
+        scenario, crashes = _crashes(FIXTURE)
+        check = check_scenario(gap_schedule, crashes)
+        assert not check.refuted
+        assert check.counterexample is None
+        assert not check.missing_outputs and not check.undelivered
         committed = class_key(scenario, event_boundaries(gap_schedule))
-        assert gap_proof.refutes_class(committed), (
-            f"{render_class_key(committed)} not refuted; refuted classes: "
-            f"{gap_proof.refuted_classes(limit=50)}"
-        )
+        assert check.class_key == committed
+        assert check.label == render_class_key(committed)
+
+
+class TestKPlusOneTakeoverLoss:
+    """One crash beyond K on the same schedule (P3@18.5 added): both
+    takeover frames for L1N2 -> L2N0 are lost mid-transmission, so the
+    reproducer fails by design."""
 
     def test_check_scenario_pins_committed_class(self, gap_schedule):
         """``repro prove --repro``: interpreting the reproducer's exact
         crash dates yields a counterexample in exactly its class."""
-        reproducer = load_reproducer(FIXTURE)
-        scenario = scenario_from_dict(reproducer["scenario"])
-        crashes = {crash.processor: crash.at for crash in scenario.crashes}
+        scenario, crashes = _crashes(K_PLUS_ONE)
         check = check_scenario(gap_schedule, crashes)
         assert check.refuted
         committed = class_key(scenario, event_boundaries(gap_schedule))
@@ -146,13 +177,13 @@ class TestRoadmapGapRefuted:
         assert check.counterexample is not None
         assert check.counterexample.class_key == committed
         assert set(check.missing_outputs) == {"L3N0", "L3N1"}
+        assert "L1N2 -> L2N0 @ P1" in check.undelivered
 
     def test_counterexample_replays_to_failure(self, gap_schedule):
         """The statically derived counterexample, exported as a
         standard reproducer, fails in the actual simulator."""
-        reproducer = load_reproducer(FIXTURE)
-        scenario = scenario_from_dict(reproducer["scenario"])
-        crashes = {crash.processor: crash.at for crash in scenario.crashes}
+        reproducer = load_reproducer(K_PLUS_ONE)
+        _scenario, crashes = _crashes(K_PLUS_ONE)
         check = check_scenario(gap_schedule, crashes)
         exported = counterexample_reproducer(
             check.counterexample, reproducer["problem"], "solution1"
@@ -174,17 +205,6 @@ class TestRoadmapGapRefuted:
         )
         assert not outcome.passed
         assert "incomplete" in outcome.reasons
-
-    def test_race_is_the_roadmap_race(self, gap_proof):
-        """FT403 material: some refutation shows a takeover dispatch
-        standing watchers down before its own frame is lost."""
-        assert gap_proof.races
-        race = next(
-            r for r in gap_proof.races if r["dependency"] == "L1N2 -> L2N0"
-        )
-        assert race["stood_down"]
-        assert race["frame_end"] > race["dispatch_time"]
-        assert gap_proof.never_rearms  # FT402: the observe never re-arms
 
 
 class TestPruning:
@@ -216,7 +236,8 @@ class TestSoundnessDegradation:
         assert proof.verdict in ("UNPROVEN", "UNSAFE")
         if proof.verdict == "UNPROVEN":
             assert proof.unproven_subsets
-        # Never SAFE under a starved budget on a refutable schedule.
+        # Never SAFE under a starved budget, even on a schedule that a
+        # full budget proves SAFE.
         assert proof.verdict != "SAFE"
 
 
@@ -308,14 +329,54 @@ class TestLintIntegration:
             d for d in report.findings if d.rule.startswith("FT4")
         ]
 
-    def test_gap_schedule_yields_ft401_402_403(self, gap_schedule):
-        report = lint_schedule(gap_schedule)
+    def test_k_plus_one_proof_yields_ft401_not_ft403(self):
+        """The K+1 reproducer's schedule, linted with its K+1 proof in
+        the memo: FT401 reports the refutation; FT403 stays silent."""
+        from repro.lint.proof import rules
+
+        problem = problem_from_spec(load_reproducer(K_PLUS_ONE)["problem"])
+        schedule = schedule_solution1(problem).schedule
+        rules._CACHE[id(schedule)] = prove_delivery(schedule, max_failures=3)
+        try:
+            report = lint_schedule(schedule)
+        finally:
+            rules._CACHE.pop(id(schedule))
         ft401 = report.by_rule("FT401")
-        assert ft401, "delivery gap not refuted by lint"
+        assert ft401, "K+1 crashes not refuted by lint"
         assert all(d.severity.value == "error" for d in ft401)
         assert any("crash class" in d.message for d in ft401)
-        assert report.by_rule("FT402")
-        assert report.by_rule("FT403")
+        assert not report.by_rule("FT403")
+
+    def test_ft403_is_silent_everywhere(self, gap_schedule, bus_solution1):
+        """No watcher stands down on a dispatched frame any more, so the
+        registered FT403 has nothing to report, SAFE or UNSAFE."""
+        from repro.lint.registry import get_rule
+
+        refuted = p2p_solution1_schedule()
+        assert prove_delivery(refuted).verdict == "UNSAFE"
+        ft403 = get_rule("FT403")
+        for schedule in (gap_schedule, bus_solution1.schedule, refuted):
+            assert ft403.findings(schedule) == []
+
+    def test_ft402_reports_a_never_rearming_ladder(self):
+        """Solution 1 on point-to-point links: P1's frame of
+        (L0N0, L1N0) to P3 completes and fires the one-shot observe,
+        its frame to P4 is lost with P1, and no rung re-arms."""
+        schedule = p2p_solution1_schedule()
+        proof = prove_delivery(schedule)
+        assert proof.never_rearms == [
+            {
+                "dependency": "L0N0 -> L1N0",
+                "observed_by": "P1",
+                "observed_at": 6.072,
+            }
+        ]
+        (finding,) = lint_schedule(schedule).by_rule("FT402")
+        assert finding.subject == "L0N0 -> L1N0"
+        assert finding.severity.value == "warning"
+        assert "observe fired at t=6.072 (a frame from P1)" in finding.message
+        restored = ProofResult.from_dict(proof.to_dict())
+        assert restored.never_rearms == proof.never_rearms
 
     def test_automaton_summary_shape(self, gap_schedule):
         auto = compile_automaton(gap_schedule)
@@ -348,17 +409,30 @@ class TestProveCli:
             [
                 "prove",
                 "--repro",
-                str(FIXTURE),
+                str(K_PLUS_ONE),
                 "--counterexample",
                 str(cx),
             ]
         )
-        assert code == 1  # the pinned bug still fails (like campaign --repro)
+        assert code == 1  # the K+1 scenario fails (like campaign --repro)
         output = capsys.readouterr().out
         assert "refuted" in output
         assert "agrees" in output
         exported = json.loads(cx.read_text())
         assert exported["schema"] == REPRODUCER_SCHEMA_ID
+
+    def test_prove_repro_exit0_on_the_fixed_gap(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cx = tmp_path / "cx.json"
+        code = main(
+            ["prove", "--repro", str(FIXTURE), "--counterexample", str(cx)]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "verdict: delivered" in output
+        assert "expects 'pass': the static verdict agrees" in output
+        assert not cx.exists()
 
     def test_certify_prove_exit0_on_paper(self, tmp_path, capsys):
         from repro.cli import main

@@ -16,7 +16,9 @@ schedule deliver under ≤K crashes?" — must agree on every problem:
   ``certify_fault_tolerance`` fails (processors dead from the start)
   is a region of the prover's sweep, so certify FAIL ⇒ prover UNSAFE,
   and prover SAFE ⇒ certify ok;
-* on the battery, FT216 never fires on a schedule FT401 proves.
+* on the battery, FT216 never fires on a schedule FT401 proves;
+* on a seeded battery of Solution-1 K=2 bus schedules, every proof is
+  SAFE and the campaign over its ≤K crash space passes.
 
 The battery is seeded and small (CI-speed); the CI workflow runs the
 same gate as a job so drift between the layers blocks merges.
@@ -199,9 +201,9 @@ class TestCertifyIsOneSidedAgainstProver:
 
 class TestFT216NeverContradictsFT401:
     """FT216 is a plan-inspection heuristic.  On the battery FT401
-    refutes every schedule FT216 fires on.  (The converse is false:
-    FT401 also finds dynamic races FT216 cannot see — the ROADMAP
-    fixture.)"""
+    refutes every schedule FT216 fires on.  The converse is false:
+    FT401 also refutes schedules whose static plan FT216 finds no gap
+    in, because the failure only shows in the protocol's run."""
 
     def test_ft216_implies_ft401(self, target):
         from repro.lint.registry import get_rule
@@ -216,14 +218,51 @@ class TestFT216NeverContradictsFT401:
             f"verdict is {proof.verdict}"
         )
 
-    def test_roadmap_fixture_is_the_converse_witness(self):
-        """The pinned delivery gap: FT401 refutes it while FT216 stays
-        silent — the dynamic race is invisible to plan inspection."""
+    def test_p2p_solution1_is_a_converse_witness(self):
+        """A Solution-1 schedule on point-to-point links (oracle
+        detection): FT401 refutes one crash of P1 and the simulator
+        confirms it, while FT216 stays silent."""
         from repro.lint.registry import get_rule
 
-        problem = random_bus_problem(
-            operations=10, processors=4, failures=2, seed=0
+        problem = random_p2p_problem(
+            operations=10, processors=4, failures=1, seed=5
         )
         schedule = schedule_solution1(problem).schedule
         assert not get_rule("FT216").findings(schedule)
-        assert prove_delivery(schedule).verdict == "UNSAFE"
+        proof = prove_delivery(schedule)
+        assert proof.verdict == "UNSAFE"
+        crashes = proof.counterexample.crashes
+        assert set(crashes) == {"P1"}
+        trace = simulate(
+            schedule,
+            FailureScenario(
+                crashes=tuple(Crash(p, at) for p, at in crashes.items())
+            ),
+        )
+        assert not trace.completed
+
+
+#: ROADMAP items 1 and 2c: Solution-1 K=2 bus schedules, 10 operations
+#: on 4 processors (the 12/5 battery takes about three times as long).
+K2_SEEDS = range(12)
+
+
+class TestSeededK2Battery:
+    """Every Solution-1 K=2 bus schedule of the battery is proven SAFE
+    and its ≤K campaign passes (prover SAFE ⇒ campaign passes)."""
+
+    @pytest.mark.parametrize("seed", K2_SEEDS)
+    def test_k2_bus_solution1_is_safe_and_passes(self, seed):
+        problem = random_bus_problem(
+            operations=10, processors=4, failures=2, seed=seed
+        )
+        schedule = schedule_solution1(problem).schedule
+        proof = prove_delivery(schedule)
+        assert proof.verdict == "SAFE", proof.summary_line()
+        assert not proof.never_rearms
+        space = enumerate_space(schedule, failures=2, seed=1)
+        result = run_campaign(
+            schedule, space, label=f"bus10-k2-s{seed}", method="solution1",
+            failures=2,
+        )
+        assert result.all_passed, [o.name for o in result.failed]

@@ -49,12 +49,7 @@ def _fingerprint(run) -> tuple:
         list(run.decisions.items()),
         run.missing_outputs,  # the verdict
         list(run.delivery_source.items()),
-        list(run.stand_downs),
         list(run.observed_cause.items()),
-        [
-            (race.dep, race.dispatcher, race.dispatch_time, race.frame_end)
-            for race in run.lost_takeovers
-        ],
         run.detections,
         run.sim.now,
         run.sim.checkpoint()[2],  # the sequence position: same pushes

@@ -59,6 +59,19 @@ class TestTransientThenSteady:
         assert run.iterations[0].detections
         assert run.iterations[1].detections  # paid again
 
+    @pytest.mark.parametrize("carry", [True, False])
+    def test_final_flags_are_mutable_sets(self, bus_solution1, carry):
+        run = simulate_sequence(
+            bus_solution1.schedule,
+            [FailureScenario.crash("P2", 3.0)],
+            carry_flags=carry,
+        )
+        assert any("P2" in flags for flags in run.final_flags.values())
+        for proc, flags in run.final_flags.items():
+            assert type(flags) is set
+            flags.add("P9")  # a caller may edit its copy
+            assert "P9" in run.final_flags[proc]
+
 
 class TestSequenceSemantics:
     def test_empty_sequence(self, bus_solution1):
