@@ -38,7 +38,12 @@ WatchKey = Tuple[str, DependencyKey, str]
 
 #: Arrival exactly at the worst-case bound is timely: a watchdog fires
 #: strictly after its rung's deadline (Section 6.1 item 2 computes the
-#: bound as the least value avoiding spurious elections).
+#: bound as the least value avoiding spurious elections).  A rung reads
+#: the one-shot observe at ``deadline + DEADLINE_SLACK``; a frame that
+#: completes at exactly that date stands it down when the frame's
+#: completion entered the kernel before the rung's deadline did (the
+#: kernel's sequence order breaks the tie), and otherwise the rung times
+#: out.
 DEADLINE_SLACK = 1e-9
 
 

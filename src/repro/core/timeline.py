@@ -24,6 +24,7 @@ for every scheduler, the simulator and the prover.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -34,6 +35,8 @@ __all__ = [
     "TimelineState",
     "CommPlanner",
     "event_boundaries",
+    "render_class_key",
+    "window_index",
 ]
 
 DependencyKey = Tuple[str, str]
@@ -61,6 +64,25 @@ def event_boundaries(schedule: Schedule) -> List[float]:
     for entry in schedule.timeouts:
         dates.add(entry.deadline)
     return sorted(dates)
+
+
+def window_index(boundaries: Sequence[float], time: float) -> int:
+    """The event window of :func:`event_boundaries` that ``time`` falls into.
+
+    Window ``i`` is ``[boundaries[i], boundaries[i+1])``; dates at or
+    beyond the last boundary map to the final (open-ended) window.
+    """
+    if not boundaries:
+        return 0
+    return max(0, bisect_right(boundaries, time) - 1)
+
+
+def render_class_key(key: Sequence[Tuple[str, int]]) -> str:
+    """The spelling of a sorted (processor, window) crash class, shared
+    by the campaign and the prover: ``P2@w3+P4@w0``."""
+    if not key:
+        return "failure-free"
+    return "+".join(f"{proc}@w{window}" for proc, window in key)
 
 
 @dataclass

@@ -10,9 +10,9 @@ executive will do at run time to deliver each data-dependency:
 * which backup replicas watch the message with which timeout-ladder
   rungs (from ``core/timeouts.py``), in rank order — each rung is an
   edge that can *re-arm* a takeover;
-* the **stand-down edge**: the per-dependency ``observed`` signal is
-  one-shot, so the first observable frame to *complete* permanently
-  retires every still-waiting watcher.
+* the **stand-down edge**: the per-dependency ``observed`` fact is
+  one-shot, so once the first observable frame *completes*, every
+  watcher that reads it at a rung's deadline stands down.
 
 The automaton holds the schedule's compiled
 :class:`~repro.core.executive_plan.ExecutivePlan` itself (``plan``:

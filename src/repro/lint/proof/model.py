@@ -8,20 +8,21 @@ can be replayed one-to-one through the campaign executor
 (:func:`counterexample_reproducer` emits the standard
 ``repro.obs.campaign.reproducer/1`` JSON).
 
-The (processor, window)-class encoding is deliberately identical to
-:mod:`repro.obs.campaign.model` (``window_index`` semantics and the
-``P2@w3+P4@w0`` rendering), so prover classes and campaign classes can
-be compared with plain equality; a unit test pins the two encodings
-together.
+The (processor, window)-class encoding is the campaign's
+(:func:`~repro.core.timeline.window_index` and the ``P2@w3+P4@w0``
+rendering, re-exported here as ``render_class``), so prover classes
+and campaign classes can be compared with plain equality.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from ...core.timeline import render_class_key as render_class
+from ...core.timeline import window_index
 
 __all__ = [
     "PROOF_SCHEMA_ID",
@@ -38,20 +39,6 @@ __all__ = [
 
 #: Schema identifier of a persisted proof artifact.
 PROOF_SCHEMA_ID = "repro.lint.proof/1"
-
-
-def window_index(boundaries: Sequence[float], time: float) -> int:
-    """The static event window ``time`` falls into (campaign-identical)."""
-    if not boundaries:
-        return 0
-    return max(0, bisect_right(boundaries, time) - 1)
-
-
-def render_class(key: Sequence[Tuple[str, int]]) -> str:
-    """Campaign-identical class spelling: ``P2@w3+P4@w0``."""
-    if not key:
-        return "failure-free"
-    return "+".join(f"{proc}@w{window}" for proc, window in key)
 
 
 @dataclass

@@ -96,8 +96,7 @@ class RunOutcome(NamedTuple):
 #: A run's containers, whose entries never change in place (the flag
 #: sets are frozen), so that a shallow copy saves them.
 _COPIED = ("decisions", "bounds", "busy", "flags", "data", "produced",
-           "observed", "waiting", "outputs_done", "delivery_source",
-           "observed_cause")
+           "observed", "outputs_done", "delivery_source", "observed_cause")
 
 
 class _AbstractRun(Protocol):
@@ -208,9 +207,9 @@ class _AbstractRun(Protocol):
             self.sim.fire(self.data, (dep, dest))
 
     def _observe(self, dep, sender: str) -> None:
-        if self.observed.get(dep, ()) is not None:
+        if dep not in self.observed:
             self.observed_cause[dep] = (sender, self.sim.now)
-            self.sim.fire(self.observed, dep)
+            self.observed.add(dep)
 
     def _output(self, op: str, _proc: str) -> None:
         self.outputs_done.add(op)

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ...core.timeline import render_class_key, window_index
 from ...graphs.problem import Problem
 from ...sim.faults import Crash, FailureScenario, LinkCrash
 from ..environment import environment_fingerprint, utc_now
@@ -70,17 +70,6 @@ ClassKey = Tuple[Tuple[str, int], ...]
 # ----------------------------------------------------------------------
 # Equivalence classes
 # ----------------------------------------------------------------------
-def window_index(boundaries: Sequence[float], time: float) -> int:
-    """The event window ``time`` falls into.
-
-    Window ``i`` is ``[boundaries[i], boundaries[i+1])``; dates at or
-    beyond the last boundary map to the final (open-ended) window.
-    """
-    if not boundaries:
-        return 0
-    return max(0, bisect_right(boundaries, time) - 1)
-
-
 def class_key(
     scenario: FailureScenario, boundaries: Sequence[float]
 ) -> ClassKey:
@@ -91,13 +80,6 @@ def class_key(
             for crash in scenario.crashes
         )
     )
-
-
-def render_class_key(key: ClassKey) -> str:
-    """A stable human/JSON-friendly spelling: ``P2@w3+P4@w0``."""
-    if not key:
-        return "failure-free"
-    return "+".join(f"{proc}@w{window}" for proc, window in key)
 
 
 @dataclass(frozen=True)

@@ -171,8 +171,9 @@ def analyze_trace(
 ) -> CausalReport:
     """Run the full causal analysis of one simulated iteration.
 
-    With a ``nominal`` trace the report also carries the fault-cost
-    attribution and the nominal-vs-fault diff.  Emits ``causal.*``
+    With a ``nominal`` trace the report also carries the nominal-vs-fault
+    diff and, when the iteration completed (an incomplete one has no
+    response time to bill), the fault-cost attribution.  Emits ``causal.*``
     metrics on the ambient instrumentation (no-ops when disabled).
     """
     obs = get_instrumentation()
@@ -183,9 +184,10 @@ def analyze_trace(
         fault_cost = None
         diff = None
         if nominal is not None and nominal is not trace:
-            fault_cost = attribute_fault_cost(
-                graph, path, nominal, schedule, scenario
-            )
+            if trace.completed:
+                fault_cost = attribute_fault_cost(
+                    graph, path, nominal, schedule, scenario
+                )
             diff = diff_traces(nominal, trace, schedule, scenario)
     obs.count("causal.analyses")
     obs.count("causal.nodes", len(graph.nodes))

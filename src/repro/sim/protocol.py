@@ -5,10 +5,12 @@ processor, the computation unit runs its replicas in static order,
 each blocking until its inputs are locally available.  The
 communication units send each produced replica's data at its planned
 release dates (time-triggered), and under Solution 1 every backup runs
-an ``OpComm`` watchdog per outgoing dependency that waits on the
-presumed main's frame, declares it faulty on timeout (fail flag,
-Section 5.5) and finally sends itself.  Frames cross serialized links
-store-and-forward along the static routes.
+an ``OpComm`` watchdog per outgoing dependency: a receive with a
+timeout per ladder rung, which at the rung's deadline stands down if
+the dependency's frame was observed by then, and otherwise declares
+the presumed main faulty (fail flag, Section 5.5) and moves to the
+next rung, until it finally sends itself.  Frames cross serialized
+links store-and-forward along the static routes.
 
 :class:`Protocol` holds all of it as explicit-state callbacks on
 :mod:`repro.sim.engine` (a process's only state is its position: a row
@@ -47,7 +49,9 @@ A world answers the protocol's questions and records what it keeps:
 ``_output(op, proc)``, ``_detected(op, watcher, suspect)``,
 ``_observe(dep, sender)``
     Bookkeeping of a produced output, a new fail flag and the
-    dependency's one-shot observe (a completed observable frame).
+    dependency's one-shot observe (a completed observable frame; the
+    protocol adds ``dep`` to the ``observed`` set, which watchdogs
+    read at their deadlines and nothing waits on).
 
 The fail-flag arrays are frozen sets, rebound and never changed in
 place, so that a shallow copy of a run's containers saves it (the
@@ -58,7 +62,7 @@ model or the trace.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..core.executive_plan import DEADLINE_SLACK, OpRow
 from ..core.schedule import Schedule, ScheduleSemantics
@@ -104,12 +108,12 @@ class Protocol:
         #: Per-processor fail-flag arrays (Section 5.5).
         self.flags = flags
         #: Event tables (see repro.sim.engine): ``(dep, proc)`` arrivals,
-        #: ``(op, proc)`` productions, per-dependency observes.
+        #: ``(op, proc)`` productions.
         self.data: EventTable = {}
         self.produced: EventTable = {}
-        self.observed: EventTable = {}
-        #: Watch key -> the rung whose wait is pending (see _woken).
-        self.waiting: Dict[WatchKey, int] = {}
+        #: The dependencies whose one-shot observe happened: a watchdog
+        #: reads it at its rung's deadline (see _woken).
+        self.observed: Set[DependencyKey] = set()
         #: ``(op, proc)`` -> the value a replica computed; frames carry
         #: it (the prover models no values: its frames carry None).
         self.values: Dict[Tuple[str, str], object] = {}
@@ -134,9 +138,9 @@ class Protocol:
     # Default bookkeeping (a world overrides what it keeps)
     # ------------------------------------------------------------------
     def _observe(self, dep: DependencyKey, sender: str) -> None:
-        """Fire ``dep``'s one-shot observe: ``sender``'s frame completed
-        on an observable link."""
-        self.sim.fire(self.observed, dep)
+        """Record ``dep``'s one-shot observe: ``sender``'s frame
+        completed on an observable link."""
+        self.observed.add(dep)
 
     # ------------------------------------------------------------------
     # Computation units
@@ -244,11 +248,15 @@ class Protocol:
         """One OpComm instance: watch the message of ``dep``, take over.
 
         Mirrors Figure 12: ``m`` starts at the main; flagged candidates
-        are skipped without waiting; a timeout marks the candidate's
-        unit failed and advances ``m`` (the rung ``start`` walks on
-        from); if ``m`` reaches the watcher, it sends the result itself.
+        are skipped without waiting; each other rung is a receive with a
+        timeout, which arms only the rung's deadline (``_woken`` reads
+        the one-shot observe there); if ``m`` reaches the watcher, it
+        sends the result itself.  A frame observed before a rung is
+        armed stands the watcher down at once.
         """
         _op, dep, watcher = key
+        if dep in self.observed:
+            return  # one-shot stand-down edge
         ladder = self.plan.ladders[key]
         for index in range(start, len(ladder)):
             if not self.alive_at(watcher, self.sim.now):
@@ -256,28 +264,19 @@ class Protocol:
             rung = ladder[index]
             if rung.candidate in self.flags[watcher]:
                 continue  # already known faulty: no wait (Figure 12)
-            self.waiting[key] = index
-            if not self.sim.wait(self.observed, dep, self._woken, key, (index, True)):
-                return self._woken(key, (index, True))  # answered at once
             deadline = rung.deadline + DEADLINE_SLACK
-            return self.sim.at(deadline, self._woken, key, (index, False))
+            return self.sim.at(deadline, self._woken, key, index)
         # Every earlier candidate is believed dead: the watcher is the
-        # effective main for this message, unless a frame was observed.
-        if self.observed.get(dep, ()) is not None:
-            self._take_over(key, None)
+        # effective main for this message.
+        self._take_over(key, None)
 
-    def _woken(self, key: WatchKey, wake) -> None:
-        """The observe fired or the deadline passed, whichever first: a
-        waker of an earlier wait finds another rung pending or none."""
-        index, observed = wake
-        if self.waiting.get(key) != index:
+    def _woken(self, key: WatchKey, index: int) -> None:
+        """Rung ``index``'s deadline passed: stand down if ``dep`` was
+        observed by now, else mark the candidate's unit failed and
+        advance ``m`` to the next rung."""
+        op, dep, watcher = key
+        if dep in self.observed or not self.alive_at(watcher, self.sim.now):
             return
-        del self.waiting[key]
-        op, _dep, watcher = key
-        if not self.alive_at(watcher, self.sim.now):
-            return
-        if observed:
-            return  # one-shot stand-down edge
         candidate = self.plan.ladders[key][index].candidate
         flagged = self.flags[watcher]
         if candidate not in flagged:

@@ -233,6 +233,21 @@ class TestDeliveryGapDivergence:
         assert "first fatal divergence" in rendered
         assert "takeover frame was lost" in rendered
 
+    def test_incomplete_iteration_bills_no_fault_cost(self, gap):
+        """An iteration that never produced its outputs has no response
+        time, so the report carries the diff but no fault cost."""
+        schedule, scenario = gap
+        nominal = simulate(schedule, FailureScenario.none())
+        faulty = simulate(schedule, scenario)
+        report = analyze_trace(faulty, schedule, scenario, nominal=nominal)
+        assert not report.completed
+        assert report.fault_cost is None
+        assert report.diff is not None and report.diff.fatal is not None
+        assert report.to_dict()["fault_cost"] is None
+        text = report.render()
+        assert "INCOMPLETE" in text
+        assert "fault cost" not in text
+
     def test_diagnosis_ladder_is_the_differs_ladder(self, gap):
         """One copy of the ladder forensics: the campaign diagnosis
         reports exactly the differ's ladder for the starved input."""

@@ -117,6 +117,39 @@ class TestFlags:
             ExecutiveRuntime(bus_solution1.schedule, detection="telepathy")
 
 
+class _CountingRuntime(ExecutiveRuntime):
+    """Counts the rung deadlines armed and the ``_woken`` calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.armed = self.woken = 0
+        at = self.sim.at
+
+        def counting_at(time, fn, a, b):
+            if fn.__name__ == "_woken":
+                self.armed += 1
+            at(time, fn, a, b)
+
+        self.sim.at = counting_at
+
+    def _woken(self, key, index):
+        self.woken += 1
+        super()._woken(key, index)
+
+
+class TestWatchdogWakes:
+    def test_every_wake_is_an_armed_deadline(self, bus_solution1):
+        """A rung is a receive with a timeout: it wakes once, at its
+        deadline, and reads the one-shot observe there."""
+        runtime = _CountingRuntime(
+            bus_solution1.schedule, FailureScenario.crash("P2", 3.0)
+        )
+        trace = runtime.run()
+        assert trace.completed and trace.detections
+        assert runtime.armed > 0
+        assert runtime.woken == runtime.armed
+
+
 class TestBaselineExecutive:
     def test_failure_free_matches_static(self, bus_baseline):
         trace = simulate(bus_baseline.schedule)

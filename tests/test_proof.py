@@ -144,7 +144,7 @@ class TestRoadmapGapDelivered:
         assert gap_proof.safe
         assert not gap_proof.counterexamples
         assert not gap_proof.never_rearms
-        assert gap_proof.evaluations == 2080
+        assert gap_proof.evaluations == 1413
         assert "races" not in gap_proof.to_dict()
 
     def test_committed_scenario_is_delivered(self, gap_schedule):
