@@ -93,12 +93,6 @@ class RunOutcome(NamedTuple):
         return not self.missing_outputs
 
 
-#: A run's containers, whose entries never change in place (the flag
-#: sets are frozen), so that a shallow copy saves them.
-_COPIED = ("decisions", "bounds", "busy", "flags", "data", "produced",
-           "observed", "outputs_done", "delivery_source", "observed_cause")
-
-
 class _AbstractRun(Protocol):
     """Run the protocol under permanent crash dates ``crashes``.
 
@@ -112,6 +106,11 @@ class _AbstractRun(Protocol):
     :meth:`restore` resumes it for crash dates that answer its
     decisions the same way.
     """
+
+    #: The containers a checkpoint copies (frames carry no values, so
+    #: the protocol's ``values`` stays empty and is not copied).
+    _COPIED = ("decisions", "bounds", "busy", "flags", "data", "produced",
+               "observed", "outputs_done", "delivery_source", "observed_cause")
 
     def __init__(
         self,
@@ -146,15 +145,12 @@ class _AbstractRun(Protocol):
 
     # -- checkpoints ----------------------------------------------------
     def checkpoint(self) -> tuple:
-        saved = [getattr(self, name).copy() for name in _COPIED]
-        return self.sim.checkpoint(), self.detections, saved
+        return super().checkpoint(), self.detections
 
     def restore(self, checkpoint: tuple, crashes: Dict[str, float]) -> None:
         """Go back to ``checkpoint`` (it stays valid) under ``crashes``."""
-        engine, self.detections, saved = checkpoint
-        self.sim.restore(engine)
-        for name, value in zip(_COPIED, saved):
-            setattr(self, name, value.copy())
+        saved, self.detections = checkpoint
+        super().restore(saved)
         self.crashes = crashes
 
     def execute(self, checkpoints_from: float = math.inf) -> List[tuple]:

@@ -19,11 +19,18 @@ Failures are diagnosed (:mod:`.diagnose`), their crash set is greedily
 minimized by re-simulation, and — when the caller supplied a problem
 spec — a replayable reproducer document is attached.
 
+Every simulation resumes from the schedule's failure-free run
+(:class:`~repro.sim.runner.FailureFreePrefix`) instead of replaying it
+from date 0: a block of scenarios builds one prefix and runs its
+scenarios in ascending order of their first diverging step, so the
+failure-free leader only moves forward; the prefix's failure-free
+trace is also the diagnosis's nominal run.
+
 ``jobs > 1`` fans the scenario list out over worker processes in
-contiguous blocks (the montecarlo pattern): every scenario's outcome
-depends only on the scenario itself, and outcomes are re-assembled in
-enumeration order, so the campaign result is bit-identical for any
-``jobs`` value.
+contiguous blocks (the montecarlo pattern), each with its own prefix:
+every scenario's outcome depends only on the scenario itself, and
+outcomes are re-assembled in enumeration order, so the campaign result
+is bit-identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ...analysis.gantt import render_trace
 from ...core.schedule import Schedule
 from ...sim.faults import FailureScenario
-from ...sim.runner import simulate
+from ...sim.runner import FailureFreePrefix, simulate
 from ...sim.trace import IterationTrace
 from ...sim.values import reference_outputs
 from ...sim.verify import verify_trace
@@ -97,12 +104,14 @@ def minimize_scenario(
     schedule: Schedule,
     scenario: FailureScenario,
     reference: Mapping[str, int],
+    prefix: Optional[FailureFreePrefix] = None,
 ) -> FailureScenario:
     """Greedily drop crashes that aren't needed to reproduce the failure.
 
-    Re-simulates with each crash removed (to fixpoint); a removal is
-    kept when the scenario still fails.  The result is a locally
-    minimal crash set — every remaining crash is load-bearing.
+    Re-simulates with each crash removed (to fixpoint; through
+    ``prefix`` when given); a removal is kept when the scenario still
+    fails.  The result is a locally minimal crash set — every
+    remaining crash is load-bearing.
     """
     current = scenario
     shrunk = True
@@ -119,7 +128,7 @@ def minimize_scenario(
                 & frozenset(c.processor for c in crashes),
                 name=current.name + "[minimized]",
             )
-            trace = simulate(schedule, candidate)
+            trace = simulate(schedule, candidate, prefix=prefix)
             if _verdict(trace, schedule, candidate, reference):
                 current = candidate
                 shrunk = True
@@ -134,11 +143,14 @@ def execute_scenario(
     problem_spec: Optional[Mapping[str, Any]] = None,
     method: str = "",
     minimize: bool = True,
+    prefix: Optional[FailureFreePrefix] = None,
 ) -> ScenarioOutcome:
-    """Run one scenario and fold its checks into an outcome."""
+    """Run one scenario and fold its checks into an outcome; with a
+    failure-free ``prefix`` of ``schedule``, every simulation resumes
+    from it (a failing scenario without one builds one)."""
     scenario = campaign_scenario.scenario
     with instrumented() as session:
-        trace = simulate(schedule, scenario)
+        trace = simulate(schedule, scenario, prefix=prefix)
         reasons = _verdict(trace, schedule, scenario, reference)
         work = {
             name: session.registry.counter_value(name)
@@ -156,18 +168,23 @@ def execute_scenario(
         work=work,
     )
     if reasons:
+        if prefix is None:
+            prefix = FailureFreePrefix(schedule)
         minimized = (
-            minimize_scenario(schedule, scenario, reference)
+            minimize_scenario(schedule, scenario, reference, prefix)
             if minimize
             else scenario
         )
         diag_trace = (
-            trace if minimized is scenario else simulate(schedule, minimized)
+            trace
+            if minimized is scenario
+            else simulate(schedule, minimized, prefix=prefix)
         )
-        # A fault-free run of the same schedule roots the diagnosis in
+        # The fault-free run of the same schedule roots the diagnosis in
         # the first divergence instead of just the starvation endpoint.
-        nominal = simulate(schedule, FailureScenario.none())
-        report = diagnose(diag_trace, schedule, minimized, nominal=nominal)
+        report = diagnose(
+            diag_trace, schedule, minimized, nominal=prefix.nominal
+        )
         outcome.diagnosis = {
             "text": report.render(),
             "data": report.to_dict(),
@@ -187,14 +204,21 @@ def execute_scenario(
 
 
 def _run_block(payload) -> List[ScenarioOutcome]:
-    """Worker entry point: execute one contiguous scenario block."""
+    """Execute one contiguous scenario block from one failure-free
+    prefix, in ascending divergence-step order; return the outcomes in
+    the block's order."""
     (schedule, scenarios, reference, problem_spec, method, minimize) = payload
-    return [
-        execute_scenario(
-            schedule, scenario, reference, problem_spec, method, minimize
+    prefix = FailureFreePrefix(schedule)
+    outcomes: List[Optional[ScenarioOutcome]] = [None] * len(scenarios)
+    for index in sorted(
+        range(len(scenarios)),
+        key=lambda i: prefix.divergence_step(scenarios[i].scenario),
+    ):
+        outcomes[index] = execute_scenario(
+            schedule, scenarios[index], reference, problem_spec, method,
+            minimize, prefix,
         )
-        for scenario in scenarios
-    ]
+    return outcomes
 
 
 def run_campaign(
@@ -240,13 +264,10 @@ def run_campaign(
                 for chunk in pool.map(_run_block, payloads):
                     outcomes.extend(chunk)
         else:
-            outcomes = [
-                execute_scenario(
-                    schedule, scenario, reference, problem_spec, method,
-                    minimize,
-                )
-                for scenario in scenarios
-            ]
+            outcomes = _run_block((
+                schedule, scenarios, reference, problem_spec, method,
+                minimize,
+            ))
 
     result = CampaignResult(
         label=label,

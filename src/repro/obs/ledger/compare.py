@@ -10,6 +10,10 @@ exactly when it finds a *regression*:
   declared noise threshold.  ``"exact"`` metrics regress on any drift
   beyond noise (both directions); improvements in ``"lower"``/
   ``"higher"`` metrics are reported but never gate;
+* an exact work counter (``"exact"``, kind ``"counter"``) that moved
+  either way (``changed``): the program now does different work, which
+  is neither better nor worse until a human says so, and a baseline
+  is regenerated with the change that meant it;
 * a row whose current record failed while its baseline did not — a
   scenario that raised is a regression whatever its metrics say;
 * by default, a metric or row that disappeared (``removed``): silently
@@ -35,8 +39,9 @@ __all__ = [
 #: with a zero noise threshold (float formatting / JSON round-trips).
 _EXACT_EPS = 1e-9
 
-#: Verdicts, in decreasing severity; ``regressed``/``removed`` gate.
-VERDICTS = ("regressed", "removed", "added", "improved", "ok")
+#: Verdicts, in decreasing severity; ``regressed``/``changed``/
+#: ``removed`` gate.
+VERDICTS = ("regressed", "changed", "removed", "added", "improved", "ok")
 
 
 def record_metrics(record: LedgerRecord) -> Dict[str, Metric]:
@@ -97,7 +102,7 @@ def _judge(baseline: Metric, current: Metric, noise_scale: float) -> str:
     if abs(rel) <= noise:
         return "ok"
     if baseline.direction == "exact":
-        return "regressed"
+        return "changed" if baseline.kind == "counter" else "regressed"
     worse = rel > 0 if baseline.direction == "lower" else rel < 0
     return "regressed" if worse else "improved"
 
@@ -124,12 +129,22 @@ class ComparisonReport:
         return self.with_verdict("regressed")
 
     @property
+    def changed(self) -> List[MetricDelta]:
+        return self.with_verdict("changed")
+
+    @property
     def removed(self) -> List[MetricDelta]:
         return self.with_verdict("removed")
 
+    @property
+    def drifted(self) -> List[MetricDelta]:
+        """The gating metric deltas: regressed, changed, removed."""
+        return self.regressions + self.changed + self.removed
+
     def gate(self, fail_on_removed: bool = True) -> int:
-        """CI exit code: 1 on regression, failure (or removal), else 0."""
-        if self.regressions or self.failures:
+        """CI exit code: 1 on regression, changed counter, failure (or
+        removal), else 0."""
+        if self.regressions or self.changed or self.failures:
             return 1
         if fail_on_removed and self.removed:
             return 1
@@ -171,7 +186,9 @@ class ComparisonReport:
             lines.append(f"REGRESSION: {row} failed: {error}")
         for delta in self.regressions + self.removed:
             lines.append(f"REGRESSION: {delta.describe()}")
-        if not (self.regressions or self.removed or self.failures):
+        for delta in self.changed:
+            lines.append(f"CHANGED: {delta.describe()}")
+        if not (self.drifted or self.failures):
             lines.append("no regressions")
         return "\n".join(lines)
 

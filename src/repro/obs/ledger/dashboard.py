@@ -51,13 +51,15 @@ table.report th { background: #f0f0f0; }
 .badge { display: inline-block; padding: 0.1rem 0.5rem;
          border-radius: 0.6rem; font-size: 0.8rem; color: white; }
 .badge.ok { background: #2a7; } .badge.improved { background: #17a; }
-.badge.regressed { background: #c33; } .badge.added { background: #888; }
+.badge.regressed { background: #c33; } .badge.changed { background: #86c; }
+.badge.added { background: #888; }
 .badge.removed { background: #c80; } .badge.new { background: #888; }
 td svg { vertical-align: middle; }
 """
 
 _VERDICT_COLOR = {
     "regressed": "#c33",
+    "changed": "#86c",
     "improved": "#17a",
     "ok": "#1a6",
     "added": "#888",
@@ -136,10 +138,7 @@ def render_dashboard(
         if len(history) > 1:
             pairs += 1
             report = diff_records(history[-2], history[-1])
-            drift_count += (
-                len(report.regressions) + len(report.removed)
-                + len(report.failures)
-            )
+            drift_count += len(report.drifted) + len(report.failures)
 
     env = latest.environment
     env_line = ", ".join(

@@ -96,7 +96,7 @@ class DriftReport:
                 pair = f"{report.baseline_label} -> {report.current_label}"
                 for row, error in sorted(report.failures.items()):
                     lines.append(f"    {pair}: {row} failed: {error}")
-                for delta in report.regressions + report.removed:
+                for delta in report.drifted:
                     lines.append(f"    {pair}: {delta.describe()}")
         return "\n".join(lines)
 

@@ -10,7 +10,10 @@ _EXPORTS = {
     "engine": ["SimulationError", "Simulator"],
     "executive": ["ExecutiveRuntime"],
     "faults": ["Crash", "FailureScenario", "LinkCrash"],
-    "runner": ["SimulationRun", "simulate", "simulate_sequence", "transient_then_steady"],
+    "runner": [
+        "FailureFreePrefix", "SimulationRun", "simulate", "simulate_sequence",
+        "transient_then_steady",
+    ],
     "trace": ["DetectionRecord", "ExecutionRecord", "FrameRecord", "IterationTrace"],
     "montecarlo": ["AvailabilityEstimate", "estimate_availability"],
     "pipeline": ["PipelineResult", "simulate_pipelined"],

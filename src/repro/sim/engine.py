@@ -23,11 +23,12 @@ are exactly reproducible — which the tests rely on.  Every
 :meth:`Simulator.run` adds the callbacks it processed to the
 ``sim.engine.events`` counter, whichever world built it.
 
-A program whose containers never change their entries in place (the
-prover's abstract run) is saved whole by copying them and the kernel
-state, the clock, heap and sequence that :meth:`Simulator.checkpoint`
-copies; :meth:`Simulator.halt` stops a run between two callbacks to
-take one.
+A program whose containers never change their entries in place (both
+worlds of :class:`~repro.sim.protocol.Protocol`) is saved whole by
+copying them and the kernel state, the clock, heap and sequence that
+:meth:`Simulator.checkpoint` copies; :meth:`Simulator.halt` stops a
+run between two callbacks to take one, and :meth:`Simulator.advance`
+runs a counted number of callbacks to reach one.
 
 This is deliberately a minimal subset of what a library like simpy
 offers; keeping it local avoids a dependency and keeps the semantics
@@ -118,6 +119,25 @@ class Simulator:
     @property
     def pending(self) -> int:
         return len(self._heap)
+
+    def advance(self, count: int) -> int:
+        """Process the next ``count`` callbacks (fewer when the heap
+        drains) and return how many ran.
+
+        Unlike :meth:`run` it adds nothing to ``sim.engine.events`` or
+        :attr:`steps`: :class:`~repro.sim.runner.FailureFreePrefix`
+        replays the failure-free run with it, and a scenario resumed
+        from that run reports the steps it skipped as
+        ``sim.prefix_steps`` instead.
+        """
+        heap, pop = self._heap, heapq.heappop
+        ran = 0
+        while ran < count and heap:
+            time, _seq, fn, a, b = pop(heap)
+            self.now = time
+            fn(a, b)
+            ran += 1
+        return ran
 
     def halt(self) -> None:
         """Make :meth:`run` return after the current callback."""

@@ -39,7 +39,10 @@ semantics select the behaviour:
 
 A pipelined run (:mod:`repro.sim.pipeline`) chains one runtime per
 iteration with :meth:`ExecutiveRuntime.successor`; a single run has
-no successor and is released at 0.
+no successor and is released at 0.  A checkpoint of a run resumes
+under another scenario (:meth:`ExecutiveRuntime.restore`), which is
+how the campaign runs each scenario from the failure-free run
+(:class:`~repro.sim.runner.FailureFreePrefix`).
 
 Failure detection observability is configurable:
 
@@ -64,6 +67,12 @@ from .trace import DetectionRecord, ExecutionRecord, FrameRecord, IterationTrace
 from .values import compute_value
 
 __all__ = ["ExecutiveRuntime"]
+
+#: The trace's containers a checkpoint copies (its records are frozen).
+_TRACE_COPIED = (
+    "executions", "frames", "detections", "output_times", "output_values",
+    "value_anomalies",
+)
 
 
 class ExecutiveRuntime(Protocol):
@@ -92,6 +101,8 @@ class ExecutiveRuntime(Protocol):
         sampled by input extios (see :mod:`repro.sim.values`).
     """
 
+    _COPIED = Protocol._COPIED + ("payloads",)
+
     def __init__(
         self,
         schedule: Schedule,
@@ -103,11 +114,7 @@ class ExecutiveRuntime(Protocol):
     ) -> None:
         self.schedule = schedule
         self.problem = schedule.problem
-        self.scenario = scenario or FailureScenario.none()
-        self.scenario.check_against(
-            self.problem.architecture.processor_names,
-            self.problem.architecture.link_names,
-        )
+        self._bind(scenario or FailureScenario.none())
         self.iteration = iteration
         self.detection, snoop_recovery = resolve_detection(
             schedule, detection, snoop_recovery
@@ -119,7 +126,6 @@ class ExecutiveRuntime(Protocol):
         for proc, known in (initial_flags or {}).items():
             flags[proc] = flags[proc].union(known)
         super().__init__(schedule, self.detection, snoop_recovery, flags)
-        self.alive_at = self.scenario.alive_at
         self.trace = IterationTrace(
             scenario_name=str(self.scenario),
             expected_outputs=self.plan.outputs,
@@ -141,12 +147,58 @@ class ExecutiveRuntime(Protocol):
         self.follower = follower
         return follower
 
+    def _bind(self, scenario: FailureScenario) -> None:
+        """Run under ``scenario``: it answers the aliveness questions."""
+        scenario.check_against(
+            self.problem.architecture.processor_names,
+            self.problem.architecture.link_names,
+        )
+        self.scenario = scenario
+        self.alive_at = scenario.alive_at
+        self.alive_through = scenario.alive_through
+
     def run(self) -> IterationTrace:
         """Start all processes, run to quiescence, return the trace."""
         self.start()
+        return self.resume()
+
+    def resume(self) -> IterationTrace:
+        """Run the kernel to quiescence and return the trace."""
         self.sim.run()
         self.trace.final_known_failed = frozenset().union(*self.flags.values())
         return self.trace
+
+    # ------------------------------------------------------------------
+    # Checkpoints (see Protocol.checkpoint)
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> tuple:
+        trace = self.trace
+        return super().checkpoint(), [
+            getattr(trace, name).copy() for name in _TRACE_COPIED
+        ]
+
+    def restore(self, checkpoint: tuple, scenario: FailureScenario) -> None:
+        """Go back to ``checkpoint`` (it stays valid) under ``scenario``.
+
+        The run goes on in a fresh trace named after ``scenario`` that
+        starts with the saved records, and ``scenario.known_failed`` is
+        flagged everywhere.  :meth:`resume` then runs what ``scenario``
+        would have run from this point, provided it answers every
+        aliveness question asked before the checkpoint as the saved run
+        did; a checkpoint taken before the first step (after
+        :meth:`~repro.sim.protocol.Protocol.start`) fits every scenario.
+        """
+        saved, records = checkpoint
+        super().restore(saved)
+        self._bind(scenario)
+        known = scenario.known_failed
+        if known:
+            self.flags = {proc: flags | known for proc, flags in self.flags.items()}
+        self.trace = IterationTrace(
+            scenario_name=str(scenario),
+            expected_outputs=self.plan.outputs,
+            **{name: value.copy() for name, value in zip(_TRACE_COPIED, records)},
+        )
 
     # ------------------------------------------------------------------
     # The protocol's questions, answered by the scenario, and the trace
@@ -155,7 +207,7 @@ class ExecutiveRuntime(Protocol):
         """Record the execution; a completed one computes its value,
         the payload of every local arrival it feeds."""
         op, proc = row.op, row.processor
-        completed = self.scenario.alive_through(proc, start, end)
+        completed = self.alive_through(proc, start, end)
         self.trace.executions.append(
             ExecutionRecord(
                 op=op, processor=proc, start=start, end=end, completed=completed
@@ -180,10 +232,9 @@ class ExecutiveRuntime(Protocol):
         """Record the frame: delivered when its sender and its link stay
         up throughout the transmission."""
         dep, sender, dests, link, takeover = frame[:5]
-        scenario = self.scenario
-        delivered = scenario.alive_through(
+        delivered = self.alive_through(
             sender, start, end
-        ) and scenario.link_alive_through(link, start, end)
+        ) and self.scenario.link_alive_through(link, start, end)
         self.trace.frames.append(
             FrameRecord(
                 dependency=tuple(dep),

@@ -54,10 +54,13 @@ A world answers the protocol's questions and records what it keeps:
     read at their deadlines and nothing waits on).
 
 The fail-flag arrays are frozen sets, rebound and never changed in
-place, so that a shallow copy of a run's containers saves it (the
-prover's checkpoints).  This module imports nothing else from
-:mod:`repro.sim`: the prover loads it without the executive, the fault
-model or the trace.
+place, so that a shallow copy of a run's containers saves it:
+:meth:`Protocol.checkpoint` copies the kernel state and each container
+its world names in ``_COPIED``, and a world's ``restore`` resumes the
+run under other failures that answer its questions alike (the
+prover's region sweep, the campaign's resume from the failure-free
+run).  This module imports nothing else from :mod:`repro.sim`: the
+prover loads it without the executive, the fault model or the trace.
 """
 
 from __future__ import annotations
@@ -81,6 +84,11 @@ class Protocol:
     :func:`~repro.core.executive_plan.resolve_detection`; ``flags`` maps
     every processor to its fail-flag array.
     """
+
+    #: The containers a checkpoint copies; each world names its own.
+    _COPIED: Tuple[str, ...] = (
+        "busy", "flags", "data", "produced", "observed", "values",
+    )
 
     def __init__(
         self,
@@ -133,6 +141,24 @@ class Protocol:
             at(0.0, self._sender_ready, row, None)
         for key in plan.watch_order:  # Solution 1 only
             at(0.0, self._watch, key, 0)
+
+    # ------------------------------------------------------------------
+    # Checkpoints (see the module doc)
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> tuple:
+        """Save the run between two kernel steps: the kernel state and
+        a shallow copy of each container named in ``_COPIED``."""
+        return self.sim.checkpoint(), [
+            getattr(self, name).copy() for name in self._COPIED
+        ]
+
+    def restore(self, checkpoint: tuple) -> None:
+        """Go back to ``checkpoint`` (it stays valid); a world's
+        ``restore`` also rebinds the failures it runs under."""
+        engine, saved = checkpoint
+        self.sim.restore(engine)
+        for name, value in zip(self._COPIED, saved):
+            setattr(self, name, value.copy())
 
     # ------------------------------------------------------------------
     # Default bookkeeping (a world overrides what it keeps)

@@ -248,6 +248,21 @@ class TestComparator:
             assert report.gate() == 1
             assert report.regressions[0].metric == "makespan"
 
+    def test_exact_counter_move_is_changed_and_gates(self):
+        for moved in (67.0, 77.0):
+            report = compare_records(
+                self.base(evals=Metric(72.0, direction="exact",
+                                       kind="counter")),
+                self.base(evals=Metric(moved, direction="exact",
+                                       kind="counter")),
+            )
+            assert [d.verdict for d in report.deltas
+                    if d.metric == "evals"] == ["changed"]
+            assert not report.regressions and report.gate() == 1
+            text = report.render()
+            assert f"CHANGED: scn:evals changed: 72 -> {moved:g}" in text
+            assert "REGRESSION" not in text and "no regressions" not in text
+
     def test_higher_is_better_regresses_downward_only(self):
         worse = compare_records(
             self.base(), self.base(avail=Metric(0.80, direction="higher",

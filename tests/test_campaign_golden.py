@@ -6,8 +6,11 @@ verdict.  For each case this test pins, per scenario outcome, a digest
 of its name, status, reasons, ``repr(response_time)``, detection
 count, takeover latency and work counters; a digest of every
 diagnosis text; and the total ``sim.engine.events`` the campaign
-processed (the work of every simulation it ran, minimisation and the
-nominal run of each diagnosis included).
+processed (the work of every simulation it ran, minimisation
+included).  Each simulation resumes from the schedule's failure-free
+run, so the total counts only the steps after each scenario's first
+diverging step: the failure-free run itself, which
+``Simulator.advance`` replays, is not counted.
 
 Cases: the three bus problems of the ``verify-bus`` benchmark workload
 under Solution 1 (a K=1 schedule and two K=2 schedules, one of them
