@@ -110,7 +110,7 @@ class _AbstractRun(Protocol):
     #: The containers a checkpoint copies (frames carry no values, so
     #: the protocol's ``values`` stays empty and is not copied).
     _COPIED = ("decisions", "bounds", "busy", "flags", "data", "produced",
-               "observed", "outputs_done", "delivery_source", "observed_cause")
+               "observed", "outputs_done", "delivery_source")
 
     def __init__(
         self,
@@ -139,18 +139,11 @@ class _AbstractRun(Protocol):
         self.delivery_source: Dict[
             Tuple[DependencyKey, str], Tuple[str, str, int]
         ] = {}
-        self.observed_cause: Dict[DependencyKey, Tuple[str, float]] = {}
-        self.detections = 0
         self.start()
-
-    # -- checkpoints ----------------------------------------------------
-    def checkpoint(self) -> tuple:
-        return super().checkpoint(), self.detections
 
     def restore(self, checkpoint: tuple, crashes: Dict[str, float]) -> None:
         """Go back to ``checkpoint`` (it stays valid) under ``crashes``."""
-        saved, self.detections = checkpoint
-        super().restore(saved)
+        super().restore(checkpoint)
         self.crashes = crashes
 
     def execute(self, checkpoints_from: float = math.inf) -> List[tuple]:
@@ -202,16 +195,8 @@ class _AbstractRun(Protocol):
             )
             self.sim.fire(self.data, (dep, dest))
 
-    def _observe(self, dep, sender: str) -> None:
-        if dep not in self.observed:
-            self.observed_cause[dep] = (sender, self.sim.now)
-            self.observed.add(dep)
-
     def _output(self, op: str, _proc: str) -> None:
         self.outputs_done.add(op)
-
-    def _detected(self, _op: str, _watcher: str, _suspect: str) -> None:
-        self.detections += 1
 
     # -- verdict --------------------------------------------------------
     @property
@@ -235,7 +220,7 @@ class _AbstractRun(Protocol):
             if dest not in self.crashes and self.data.get((dep, dest), ()) is not None
         )
         deps = {dep for dep, _dest in undelivered}
-        causes = {d: c for d, c in self.observed_cause.items() if d in deps}
+        causes = {d: c for d, c in self.observed.items() if d in deps}
         produced = (op for (op, _), w in self.produced.items() if w is None)
         return RunOutcome(
             self.missing_outputs,

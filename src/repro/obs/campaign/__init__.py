@@ -6,9 +6,10 @@ campaign checks the *schedule's* central claim — "tolerates up to K
 failures" — by enumerating the crash-scenario space (critical
 instants, ≤K subsets, random strata; see :mod:`.space`), executing
 every equivalence class through the executive (:mod:`.executor`),
-diagnosing each failure down to the undelivered dependency and the
-watchdog that never fired (:mod:`.diagnose`), and reporting coverage
-(:mod:`.report`).  CLI: ``repro campaign run`` / ``repro campaign
+diagnosing each failure as the trace differ's account against the
+failure-free run — the value that never reached a survivor, what each
+of its replicas did, and the fate of every ladder rung guarding it
+(:mod:`.diagnose`) — and reporting coverage (:mod:`.report`).  CLI: ``repro campaign run`` / ``repro campaign
 report``.
 """
 

@@ -27,6 +27,7 @@ from .diff import (
     FatalDivergence,
     LadderState,
     PoisonedAvailability,
+    SenderCandidate,
     TraceDiff,
     diff_traces,
     ladder_states,
@@ -53,6 +54,7 @@ __all__ = [
     "DiffEvent",
     "LadderState",
     "PoisonedAvailability",
+    "SenderCandidate",
     "FatalDivergence",
     "TraceDiff",
     "diff_traces",

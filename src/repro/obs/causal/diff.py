@@ -19,8 +19,15 @@ Two divergences matter and both are reported:
   produced somewhere in the faulty run, but whose every delivery
   attempt failed.  The terminal attempt (typically a takeover frame
   lost mid-transmission with its sender) is the event named, together
-  with the ladder forensics and the causal frontier of nominal events
-  it poisons.
+  with the fate of every timeout-ladder rung guarding it and the causal
+  frontier of nominal events it poisons.
+
+Each value nominal delivered that the faulty run never restored (a
+*poisoned availability*) lists what every replica of its operation did:
+crashed before producing, starved itself, lost its frame with its
+sender, or held the data and never sent it.  This is the whole failure
+account; the campaign's :func:`~repro.obs.campaign.diagnose` prints it
+under the scenario's missing outputs.
 """
 
 from __future__ import annotations
@@ -28,16 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ...core.executive_plan import DEADLINE_SLACK
 from ...core.schedule import Schedule
 from ...sim.faults import FailureScenario
 from ...sim.trace import FrameRecord, IterationTrace
 from ...sim.verify import _availability as availability_map
-from .graph import TOLERANCE, build_causal_graph
+from .graph import build_causal_graph
 
 __all__ = [
     "DiffEvent",
     "LadderState",
     "PoisonedAvailability",
+    "SenderCandidate",
     "FatalDivergence",
     "TraceDiff",
     "diff_traces",
@@ -69,10 +78,11 @@ class DiffEvent:
             sides.append(f"nominal: {self.nominal}")
         if self.faulty:
             sides.append(f"faulty: {self.faulty}")
+        shown = f" ({'; '.join(sides)})" if sides else ""
         extra = f" — {self.detail}" if self.detail else ""
         return (
-            f"[{self.kind}] {self.category} {self.key} at t={self.time:g} "
-            f"({'; '.join(sides)}){extra}"
+            f"[{self.kind}] {self.category} {self.key} at t={self.time:g}"
+            f"{shown}{extra}"
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -95,8 +105,11 @@ class LadderState:
     candidate: str
     rank: int
     deadline: float
-    state: str   #: fired | skipped | watcher-dead | never-fired
+    state: str   #: fired | skipped | watcher-dead | stood-down
     detail: str = ""
+    #: A stand-down's observe record: the sender of the frame the
+    #: watcher observed and the date it completed.
+    observed: Optional[Tuple[str, float]] = None
 
     def describe(self) -> str:
         suffix = f" — {self.detail}" if self.detail else ""
@@ -114,6 +127,28 @@ class LadderState:
             "deadline": self.deadline,
             "state": self.state,
             "detail": self.detail,
+            "observed": list(self.observed) if self.observed else None,
+        }
+
+
+@dataclass(frozen=True)
+class SenderCandidate:
+    """What one replica of a poisoned value's operation did."""
+
+    processor: str
+    replica: int
+    #: e.g. "crashed at 2.031 before producing", "produced at 9.75;
+    #: takeover frame lost mid-transmission (P2 crashed at 15.09)".
+    status: str
+    #: Its frames towards the starved processor.
+    frames: Tuple[str, ...] = ()
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "processor": self.processor,
+            "replica": self.replica,
+            "status": self.status,
+            "frames": list(self.frames),
         }
 
 
@@ -125,7 +160,7 @@ class PoisonedAvailability:
     processor: str
     nominal_time: float
     produced: bool            #: the value existed somewhere in the faulty run
-    attempts: List[str] = field(default_factory=list)
+    senders: List[SenderCandidate] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -133,7 +168,7 @@ class PoisonedAvailability:
             "processor": self.processor,
             "nominal_time": self.nominal_time,
             "produced": self.produced,
-            "attempts": list(self.attempts),
+            "senders": [sender.to_dict() for sender in self.senders],
         }
 
 
@@ -218,8 +253,13 @@ class TraceDiff:
                 f"{poisoned.processor} (nominal: t="
                 f"{poisoned.nominal_time:g}; {origin})"
             )
-            for attempt in poisoned.attempts:
-                lines.append(f"    attempt: {attempt}")
+            for sender in poisoned.senders:
+                lines.append(
+                    f"    {poisoned.op}@{sender.processor} (replica "
+                    f"#{sender.replica}): {sender.status}"
+                )
+                for frame in sender.frames:
+                    lines.append(f"      frame {frame}")
         if self.fatal is not None:
             lines.append(
                 f"  first fatal divergence: {self.fatal.event.describe()}"
@@ -246,10 +286,6 @@ class TraceDiff:
 # ----------------------------------------------------------------------
 def _frame_key(frame: FrameRecord) -> Tuple[DependencyKey, str, str]:
     return (frame.dependency, frame.sender, frame.link)
-
-
-def _frame_desc(frame: FrameRecord) -> str:
-    return str(frame)
 
 
 def _shifted(a: float, b: float) -> bool:
@@ -377,7 +413,7 @@ def _align_events(
 
 
 # ----------------------------------------------------------------------
-# Stand-down forensics (shared with the campaign diagnoser)
+# Ladder fates, read from the protocol's records
 # ----------------------------------------------------------------------
 def ladder_states(
     dep: DependencyKey,
@@ -386,70 +422,67 @@ def ladder_states(
     scenario: FailureScenario,
 ) -> List[LadderState]:
     """What became of every timeout-ladder rung guarding ``dep``, by
-    watcher then rank (the ladders of the schedule's executive plan)."""
+    watcher then rank (the ladders of the schedule's executive plan).
+
+    A rung's fate is read from what the run recorded: this watcher's
+    detection of the candidate at the rung's deadline (``fired``) or
+    before it for another message (``skipped``), the watcher's crash
+    (``watcher-dead``), or else the dependency's one-shot observe
+    (``stood-down``, which retires the rest of the ladder)."""
     ladders = schedule.executive_plan.ladders
-    rungs = [
-        (op, watcher, rung)
-        for op, _dep, watcher in sorted(
-            (key for key in ladders if key[1] == dep), key=lambda key: key[2]
+    observed = faulty.observed.get(dep)
+    if observed is not None:
+        stand_down = (
+            f"observed {observed[0]}'s frame, completed at {observed[1]:g}"
         )
-        for rung in ladders[(op, dep, watcher)]
-    ]
-    dispatches = [f for f in faulty.frames if f.dependency == dep]
     states: List[LadderState] = []
-    for op, watcher, rung in rungs:
-        declared = [
-            d for d in faulty.detections
-            if d.watcher == watcher
-            and d.suspect == rung.candidate
-            and d.time <= rung.deadline + TOLERANCE
-        ]
-        fired = next((d for d in declared if d.op == op), None)
-        if fired is not None:
-            state, detail = "fired", f"detected at {fired.time:g}"
-        elif declared:
-            # The watcher's fail flag was already set by an earlier
-            # detection for another message — the executive skips the
-            # wait and acts at the static point (Figure 18(b) style).
-            earliest = min(declared, key=lambda d: d.time)
-            state = "skipped"
-            detail = (
-                f"candidate already declared dead at {earliest.time:g} "
-                f"(for {earliest.op!r})"
-            )
-        elif rung.candidate in scenario.known_failed:
-            state, detail = "skipped", "candidate known dead at start"
-        elif not scenario.alive_at(watcher, rung.deadline):
-            state, detail = "watcher-dead", (
-                f"{watcher} itself dead by the deadline"
-            )
-        else:
-            state = "never-fired"
-            stand_down = next(
-                (f for f in dispatches if f.start <= rung.deadline + TOLERANCE),
-                None,
-            )
-            if stand_down is not None and not stand_down.delivered:
+    keys = sorted((key for key in ladders if key[1] == dep), key=lambda k: k[2])
+    for key in keys:
+        op, _dep, watcher = key
+        stood_down = False
+        for rung in ladders[key]:
+            due = rung.deadline + DEADLINE_SLACK
+            declared = [
+                d for d in faulty.detections
+                if d.watcher == watcher
+                and d.suspect == rung.candidate
+                and d.time <= due
+            ]
+            fired = next((d for d in declared if d.op == op), None)
+            if stood_down:
+                state, detail = "stood-down", stand_down
+            elif fired is not None:
+                state, detail = "fired", f"detected at {fired.time:g}"
+            elif declared:
+                # The watcher's fail flag was already set by an earlier
+                # detection for another message: no wait (Figure 12).
+                earliest = min(declared, key=lambda d: d.time)
+                state = "skipped"
                 detail = (
-                    f"stood down on the frame dispatched at "
-                    f"{stand_down.start:g}, which was LOST — the ladder "
-                    "never re-fired"
+                    f"candidate already declared dead at {earliest.time:g} "
+                    f"(for {earliest.op!r})"
                 )
-            elif stand_down is not None:
-                detail = (
-                    f"stood down on the frame dispatched at "
-                    f"{stand_down.start:g} (delivered)"
+            elif rung.candidate in scenario.known_failed:
+                state, detail = "skipped", "candidate known dead at start"
+            elif not scenario.alive_at(watcher, due):
+                state, detail = "watcher-dead", (
+                    f"{watcher} itself dead by the deadline"
                 )
+            elif observed is not None:
+                state, detail, stood_down = "stood-down", stand_down, True
             else:
-                detail = "no detection and no dispatch before the deadline"
-        states.append(LadderState(
-            watcher=watcher,
-            candidate=rung.candidate,
-            rank=rung.rank,
-            deadline=rung.deadline,
-            state=state,
-            detail=detail,
-        ))
+                state, detail = "skipped", (
+                    "never armed: no detection and no observed frame"
+                )
+            states.append(LadderState(
+                watcher=watcher,
+                candidate=rung.candidate,
+                rank=rung.rank,
+                deadline=rung.deadline,
+                state=state,
+                detail=detail,
+                observed=observed if state == "stood-down" else None,
+            ))
     return states
 
 
@@ -477,9 +510,10 @@ def diff_traces(
 
     nom_avail = availability_map(nominal)
     fau_avail = availability_map(faulty)
-    produced_ops = {
-        r.op for r in faulty.executions if r.completed
+    produced_at = {
+        (r.op, r.processor): r.end for r in faulty.executions if r.completed
     }
+    produced_ops = {op for op, _proc in produced_at}
     horizon = max(nominal.makespan, faulty.makespan, schedule.makespan)
     missing = sorted(
         (when, op, proc)
@@ -489,10 +523,6 @@ def diff_traces(
     )
     rooted: List[Tuple[PoisonedAvailability, Optional[FrameRecord]]] = []
     for when, op, proc in missing:
-        poisoned = PoisonedAvailability(
-            op=op, processor=proc, nominal_time=when,
-            produced=op in produced_ops,
-        )
         attempts = sorted(
             (
                 f for f in faulty.frames
@@ -500,7 +530,13 @@ def diff_traces(
             ),
             key=lambda f: f.start,
         )
-        poisoned.attempts = [_frame_desc(f) for f in attempts]
+        poisoned = PoisonedAvailability(
+            op=op, processor=proc, nominal_time=when,
+            produced=op in produced_ops,
+            senders=_sender_candidates(
+                op, proc, attempts, faulty, schedule, scenario, produced_at
+            ),
+        )
         diff.poisoned.append(poisoned)
         if poisoned.produced:
             rooted.append((poisoned, attempts[-1] if attempts else None))
@@ -511,6 +547,58 @@ def diff_traces(
             poisoned, terminal, nominal, faulty, schedule, scenario
         )
     return diff
+
+
+def _sender_candidates(
+    op: str,
+    proc: str,
+    attempts: List[FrameRecord],
+    faulty: IterationTrace,
+    schedule: Schedule,
+    scenario: FailureScenario,
+    produced_at: Dict[Tuple[str, str], float],
+) -> List[SenderCandidate]:
+    """What every replica of ``op`` did about getting its value to
+    ``proc``; ``attempts`` are the faulty run's frames towards it."""
+    candidates: List[SenderCandidate] = []
+    for placement in schedule.replicas(op):
+        host = placement.processor
+        crash = scenario.crash_of(host)
+        crashed_at = crash.at if crash is not None else None
+        made = produced_at.get((op, host))
+        frames = [f for f in attempts if f.sender == host]
+        if made is None:
+            if crashed_at is not None:
+                status = f"crashed at {crashed_at:g} before producing"
+            else:
+                status = "never produced (itself starved)"
+        elif frames:
+            kinds = "takeover " if any(f.takeover for f in frames) else ""
+            status = f"produced at {made:g}; {kinds}frame lost mid-transmission"
+            if crashed_at is not None:
+                status += f" ({host} crashed at {crashed_at:g})"
+        elif any(
+            f.sender == host and f.dependency[0] == op for f in faulty.frames
+        ):
+            status = f"produced at {made:g}; sent, but never to {proc}"
+        elif crashed_at is not None and not scenario.alive_at(
+            host, max(made, crashed_at)
+        ):
+            status = (
+                f"produced at {made:g}, then crashed at {crashed_at:g} "
+                "before sending"
+            )
+        else:
+            status = (
+                f"SURVIVOR holding the data since {made:g} but never sent it"
+            )
+        candidates.append(SenderCandidate(
+            processor=host,
+            replica=placement.replica,
+            status=status,
+            frames=tuple(str(f) for f in frames),
+        ))
+    return candidates
 
 
 def _fatal_divergence(
@@ -529,7 +617,6 @@ def _fatal_divergence(
             category="frame",
             key=f"{dep[0]}->{dep[1]} {terminal.sender} on {terminal.link}",
             time=terminal.start,
-            faulty=str(terminal),
             detail=(
                 f"the last delivery attempt for {poisoned.op}@"
                 f"{poisoned.processor}: the {flags}frame was lost "

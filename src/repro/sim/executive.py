@@ -165,8 +165,10 @@ class ExecutiveRuntime(Protocol):
     def resume(self) -> IterationTrace:
         """Run the kernel to quiescence and return the trace."""
         self.sim.run()
-        self.trace.final_known_failed = frozenset().union(*self.flags.values())
-        return self.trace
+        trace = self.trace
+        trace.final_known_failed = frozenset().union(*self.flags.values())
+        trace.observed = self.observed
+        return trace
 
     # ------------------------------------------------------------------
     # Checkpoints (see Protocol.checkpoint)

@@ -46,12 +46,16 @@ A world answers the protocol's questions and records what it keeps:
     crashes that is whether the host is up at ``end``.
 ``_deliver(dep, dest, sender, takeover, payload)``
     A completed frame reached a live ``dest``: fire its arrival.
-``_output(op, proc)``, ``_detected(op, watcher, suspect)``,
-``_observe(dep, sender)``
-    Bookkeeping of a produced output, a new fail flag and the
-    dependency's one-shot observe (a completed observable frame; the
-    protocol adds ``dep`` to the ``observed`` set, which watchdogs
-    read at their deadlines and nothing waits on).
+``_output(op, proc)``, ``_detected(op, watcher, suspect)``
+    Bookkeeping of a produced output and of a new fail flag (the
+    protocol's ``_detected`` records nothing).
+
+Every world shares the protocol's record of each dependency's one-shot
+observe: ``observed`` maps ``dep`` to the ``(sender, date)`` of the
+first observable frame that completed for it.  Watchdogs test
+membership at their deadlines and nothing waits on it; the prover's
+never-rearming ladders and the trace differ's stand-downs read the
+sender and date.
 
 The fail-flag arrays are frozen sets, rebound and never changed in
 place, so that a shallow copy of a run's containers saves it:
@@ -65,7 +69,7 @@ prover loads it without the executive, the fault model or the trace.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..core.executive_plan import DEADLINE_SLACK, OpRow
 from ..core.schedule import Schedule, ScheduleSemantics
@@ -119,9 +123,10 @@ class Protocol:
         #: ``(op, proc)`` productions.
         self.data: EventTable = {}
         self.produced: EventTable = {}
-        #: The dependencies whose one-shot observe happened: a watchdog
-        #: reads it at its rung's deadline (see _woken).
-        self.observed: Set[DependencyKey] = set()
+        #: Each dependency's one-shot observe: ``dep -> (sender, date)``
+        #: of its first observable frame to complete.  A watchdog reads
+        #: it at its rung's deadline (see _woken).
+        self.observed: Dict[DependencyKey, Tuple[str, float]] = {}
         #: ``(op, proc)`` -> the value a replica computed; frames carry
         #: it (the prover models no values: its frames carry None).
         self.values: Dict[Tuple[str, str], object] = {}
@@ -163,10 +168,8 @@ class Protocol:
     # ------------------------------------------------------------------
     # Default bookkeeping (a world overrides what it keeps)
     # ------------------------------------------------------------------
-    def _observe(self, dep: DependencyKey, sender: str) -> None:
-        """Record ``dep``'s one-shot observe: ``sender``'s frame
-        completed on an observable link."""
-        self.observed.add(dep)
+    def _detected(self, op: str, watcher: str, suspect: str) -> None:
+        """``watcher`` just flagged ``suspect`` while watching ``op``."""
 
     # ------------------------------------------------------------------
     # Computation units
@@ -376,7 +379,9 @@ class Protocol:
         """A frame finished transmission: observe, deliver, relay on."""
         dep, sender, dests, link, takeover, payload, route = frame
         if self.observable[link]:
-            self._observe(dep, sender)
+            observed = self.observed
+            if dep not in observed:
+                observed[dep] = (sender, end)
             if self.snoop_recovery:
                 # A frame from a flagged processor proves it came back
                 # to life (intermittent fail-silent recovery, 6.1).

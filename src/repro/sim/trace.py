@@ -113,6 +113,12 @@ class IterationTrace:
     expected_outputs: Tuple[str, ...] = ()
     #: Fail flags as they stand when the iteration ends.
     final_known_failed: frozenset = frozenset()
+    #: Each dependency's one-shot observe, as the protocol recorded it:
+    #: ``dep -> (sender, date)`` of its first observable frame to
+    #: complete (what a Solution-1 watchdog stands down on).
+    observed: Dict[Tuple[str, str], Tuple[str, float]] = field(
+        default_factory=dict
+    )
 
     # ------------------------------------------------------------------
     # Outcome measures

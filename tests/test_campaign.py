@@ -200,7 +200,7 @@ class TestExecuteScenario:
         assert not outcome.passed
         assert "incomplete" in outcome.reasons
         assert outcome.diagnosis is not None
-        assert "never delivered" in outcome.diagnosis["text"]
+        assert "A never reached P3" in outcome.diagnosis["text"]
         assert "note:" in outcome.diagnosis["gantt"]
         assert outcome.reproducer is not None
         assert outcome.reproducer["expect"] == "fail"

@@ -80,8 +80,8 @@ class TestCampaignReproducer:
         assert code == 1
         text = capsys.readouterr().out
         assert "-> fail (expected fail)" in text
-        assert "starved replica L2N0@P1" in text
-        assert "input L1N2 -> L2N0 never delivered" in text
+        assert "poisoned availability: L1N2 never reached P1" in text
+        assert text.count("watcher P3 on candidate P2") == 1
 
     def test_reproducer_artifacts_are_written(self, tmp_path, capsys):
         artifacts = tmp_path / "artifacts"
@@ -100,7 +100,7 @@ class TestCampaignReproducer:
         assert replay["schema"] == "repro.obs.campaign.reproducer/1"
         gantt = gantts[0].read_text()
         assert "note:" in gantt
-        assert "starved replica" in gantt
+        assert "poisoned availability" in gantt
 
     def test_missing_reproducer_is_usage_error(self, tmp_path, capsys):
         code = main(

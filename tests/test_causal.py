@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import schedule_solution1, schedule_solution2
+from repro.core.executive_plan import DEADLINE_SLACK
 from repro.graphs.generators import random_bus_problem, random_p2p_problem
 from repro.obs.campaign import (
     CampaignScenario,
@@ -42,6 +43,7 @@ from repro.obs.causal import (
     build_causal_graph,
     critical_overlay,
     diff_traces,
+    ladder_states,
     load_report,
     save_report,
 )
@@ -249,29 +251,47 @@ class TestDeliveryGapDivergence:
         assert "fault cost" not in text
 
     def test_diagnosis_ladder_is_the_differs_ladder(self, gap):
-        """One copy of the ladder forensics: the campaign diagnosis
-        reports exactly the differ's ladder for the starved input."""
+        """One account: the campaign diagnosis is the differ's, and it
+        tells each rung, lost frame and starved input once."""
         schedule, scenario = gap
         nominal = simulate(schedule, FailureScenario.none())
         faulty = simulate(schedule, scenario)
         diff = diff_traces(nominal, faulty, schedule, scenario)
         diagnosis = diagnose(faulty, schedule, scenario)
-        (missing,) = [
-            m for replica in diagnosis.starved for m in replica.missing
-            if m.dependency == ("L1N2", "L2N0")
-        ]
-        assert missing.ladder == diff.fatal.ladder
+        assert diagnosis.divergence.to_dict() == diff.to_dict()
         assert [
-            (e.watcher, e.candidate, e.rank, e.state) for e in missing.ladder
+            (e.watcher, e.candidate, e.rank, e.state) for e in diff.fatal.ladder
         ] == [
             ("P2", "P4", 0, "skipped"),
             ("P3", "P4", 0, "skipped"),
             ("P3", "P2", 1, "fired"),
         ]
         # The skip names the message whose detection set the fail flag.
-        assert "(for 'L0N0')" in missing.ladder[0].detail
+        assert "(for 'L0N0')" in diff.fatal.ladder[0].detail
+        # Every replica of the starved input, with its crash date.
+        (l1n2,) = [p for p in diff.poisoned if p.op == "L1N2"]
+        assert [(s.processor, s.status) for s in l1n2.senders] == [
+            ("P4", "crashed at 2.031 before producing"),
+            ("P2", "produced at 9.75; takeover frame lost mid-transmission "
+                   "(P2 crashed at 15.09)"),
+            ("P3", "produced at 11.122; takeover frame lost "
+                   "mid-transmission (P3 crashed at 18.5)"),
+        ]
         text = diagnosis.render()
+        assert text.startswith(
+            f"scenario {scenario}: iteration INCOMPLETE — outputs never "
+            "produced: L3N0, L3N1"
+        )
         assert text.count("takeover frame lost mid-transmission") == 2
+        for rung in diff.fatal.ladder:
+            assert text.count(rung.describe()) == 1
+        for frame in faulty.frames:
+            if not frame.delivered:
+                assert text.count(str(frame)) == 1
+        assert text.count("poisoned availability: L1N2 never reached P1") == 1
+        # The outputs blocked behind the starved replica on P1.
+        for op in ("L3N0", "L3N1"):
+            assert f"{op}@P1 (replica #1): never produced (itself starved)" in text
 
     def test_frontier_is_the_unreproduced_value_cone(self, gap):
         schedule, scenario = gap
@@ -306,14 +326,66 @@ class TestDeliveryGapDivergence:
         assert abs(path.total - trace.makespan) < TOL
 
 
+class TestStandDownCause:
+    """A rung that stood down names the observe the protocol recorded:
+    the frame that completed on an observable link by its deadline,
+    not the first frame dispatched before it (which may be lost)."""
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        problem = random_bus_problem(10, 4, failures=2, seed=0)
+        return schedule_solution1(problem).schedule
+
+    def test_rung_names_the_takeover_frame_it_stood_down_on(self, schedule):
+        scenario = FailureScenario.crash("P4", 2.533)
+        faulty = simulate(schedule, scenario)
+        assert faulty.completed
+        (rung,) = [
+            r for r in ladder_states(("L0N0", "L1N1"), faulty, schedule, scenario)
+            if r.watcher == "P2" and r.rank == 1
+        ]
+        assert (rung.candidate, rung.deadline) == ("P3", pytest.approx(6.489))
+        assert rung.state == "stood-down"
+        sender, date = rung.observed
+        assert (sender, date) == ("P3", pytest.approx(4.862))
+        assert "observed P3's frame, completed at 4.862" in rung.detail
+
+    def test_every_stand_down_names_a_frame_completed_by_the_deadline(
+        self, schedule
+    ):
+        nominal = simulate(schedule, FailureScenario.none())
+        deps = sorted({key[1] for key in schedule.executive_plan.ladders})
+        stood_down = 0
+        for frame in nominal.frames:
+            scenario = FailureScenario.crash(
+                frame.sender, (frame.start + frame.end) / 2
+            )
+            faulty = simulate(schedule, scenario)
+            for dep in deps:
+                for rung in ladder_states(dep, faulty, schedule, scenario):
+                    if rung.state != "stood-down":
+                        continue
+                    stood_down += 1
+                    sender, date = rung.observed
+                    assert date <= rung.deadline + DEADLINE_SLACK, rung
+                    assert any(
+                        f.delivered and f.dependency == dep
+                        and f.sender == sender and f.end == date
+                        for f in faulty.frames
+                    ), rung
+        assert stood_down
+
+
 class TestDiagnoseWiring:
-    def test_diagnose_without_nominal_has_no_divergence(self, bus_solution1):
+    def test_diagnose_without_nominal_simulates_it(self, bus_solution1):
         schedule = bus_solution1.schedule
         scenario = FailureScenario.dead_from_start("P1")
         trace = simulate(schedule, scenario)
+        nominal = simulate(schedule, FailureScenario.none())
         report = diagnose(trace, schedule, scenario)
-        assert report.divergence is None
-        assert report.to_dict()["divergence"] is None
+        given = diagnose(trace, schedule, scenario, nominal=nominal)
+        assert report.to_dict() == given.to_dict()
+        assert not report.divergence.identical
 
     def test_diagnose_with_nominal_attaches_divergence(self, bus_solution1):
         schedule = bus_solution1.schedule

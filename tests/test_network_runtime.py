@@ -16,28 +16,22 @@ from repro.sim.faults import FailureScenario
 
 
 class Recorder(ExecutiveRuntime):
-    """An executive that logs every delivery and every observe."""
+    """An executive that logs every delivery."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.deliveries = []
-        self.observations = []
 
     def _deliver(self, dep, dest, sender, takeover, payload):
         self.deliveries.append((dep, dest, self.sim.now))
         super()._deliver(dep, dest, sender, takeover, payload)
-
-    def _observe(self, dep, sender):
-        self.observations.append((dep, sender, self.sim.now))
-        super()._observe(dep, sender)
 
 
 def make_network(problem, scenario=None):
     runtime = Recorder(
         schedule_baseline(problem).schedule, scenario, detection="snoop"
     )
-    return (runtime.sim, runtime, runtime.trace, runtime.deliveries,
-            runtime.observations)
+    return runtime.sim, runtime, runtime.trace, runtime.deliveries
 
 
 def _call(callback, _unused):
@@ -47,7 +41,7 @@ def _call(callback, _unused):
 class TestBusDispatch:
     def test_broadcast_single_frame(self):
         problem = first_example_problem(1)
-        sim, network, trace, deliveries, observations = make_network(problem)
+        sim, network, trace, deliveries = make_network(problem)
         sim.at(1.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P2", "P3"]), None)
         sim.run()
         assert len(trace.frames) == 1
@@ -56,13 +50,12 @@ class TestBusDispatch:
         assert set(frame.destinations) == {"P2", "P3"}
         assert sorted(d[1] for d in deliveries) == ["P2", "P3"]
         # Every bus member snoops the frame: the dependency is observed.
-        assert observations[0] == (("A", "B"), "P1", pytest.approx(1.5))
+        assert network.observed == {("A", "B"): ("P1", pytest.approx(1.5))}
         assert frame.link == "bus"
-        assert ("A", "B") in network.observed
 
     def test_serialization_on_bus(self):
         problem = first_example_problem(1)
-        sim, network, trace, deliveries, _ = make_network(problem)
+        sim, network, trace, deliveries = make_network(problem)
 
         def send_two():
             network.dispatch(("A", "B"), "P1", ["P2"])
@@ -75,7 +68,7 @@ class TestBusDispatch:
 
     def test_self_destination_ignored(self):
         problem = first_example_problem(1)
-        sim, network, trace, deliveries, _ = make_network(problem)
+        sim, network, trace, deliveries = make_network(problem)
         sim.at(0.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P1"]), None)
         sim.run()
         assert trace.frames == []
@@ -86,7 +79,7 @@ class TestFailures:
     def test_sender_dead_before_start_sends_nothing(self):
         problem = first_example_problem(1)
         scenario = FailureScenario.crash("P1", at=0.5)
-        sim, network, trace, deliveries, _ = make_network(problem, scenario)
+        sim, network, trace, deliveries = make_network(problem, scenario)
         sim.at(1.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P2"]), None)
         sim.run()
         assert trace.frames == []
@@ -95,7 +88,7 @@ class TestFailures:
     def test_sender_dying_mid_frame_loses_it(self):
         problem = first_example_problem(1)
         scenario = FailureScenario.crash("P1", at=1.2)
-        sim, network, trace, deliveries, _ = make_network(problem, scenario)
+        sim, network, trace, deliveries = make_network(problem, scenario)
         sim.at(1.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P2"]), None)
         sim.run()
         assert len(trace.frames) == 1
@@ -105,7 +98,7 @@ class TestFailures:
     def test_dead_destination_not_delivered(self):
         problem = first_example_problem(1)
         scenario = FailureScenario.crash("P3", at=0.0)
-        sim, network, trace, deliveries, _ = make_network(problem, scenario)
+        sim, network, trace, deliveries = make_network(problem, scenario)
         sim.at(1.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P2", "P3"]), None)
         sim.run()
         assert [d[1] for d in deliveries] == ["P2"]
@@ -114,7 +107,7 @@ class TestFailures:
 class TestRoutedTransfers:
     def test_two_hop_route_store_and_forward(self):
         problem = figure8_problem()
-        sim, network, trace, deliveries, _ = make_network(problem)
+        sim, network, trace, deliveries = make_network(problem)
         sim.at(0.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P3"]), None)
         sim.run()
         assert [f.link for f in trace.frames] == ["L1.2", "L2.3"]
@@ -125,7 +118,7 @@ class TestRoutedTransfers:
     def test_dead_relay_kills_the_route(self):
         problem = figure8_problem()
         scenario = FailureScenario.crash("P2", at=0.0)
-        sim, network, trace, deliveries, _ = make_network(problem, scenario)
+        sim, network, trace, deliveries = make_network(problem, scenario)
         sim.at(0.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P3"]), None)
         sim.run()
         # First hop transmits (P1 alive) but P2 never forwards.
@@ -135,7 +128,7 @@ class TestRoutedTransfers:
     def test_relay_dying_mid_route(self):
         problem = figure8_problem()
         scenario = FailureScenario.crash("P2", at=0.6)
-        sim, network, trace, deliveries, _ = make_network(problem, scenario)
+        sim, network, trace, deliveries = make_network(problem, scenario)
         # A->B costs 0.5 per hop; P2 receives at 0.5, dies at 0.6,
         # so the forward (0.5-1.0) is lost mid-frame.
         sim.at(0.0, _call, lambda: network.dispatch(("A", "B"), "P1", ["P3"]), None)
@@ -147,7 +140,7 @@ class TestRoutedTransfers:
 
     def test_is_bus(self):
         # Under snoop detection a frame is observable exactly on a bus.
-        _, network, _, _, _ = make_network(first_example_problem(1))
+        _, network, _, _ = make_network(first_example_problem(1))
         assert network.observable["bus"]
-        _, routed, _, _, _ = make_network(figure8_problem())
+        _, routed, _, _ = make_network(figure8_problem())
         assert not any(routed.observable.values())

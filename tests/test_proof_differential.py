@@ -147,8 +147,8 @@ class TestProverAgreesWithCampaign:
         """Both worlds run one protocol module: on seeded permanent-crash
         vectors of up to K+1 processors, dated in [0, 1.1·makespan],
         the prover's run and the executive's take the same kernel
-        steps, produce the same replicas, detect as often and end with
-        the same fail flags."""
+        steps, produce the same replicas, detect as often, record the
+        same observes and end with the same fail flags."""
         label, problem, schedule, method, spec = target
         auto = compile_automaton(schedule)
         names = problem.architecture.processor_names
@@ -159,7 +159,7 @@ class TestProverAgreesWithCampaign:
                 proc: rng.uniform(0.0, 1.1 * schedule.makespan)
                 for proc in rng.sample(names, size)
             }
-            run = verifier._AbstractRun(auto, dict(crashes))
+            run = _CountingRun(auto, dict(crashes))
             run.execute()
             runtime = ExecutiveRuntime(
                 schedule,
@@ -173,6 +173,16 @@ class TestProverAgreesWithCampaign:
             assert _fired(run.produced) == _fired(runtime.produced), where
             assert run.detections == len(trace.detections), where
             assert run.flags == runtime.flags, where
+            assert run.observed == trace.observed, where
+
+
+class _CountingRun(verifier._AbstractRun):
+    """The prover's run, counting its detections."""
+
+    detections = 0
+
+    def _detected(self, _op, _watcher, _suspect):
+        self.detections += 1
 
 
 def _fired(table) -> set:

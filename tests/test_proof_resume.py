@@ -49,8 +49,7 @@ def _fingerprint(run) -> tuple:
         list(run.decisions.items()),
         run.missing_outputs,  # the verdict
         list(run.delivery_source.items()),
-        list(run.observed_cause.items()),
-        run.detections,
+        list(run.observed.items()),
         run.sim.now,
         run.sim.checkpoint()[2],  # the sequence position: same pushes
     )
