@@ -58,7 +58,6 @@ from .lint import (
     LintConfig,
     LintReport,
     Severity,
-    lint,
     lint_problem,
     lint_schedule,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "LintConfig",
     "LintReport",
     "Severity",
-    "lint",
     "lint_problem",
     "lint_schedule",
     "EPSILON",

@@ -11,11 +11,21 @@ for Solution 1 the rank-ordered ``OpComm`` ladders and the watchdog
 spawn order.  It also holds each processor's op rows (the replicas
 it runs in static order, with their inputs, duration and outgoing
 dependencies) and the ordered list of planned sender replicas, so no
-run of the executive asks the algorithm graph again.  The simulated
-executive, the pipeline, the prover's delivery automaton, the
-macro-code generator and the critical path all read this one plan;
-:func:`resolve_detection` and :data:`DEADLINE_SLACK` are the run-time
-settings the simulator and the prover share.
+run of the executive asks the algorithm graph again.
+
+Failure detection follows the medium, so the plan fixes it too.  On a
+bus every member physically sees every frame: Solution 1's backups
+snoop it (Section 6.1), and only bus frames are observed (``snoop``).
+Without a bus nobody sees a remote frame; the paper says detection
+there "is similar to a Byzantine agreement problem", and the plan
+idealizes that agreement as every completed frame being observed
+(``oracle``).  Snooping a frame from a flagged processor clears its
+flag (Section 6.1 item 3) for Solution 1 on a single bus.
+
+The simulated executive, the pipeline, the prover's delivery
+automaton, the macro-code generator and the critical path all read
+this one plan; :data:`DEADLINE_SLACK` is the run-time setting the
+simulator and the prover share.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ __all__ = [
     "LadderRung",
     "OpRow",
     "ExecutivePlan",
-    "resolve_detection",
 ]
 
 DependencyKey = Tuple[str, str]
@@ -45,30 +54,6 @@ WatchKey = Tuple[str, DependencyKey, str]
 #: kernel's sequence order breaks the tie), and otherwise the rung times
 #: out.
 DEADLINE_SLACK = 1e-9
-
-
-def resolve_detection(
-    schedule: Schedule,
-    detection: Optional[str] = None,
-    snoop_recovery: Optional[bool] = None,
-) -> Tuple[str, bool]:
-    """The ``(detection, snoop_recovery)`` settings of one run.
-
-    ``detection`` defaults to ``"snoop"`` when the architecture has a
-    bus and ``"oracle"`` otherwise; ``snoop_recovery`` defaults to True
-    for Solution 1 on a single-bus architecture.
-    """
-    architecture = schedule.problem.architecture
-    if detection is None:
-        detection = "snoop" if architecture.has_bus else "oracle"
-    if detection not in ("snoop", "oracle"):
-        raise ValueError(f"unknown detection mode {detection!r}")
-    if snoop_recovery is None:
-        snoop_recovery = (
-            schedule.semantics is ScheduleSemantics.SOLUTION1
-            and architecture.is_single_bus
-        )
-    return detection, snoop_recovery
 
 
 @dataclass(frozen=True)
@@ -119,6 +104,14 @@ class ExecutivePlan:
     senders: Tuple[OpRow, ...]
     #: The algorithm's outputs, in algorithm order.
     outputs: Tuple[str, ...]
+    #: Link -> whether a completed frame on it fires the one-shot
+    #: observe: every link without a bus, else exactly the buses.
+    observable: Dict[str, bool]
+    #: True when a snooped frame from a flagged processor clears its
+    #: flag everywhere (Solution 1 on a single bus).
+    snoop_recovery: bool
+    #: ``"snoop"`` (the architecture has a bus) or ``"oracle"``.
+    detection: str
 
     @classmethod
     def compile(cls, schedule: Schedule) -> "ExecutivePlan":
@@ -197,6 +190,8 @@ class ExecutivePlan:
                 )
                 timeline.append(row)
             timelines[proc] = tuple(timeline)
+        architecture = problem.architecture
+        has_bus = architecture.has_bus
         return cls(
             destinations=destinations,
             planned_senders=planned_senders,
@@ -208,4 +203,13 @@ class ExecutivePlan:
                 rows[(op, proc)] for op, procs in sending.items() for proc in procs
             ),
             outputs=outputs,
+            observable={
+                link: not has_bus or architecture.link(link).is_bus
+                for link in architecture.link_names
+            },
+            snoop_recovery=(
+                semantics is ScheduleSemantics.SOLUTION1
+                and architecture.is_single_bus
+            ),
+            detection="snoop" if has_bus else "oracle",
         )

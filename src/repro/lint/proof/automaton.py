@@ -18,23 +18,22 @@ The automaton holds the schedule's compiled
 :class:`~repro.core.executive_plan.ExecutivePlan` itself (``plan``:
 op rows, planned sender replicas, destinations, planned release dates,
 ladders and watchdog order, the objects the simulated executive also
-reads) plus the facts only the prover needs (replica ranks, the static
-event boundaries that name crash classes), and the detection settings
-come from the same :func:`~repro.core.executive_plan.resolve_detection`.
-Everything here is extracted read-only from :mod:`repro.core` /
-:mod:`repro.graphs`.  The verifier (:mod:`repro.lint.proof.verifier`)
-runs the executive's protocol (:mod:`repro.sim.protocol`) over it
-under abstract crash dates, on the discrete-event kernel of
-:mod:`repro.sim.engine`; nothing else in :mod:`repro.sim` is imported
-by the prover.
+reads, the observable links and snoop recovery included) plus the
+facts only the prover needs (replica ranks, the static event
+boundaries that name crash classes).  Everything here is extracted
+read-only from :mod:`repro.core` / :mod:`repro.graphs`.  The verifier
+(:mod:`repro.lint.proof.verifier`) runs the executive's protocol
+(:mod:`repro.sim.protocol`) over it under abstract crash dates, on
+the discrete-event kernel of :mod:`repro.sim.engine`; nothing else in
+:mod:`repro.sim` is imported by the prover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ...core.executive_plan import ExecutivePlan, LadderRung, resolve_detection
+from ...core.executive_plan import ExecutivePlan, LadderRung
 from ...core.schedule import Schedule, ScheduleSemantics
 from ...core.timeline import event_boundaries
 
@@ -55,8 +54,6 @@ class DeliveryAutomaton:
     rank: Dict[Tuple[str, str], int]
     #: The schedule's compiled executive, read by both worlds.
     plan: ExecutivePlan
-    detection: str
-    snoop_recovery: bool
 
     def summary(self) -> Dict[str, object]:
         """Automaton shape, persisted into the proof artifact."""
@@ -80,7 +77,7 @@ class DeliveryAutomaton:
             }
         return {
             "semantics": self.semantics.value,
-            "detection": self.detection,
+            "detection": plan.detection,
             "processors": list(self.processors),
             "failures": self.failures,
             "windows": len(self.boundaries),
@@ -88,17 +85,8 @@ class DeliveryAutomaton:
         }
 
 
-def compile_automaton(
-    schedule: Schedule,
-    detection: Optional[str] = None,
-    snoop_recovery: Optional[bool] = None,
-) -> DeliveryAutomaton:
+def compile_automaton(schedule: Schedule) -> DeliveryAutomaton:
     """Extract the delivery automaton of ``schedule`` (read-only)."""
-    detection, snoop_recovery = resolve_detection(
-        schedule, detection, snoop_recovery
-    )
-    plan = schedule.executive_plan
-
     operations = tuple(schedule.operations)
     replicas: Dict[str, Tuple[str, ...]] = {}
     rank: Dict[Tuple[str, str], int] = {}
@@ -117,7 +105,5 @@ def compile_automaton(
         operations=operations,
         replicas=replicas,
         rank=rank,
-        plan=plan,
-        detection=detection,
-        snoop_recovery=snoop_recovery,
+        plan=schedule.executive_plan,
     )

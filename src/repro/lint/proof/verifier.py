@@ -119,10 +119,7 @@ class _AbstractRun(Protocol):
         known_failed: Iterable[str] = (),
     ) -> None:
         super().__init__(
-            auto.schedule,
-            auto.detection,
-            auto.snoop_recovery,
-            dict.fromkeys(auto.processors, frozenset(known_failed)),
+            auto.schedule, dict.fromkeys(auto.processors, frozenset(known_failed))
         )
         self.auto = auto
         self.crashes = crashes
@@ -370,7 +367,6 @@ def _dead_certificate(
 # ----------------------------------------------------------------------
 def prove_delivery(
     schedule: Schedule,
-    detection: Optional[str] = None,
     max_evals_per_subset: int = 8000,
     max_failures: Optional[int] = None,
     probe_beyond: bool = True,
@@ -386,7 +382,7 @@ def prove_delivery(
     """
     obs = get_instrumentation()
     with obs.span("proof.compile"):
-        auto = compile_automaton(schedule, detection=detection)
+        auto = compile_automaton(schedule)
     failures = auto.failures if max_failures is None else max_failures
     with obs.span(
         "proof.verify",
@@ -511,7 +507,7 @@ def _prove(
     return ProofResult(
         verdict=verdict,
         semantics=auto.semantics.value,
-        detection=auto.detection,
+        detection=auto.plan.detection,
         processors=processors,
         failures=failures,
         boundaries=auto.boundaries,
@@ -642,7 +638,6 @@ def check_scenario(
     schedule: Schedule,
     crashes: Dict[str, float],
     known_failed: Iterable[str] = (),
-    detection: Optional[str] = None,
 ) -> ScenarioCheck:
     """Statically decide one concrete crash assignment.
 
@@ -652,7 +647,7 @@ def check_scenario(
     and — when delivery fails — the returned counterexample pins the
     reproducer's own (processor, window)-class.
     """
-    auto = compile_automaton(schedule, detection=detection)
+    auto = compile_automaton(schedule)
     outcome = run_outcome(auto, crashes, known_failed=known_failed)
     cx = None
     if not outcome.ok:

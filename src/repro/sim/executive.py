@@ -44,22 +44,22 @@ under another scenario (:meth:`ExecutiveRuntime.restore`), which is
 how the campaign runs each scenario from the failure-free run
 (:class:`~repro.sim.runner.FailureFreePrefix`).
 
-Failure detection observability is configurable:
-
-* ``snoop`` — a watchdog observes a frame only if it was carried by a
-  multi-point link (every bus member physically sees every frame).
-  This is the paper's Solution-1 setting.
-* ``oracle`` — any completed frame is observable by every watchdog.
-  This idealizes the agreement protocol the paper says point-to-point
-  detection would need; it exists so Solution 1 can be simulated on
-  point-to-point architectures for comparison experiments.
+Failure detection follows the medium, as the schedule's compiled
+plan fixes it (:class:`~repro.core.executive_plan.ExecutivePlan`):
+with a bus, a watchdog observes only bus frames (every bus member
+physically sees every frame; the paper's Solution-1 setting,
+``snoop``); without one, every completed frame is observed, which
+idealizes the agreement protocol the paper says point-to-point
+detection would need (``oracle``).  On a single bus, Solution 1 also
+clears the flag of a processor whose frame it snoops, so that an
+intermittent fail-silent processor rejoins (Section 6.1 item 3).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..core.executive_plan import OpRow, resolve_detection
+from ..core.executive_plan import OpRow
 from ..core.schedule import Schedule
 from .faults import FailureScenario
 from .protocol import DependencyKey, Protocol
@@ -84,18 +84,10 @@ class ExecutiveRuntime(Protocol):
         A frozen schedule from any of the three schedulers.
     scenario:
         The failures injected during this iteration.
-    detection:
-        ``"snoop"`` | ``"oracle"`` | ``None`` (auto: ``snoop`` when the
-        architecture has a bus, ``oracle`` otherwise).
     initial_flags:
         Per-processor fail-flag arrays carried over from previous
         iterations; ``scenario.known_failed`` is merged into every
         array.
-    snoop_recovery:
-        When True (auto: Solution 1 on a single-bus architecture),
-        observing a frame from a flagged processor clears its flag
-        everywhere — the Section 6.1 item 3 mechanism that lets
-        intermittent fail-silent processors rejoin.
     iteration:
         Index of the simulated iteration; only influences the values
         sampled by input extios (see :mod:`repro.sim.values`).
@@ -107,25 +99,20 @@ class ExecutiveRuntime(Protocol):
         self,
         schedule: Schedule,
         scenario: Optional[FailureScenario] = None,
-        detection: Optional[str] = None,
         initial_flags: Optional[Dict[str, Set[str]]] = None,
-        snoop_recovery: Optional[bool] = None,
         iteration: int = 0,
     ) -> None:
         self.schedule = schedule
         self.problem = schedule.problem
         self._bind(scenario or FailureScenario.none())
         self.iteration = iteration
-        self.detection, snoop_recovery = resolve_detection(
-            schedule, detection, snoop_recovery
-        )
         flags = dict.fromkeys(
             self.problem.architecture.processor_names,
             frozenset(self.scenario.known_failed),
         )
         for proc, known in (initial_flags or {}).items():
             flags[proc] = flags[proc].union(known)
-        super().__init__(schedule, self.detection, snoop_recovery, flags)
+        super().__init__(schedule, flags)
         self.trace = IterationTrace(
             scenario_name=str(self.scenario),
             expected_outputs=self.plan.outputs,
@@ -140,8 +127,7 @@ class ExecutiveRuntime(Protocol):
         ``release`` (its input extios sample that iteration's event).
         Solution-1 watchdogs are not handed on."""
         follower = ExecutiveRuntime(
-            self.schedule, self.scenario, self.detection,
-            snoop_recovery=self.snoop_recovery, iteration=self.iteration + 1,
+            self.schedule, self.scenario, iteration=self.iteration + 1
         )
         follower.sim, follower.busy, follower.release = self.sim, self.busy, release
         self.follower = follower

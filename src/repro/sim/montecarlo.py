@@ -18,12 +18,8 @@ trace (at small ``p`` the vast majority of trials take this path).
 
 Trial ``i`` draws its scenario from its own ``random.Random`` seeded
 with ``f"{seed}:{i}"`` (string seeding hashes with SHA-512, so the
-stream is identical across processes and platforms).  Because a
-trial's outcome depends only on ``(seed, i)`` and the tallies are
-sums, the estimate is bit-identical however the trials are
-partitioned — ``estimate_availability(..., jobs=N)`` fans the trial
-range out over ``N`` worker processes and returns exactly the
-``jobs=1`` answer.
+stream is identical across platforms): a trial's outcome depends only
+on ``(seed, i)``.
 """
 
 from __future__ import annotations
@@ -32,9 +28,8 @@ import logging
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from typing import Tuple
 
 from ..core.schedule import Schedule
 from ..obs import get_instrumentation
@@ -124,114 +119,48 @@ class AvailabilityEstimate:
         return text
 
 
-def _trial_tallies(
-    schedule: Schedule,
-    crash_probability: float,
-    procs: Tuple[str, ...],
-    horizon: float,
-    seed: int,
-    indices: Iterable[int],
-    detection: Optional[str],
-    baseline_completed: bool,
-) -> Tuple[int, int, int]:
-    """(completed, disturbed, disturbed_completed) over trial ``indices``.
-
-    Each trial owns an RNG seeded from ``(seed, index)``, so the
-    tallies depend only on which indices are covered — not on how the
-    range was split across workers or in what order it ran.
-    """
-    completed = 0
-    disturbed = 0
-    disturbed_completed = 0
-    for index in indices:
-        rng = random.Random(f"{seed}:{index}")
-        crashes = tuple(
-            Crash(proc, round(rng.uniform(0.0, horizon), 6))
-            for proc in procs
-            if rng.random() < crash_probability
-        )
-        if crashes:
-            scenario = FailureScenario(crashes=crashes, name="montecarlo")
-            trace = simulate(schedule, scenario, detection=detection)
-            disturbed += 1
-            if trace.completed:
-                disturbed_completed += 1
-                completed += 1
-        elif baseline_completed:
-            # Crash-free trials reuse the fault-free run's verdict.
-            completed += 1
-    return completed, disturbed, disturbed_completed
-
-
-def _run_trial_block(payload) -> Tuple[int, int, int]:
-    """Worker entry point: tally one contiguous block of trials."""
-    (schedule, crash_probability, procs, horizon, seed, start, count,
-     detection, baseline_completed) = payload
-    return _trial_tallies(
-        schedule, crash_probability, procs, horizon, seed,
-        range(start, start + count), detection, baseline_completed,
-    )
-
-
 def estimate_availability(
     schedule: Schedule,
     crash_probability: float,
     trials: int = 500,
     seed: int = 0,
-    detection: Optional[str] = None,
-    jobs: int = 1,
 ) -> AvailabilityEstimate:
     """Estimate per-iteration availability under random crashes.
 
     Every trial is an independent iteration: each processor crashes
     with ``crash_probability`` at a date uniform over the failure-free
-    response window.  Deterministic per ``seed``; ``jobs > 1`` spreads
-    the trials over that many worker processes and — thanks to the
-    per-trial seeding — returns a bit-identical estimate for any
-    ``jobs`` value.  Worker obs counters stay in the workers; the
-    parent records the aggregate ``sim.mc.*`` counters as usual.
+    response window.  Deterministic per ``seed``.
     """
     if not 0.0 <= crash_probability <= 1.0:
         raise ValueError("crash probability must be in [0, 1]")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     obs = get_instrumentation()
     started = time.perf_counter()
     procs = tuple(schedule.problem.architecture.processor_names)
     # One fault-free run fixes the horizon AND serves every undisturbed
     # trial below (the executive is deterministic).
-    baseline_trace = simulate(schedule, detection=detection)
+    baseline_trace = simulate(schedule)
     horizon = max(baseline_trace.response_time, 1e-9)
 
+    completed = disturbed = disturbed_completed = 0
     with obs.span(
-        "sim.montecarlo", trials=trials, p=crash_probability, seed=seed,
-        jobs=jobs,
+        "sim.montecarlo", trials=trials, p=crash_probability, seed=seed
     ):
-        if jobs > 1 and trials > 1:
-            workers = min(jobs, trials)
-            block, extra = divmod(trials, workers)
-            payloads = []
-            start = 0
-            for worker in range(workers):
-                count = block + (1 if worker < extra else 0)
-                payloads.append((
-                    schedule, crash_probability, procs, horizon, seed,
-                    start, count, detection, baseline_trace.completed,
-                ))
-                start += count
-            completed = 0
-            disturbed = 0
-            disturbed_completed = 0
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for tallies in pool.map(_run_trial_block, payloads):
-                    completed += tallies[0]
-                    disturbed += tallies[1]
-                    disturbed_completed += tallies[2]
-        else:
-            completed, disturbed, disturbed_completed = _trial_tallies(
-                schedule, crash_probability, procs, horizon, seed,
-                range(trials), detection, baseline_trace.completed,
+        for index in range(trials):
+            rng = random.Random(f"{seed}:{index}")
+            crashes = tuple(
+                Crash(proc, round(rng.uniform(0.0, horizon), 6))
+                for proc in procs
+                if rng.random() < crash_probability
             )
+            if crashes:
+                scenario = FailureScenario(crashes=crashes, name="montecarlo")
+                disturbed += 1
+                if simulate(schedule, scenario).completed:
+                    disturbed_completed += 1
+                    completed += 1
+            elif baseline_trace.completed:
+                # Crash-free trials reuse the fault-free run's verdict.
+                completed += 1
     elapsed = time.perf_counter() - started
     obs.count("sim.mc.trials", trials)
     obs.count("sim.mc.disturbed", disturbed)

@@ -52,10 +52,10 @@ A world answers the protocol's questions and records what it keeps:
 
 Every world shares the protocol's record of each dependency's one-shot
 observe: ``observed`` maps ``dep`` to the ``(sender, date)`` of the
-first observable frame that completed for it.  Watchdogs test
-membership at their deadlines and nothing waits on it; the prover's
-never-rearming ladders and the trace differ's stand-downs read the
-sender and date.
+first observable frame (one on a link the plan marks ``observable``)
+that completed for it.  Watchdogs test membership at their deadlines
+and nothing waits on it; the prover's never-rearming ladders and the
+trace differ's stand-downs read the sender and date.
 
 The fail-flag arrays are frozen sets, rebound and never changed in
 place, so that a shallow copy of a run's containers saves it:
@@ -84,9 +84,7 @@ WatchKey = Tuple[str, DependencyKey, str]
 class Protocol:
     """One iteration of a schedule's executive (see the module doc).
 
-    ``detection`` and ``snoop_recovery`` are the resolved settings of
-    :func:`~repro.core.executive_plan.resolve_detection`; ``flags`` maps
-    every processor to its fail-flag array.
+    ``flags`` maps every processor to its fail-flag array.
     """
 
     #: The containers a checkpoint copies; each world names its own.
@@ -97,26 +95,20 @@ class Protocol:
     def __init__(
         self,
         schedule: Schedule,
-        detection: str,
-        snoop_recovery: bool,
         flags: Dict[str, FrozenSet[str]],
     ) -> None:
         problem = schedule.problem
-        architecture = problem.architecture
-        self.plan = schedule.executive_plan
+        plan = self.plan = schedule.executive_plan
         self.routing, self.comm = problem.routing, problem.communication
         self.skip_flagged = schedule.semantics is ScheduleSemantics.SOLUTION2
-        self.snoop_recovery = snoop_recovery
-        #: Link -> whether a completed frame on it fires ``observed``:
-        #: every bus member snoops a bus frame; ``oracle`` detection
-        #: observes every frame.
-        self.observable: Dict[str, bool] = {
-            link: detection == "oracle" or architecture.link(link).is_bus
-            for link in architecture.link_names
-        }
+        #: The plan's detection facts, bound for ``_complete``.
+        self.observable = plan.observable
+        self.snoop_recovery = plan.snoop_recovery
         self.sim = Simulator()
         #: Link -> the date its last granted frame ends.
-        self.busy: Dict[str, float] = dict.fromkeys(architecture.link_names, 0.0)
+        self.busy: Dict[str, float] = dict.fromkeys(
+            problem.architecture.link_names, 0.0
+        )
         #: Per-processor fail-flag arrays (Section 5.5).
         self.flags = flags
         #: Event tables (see repro.sim.engine): ``(dep, proc)`` arrivals,

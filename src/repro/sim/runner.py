@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.schedule import Schedule, ScheduleSemantics
 from ..obs import Instrumentation, get_instrumentation
@@ -103,8 +103,7 @@ class FailureFreePrefix:
     its bound methods), and runs it to the end.  The leader only moves
     forward while the steps asked for ascend (a campaign runs its
     scenarios in that order); an earlier step starts it again from step
-    0.  The prefix is valid for the simulation defaults only (auto
-    detection, no initial flags, iteration 0).
+    0.
     """
 
     def __init__(self, schedule: Schedule) -> None:
@@ -172,45 +171,22 @@ class FailureFreePrefix:
 def simulate(
     schedule: Schedule,
     scenario: Optional[FailureScenario] = None,
-    detection: Optional[str] = None,
-    initial_flags: Optional[Dict[str, Set[str]]] = None,
-    snoop_recovery: Optional[bool] = None,
-    iteration: int = 0,
     prefix: Optional[FailureFreePrefix] = None,
 ) -> IterationTrace:
     """Simulate one iteration of ``schedule`` under ``scenario``.
 
-    See :class:`~repro.sim.executive.ExecutiveRuntime` for the
-    parameters.  Returns the iteration's trace; its ``response_time``
-    is the paper's evaluation quantity (``inf`` when an output is
-    never produced, which is the expected outcome of crashing a
-    baseline schedule).  With a ``prefix`` of ``schedule`` the
-    iteration resumes from its failure-free run (the other arguments
-    must keep their defaults); the trace is the same.
+    Returns the iteration's trace; its ``response_time`` is the
+    paper's evaluation quantity (``inf`` when an output is never
+    produced, which is the expected outcome of crashing a baseline
+    schedule).  With a ``prefix`` of ``schedule`` the iteration
+    resumes from its failure-free run; the trace is the same.
     """
     obs = get_instrumentation()
     scenario = scenario or FailureScenario.none()
     if prefix is None:
-        run = ExecutiveRuntime(
-            schedule,
-            scenario,
-            detection=detection,
-            initial_flags=initial_flags,
-            snoop_recovery=snoop_recovery,
-            iteration=iteration,
-        ).run
+        run = ExecutiveRuntime(schedule, scenario).run
     elif schedule is not prefix.schedule:
         raise ValueError("the prefix was built for another schedule")
-    elif (
-        detection is not None
-        or initial_flags
-        or snoop_recovery is not None
-        or iteration != 0
-    ):
-        raise ValueError(
-            "a failure-free prefix is valid only for the default "
-            "detection, no initial flags and iteration 0"
-        )
     else:
         run = partial(prefix.run, scenario)
     with obs.span(
@@ -231,34 +207,24 @@ def simulate(
 def simulate_sequence(
     schedule: Schedule,
     scenarios: Sequence[FailureScenario],
-    detection: Optional[str] = None,
-    carry_flags: bool = True,
-    propagate_flags: bool = True,
-    snoop_recovery: Optional[bool] = None,
 ) -> SimulationRun:
     """Simulate several iterations, carrying fail-flag knowledge.
 
     ``scenarios[i]`` describes iteration ``i``'s failures (crash dates
-    are in-iteration).  With ``carry_flags`` every processor keeps its
-    fail-flag array between iterations; with ``propagate_flags`` the
-    detections of one iteration are known to *every* live processor at
-    the next iteration start (the paper's Figure 10 send/receive
-    procedures propagate this knowledge piggybacked on normal
-    traffic).  For Solution-2 schedules, processors down during an
-    iteration are flagged by everyone at its end (their missing frames
-    are the detection — Section 7.4).
+    are in-iteration).  Every processor keeps its fail-flag array
+    between iterations, and the detections of one iteration are known
+    to *every* live processor at the next iteration start (the
+    paper's Figure 10 send/receive procedures propagate this knowledge
+    piggybacked on normal traffic).  For Solution-2 schedules,
+    processors down during an iteration are flagged by everyone at its
+    end (their missing frames are the detection — Section 7.4).
     """
     obs = get_instrumentation()
     run = SimulationRun()
     flags: Dict[str, Set[str]] = {}
     for index, scenario in enumerate(scenarios):
         runtime = ExecutiveRuntime(
-            schedule,
-            scenario,
-            detection=detection,
-            initial_flags=flags if carry_flags else None,
-            snoop_recovery=snoop_recovery,
-            iteration=index,
+            schedule, scenario, initial_flags=flags, iteration=index
         )
         with obs.span(
             "sim.iteration", scenario=str(runtime.scenario), index=index,
@@ -267,23 +233,17 @@ def simulate_sequence(
             trace = runtime.run()
         _record_trace_metrics(obs, trace)
         run.iterations.append(trace)
-        flags = runtime.flags
-        if carry_flags:
-            flags = _post_iteration_flags(
-                schedule, scenario, flags, propagate_flags
-            )
-    # The runtime's arrays are frozen sets: hand back mutable copies.
-    run.final_flags = {proc: set(known) for proc, known in flags.items()}
+        flags = _post_iteration_flags(schedule, scenario, runtime.flags)
+    run.final_flags = flags
     return run
 
 
 def _post_iteration_flags(
     schedule: Schedule,
     scenario: FailureScenario,
-    flags: Dict[str, Set[str]],
-    propagate: bool,
+    flags: Dict[str, FrozenSet[str]],
 ) -> Dict[str, Set[str]]:
-    """Flag bookkeeping at an iteration boundary."""
+    """Flag bookkeeping at an iteration boundary, in mutable sets."""
     updated = {proc: set(known) for proc, known in flags.items()}
 
     if schedule.semantics is ScheduleSemantics.SOLUTION2:
@@ -299,12 +259,11 @@ def _post_iteration_flags(
             if proc not in downed:
                 known.update(downed - {proc})
 
-    if propagate:
-        union: Set[str] = set()
-        for known in updated.values():
-            union.update(known)
-        for proc, known in updated.items():
-            known.update(union - {proc})
+    union: Set[str] = set()
+    for known in updated.values():
+        union.update(known)
+    for proc, known in updated.items():
+        known.update(union - {proc})
     return updated
 
 
@@ -313,7 +272,6 @@ def transient_then_steady(
     processor: str,
     crash_at: float,
     steady_iterations: int = 1,
-    detection: Optional[str] = None,
 ) -> SimulationRun:
     """The paper's Figure 18 experiment in one call.
 
@@ -327,4 +285,4 @@ def transient_then_steady(
         FailureScenario.dead_from_start(processor)
         for _ in range(steady_iterations)
     )
-    return simulate_sequence(schedule, scenarios, detection=detection)
+    return simulate_sequence(schedule, scenarios)

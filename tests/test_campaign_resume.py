@@ -159,18 +159,12 @@ def test_executed_plus_skipped_steps_is_the_fresh_count(monkeypatch, label):
 
 
 def test_prefix_rejects_non_default_arguments():
+    """A resumed scenario equals a fresh run; the one argument a prefix
+    refuses is another schedule."""
     problem, schedule = _schedule(*BATTERY[0][1:])
     prefix = FailureFreePrefix(schedule)
     crash = FailureScenario.crash(problem.architecture.processor_names[0], 3.0)
     assert simulate(schedule, crash, prefix=prefix) == simulate(schedule, crash)
-    for kwargs in (
-        dict(detection="snoop"),
-        dict(initial_flags={"P1": {"P2"}}),
-        dict(snoop_recovery=False),
-        dict(iteration=1),
-    ):
-        with pytest.raises(ValueError, match="default detection"):
-            simulate(schedule, crash, prefix=prefix, **kwargs)
     other = schedule_solution1(problem).schedule
     with pytest.raises(ValueError, match="another schedule"):
         simulate(other, crash, prefix=prefix)

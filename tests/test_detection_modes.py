@@ -4,10 +4,11 @@ Solution 1's failure detection relies on *observing* the presumed
 main's sends.  On a bus every member physically sees every frame
 (``snoop``); on point-to-point links nobody does, and the paper says
 proper detection there "is similar to a Byzantine agreement problem".
-The executive models that gap: ``snoop`` only counts bus frames as
-observable, ``oracle`` idealizes an agreement substrate.  These tests
-pin the consequences down, including on the paper's Figure 8 chain
-architecture (multi-hop routing through P2).
+The executive plan models that gap from the architecture: with a bus
+only bus frames are observable (``snoop``), without one ``oracle``
+idealizes an agreement substrate.  These tests pin the consequences
+down, including on the paper's Figure 8 chain architecture (multi-hop
+routing through P2).
 """
 
 import pytest
@@ -30,7 +31,7 @@ def sol1_on_p2p():
 
 class TestOracleOnPointToPoint:
     def test_failure_free_with_oracle(self, sol1_on_p2p):
-        trace = simulate(sol1_on_p2p, detection="oracle")
+        trace = simulate(sol1_on_p2p)
         assert trace.completed
         assert trace.detections == []
 
@@ -38,11 +39,7 @@ class TestOracleOnPointToPoint:
     def test_crash_covered_with_oracle(self, sol1_on_p2p, victim):
         """With an idealized agreement substrate, Solution 1 works on
         point-to-point links too."""
-        trace = simulate(
-            sol1_on_p2p,
-            FailureScenario.crash(victim, at=2.0),
-            detection="oracle",
-        )
+        trace = simulate(sol1_on_p2p, FailureScenario.crash(victim, at=2.0))
         assert trace.completed, victim
 
     def test_default_detection_on_p2p_is_oracle(self, sol1_on_p2p):
@@ -52,22 +49,8 @@ class TestOracleOnPointToPoint:
 
 
 class TestSnoopRequiresABus:
-    def test_snoop_on_p2p_may_strand_consumers(self, sol1_on_p2p):
-        """Forcing snoop semantics without a bus: watchdogs never
-        observe remote frames, so they take over even when the main is
-        healthy — wasteful duplicates — and, when a main really dies,
-        consumers can still be served.  The important invariant is
-        that outputs survive; the redundant traffic is the cost the
-        paper's architecture-matching rule avoids."""
-        healthy = simulate(sol1_on_p2p, detection="snoop")
-        assert healthy.completed
-        crashed = simulate(
-            sol1_on_p2p, FailureScenario.crash("P2", at=2.0), detection="snoop"
-        )
-        assert crashed.completed
-
     def test_snoop_on_bus_observes(self, bus_solution1):
-        trace = simulate(bus_solution1.schedule, detection="snoop")
+        trace = simulate(bus_solution1.schedule)
         assert trace.completed
         assert trace.detections == []
 
@@ -96,9 +79,7 @@ class TestFigure8Chain:
         }
         for victim in ("P1", "P2", "P3"):
             trace = simulate(
-                chain_schedule,
-                FailureScenario.dead_from_start(victim),
-                detection="oracle",
+                chain_schedule, FailureScenario.dead_from_start(victim)
             )
             assert trace.completed == verdicts[frozenset({victim})], victim
 

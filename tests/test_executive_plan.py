@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import schedule_baseline, schedule_solution1, schedule_solution2
-from repro.core.executive_plan import DEADLINE_SLACK, resolve_detection
+from repro.core.executive_plan import DEADLINE_SLACK
 from repro.core.schedule import ScheduleSemantics
 from repro.graphs.architecture import Architecture
 from repro.graphs.generators import (
@@ -23,6 +23,8 @@ from repro.graphs.generators import (
     random_problem,
 )
 from repro.lint.proof.automaton import compile_automaton
+from repro.lint.proof.verifier import _AbstractRun
+from repro.sim.executive import ExecutiveRuntime
 
 METHODS = {
     "baseline": schedule_baseline,
@@ -209,10 +211,24 @@ def test_ladders_and_watch_order(schedule):
 
 
 def test_detection_defaults(schedule):
-    assert resolve_detection(schedule) == old_detection(schedule)
-    assert resolve_detection(schedule, "oracle", False) == ("oracle", False)
-    with pytest.raises(ValueError, match="unknown detection mode"):
-        resolve_detection(schedule, "psychic")
+    """One detection rule in both worlds: the simulated executive and
+    the prover's run hold the plan's own facts, which follow the
+    architecture as the replaced default did."""
+    plan = schedule.executive_plan
+    architecture = schedule.problem.architecture
+    runtime = ExecutiveRuntime(schedule)
+    proof_run = _AbstractRun(compile_automaton(schedule), {})
+    for world in (runtime, proof_run):
+        assert world.observable is plan.observable
+        assert world.snoop_recovery is plan.snoop_recovery
+    detection, recovery = old_detection(schedule)
+    assert (plan.detection, plan.snoop_recovery) == (detection, recovery)
+    assert plan.observable == {
+        link: detection == "oracle" or architecture.link(link).is_bus
+        for link in architecture.link_names
+    }
+    if architecture.name == "mixed":
+        assert [link for link, seen in plan.observable.items() if seen] == ["can"]
     assert DEADLINE_SLACK == 1e-9
 
 
@@ -220,4 +236,3 @@ def test_automaton_holds_the_plans_own_objects(schedule):
     plan = schedule.executive_plan
     auto = compile_automaton(schedule)
     assert auto.plan is plan
-    assert (auto.detection, auto.snoop_recovery) == old_detection(schedule)

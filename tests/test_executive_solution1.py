@@ -112,10 +112,6 @@ class TestFlags:
         # P3 knew already; P1 may still detect on its own ladders.
         assert all(d.watcher != "P3" or d.suspect != "P2" for d in trace.detections)
 
-    def test_bad_detection_mode_rejected(self, bus_solution1):
-        with pytest.raises(ValueError):
-            ExecutiveRuntime(bus_solution1.schedule, detection="telepathy")
-
 
 class _CountingRuntime(ExecutiveRuntime):
     """Counts the rung deadlines armed and the ``_woken`` calls."""

@@ -28,9 +28,7 @@ class Recorder(ExecutiveRuntime):
 
 
 def make_network(problem, scenario=None):
-    runtime = Recorder(
-        schedule_baseline(problem).schedule, scenario, detection="snoop"
-    )
+    runtime = Recorder(schedule_baseline(problem).schedule, scenario)
     return runtime.sim, runtime, runtime.trace, runtime.deliveries
 
 
@@ -139,8 +137,9 @@ class TestRoutedTransfers:
         assert [d[1] for d in deliveries] == ["P2"]
 
     def test_is_bus(self):
-        # Under snoop detection a frame is observable exactly on a bus.
+        # With a bus a frame is observable exactly on a bus; without
+        # one every link is.
         _, network, _, _ = make_network(first_example_problem(1))
         assert network.observable["bus"]
         _, routed, _, _ = make_network(figure8_problem())
-        assert not any(routed.observable.values())
+        assert routed.observable and all(routed.observable.values())

@@ -1,15 +1,14 @@
-"""Determinism of the process-parallel fan-outs under any ``jobs`` value.
+"""Determinism of the process-parallel seed exploration under any
+``jobs`` value.
 
-The acceptance contract of the ``--jobs N`` flag: seed exploration and
-Monte-Carlo estimation return *bit-identical* results however many
-worker processes run them — same winner, same decision log, same
-trial tallies.
+The acceptance contract of the ``--jobs N`` flag: seed exploration
+returns *bit-identical* results however many worker processes run it
+— same winner, same decision log.
 """
 
 from repro.core.list_scheduler import best_over_seeds, explore_seeds
-from repro.core.solution1 import Solution1Scheduler, schedule_solution1
+from repro.core.solution1 import Solution1Scheduler
 from repro.paper import examples
-from repro.sim.montecarlo import estimate_availability
 
 
 class TestSeedExploration:
@@ -45,25 +44,3 @@ class TestSeedExploration:
         assert [r.makespan for r in results] == \
             [r.makespan for r in baseline]
 
-
-class TestMonteCarloJobs:
-    def test_estimate_identical_across_jobs(self):
-        schedule = schedule_solution1(
-            examples.first_example_problem(failures=1)
-        ).schedule
-        serial = estimate_availability(schedule, 0.12, trials=61, seed=5)
-        for jobs in (2, 3, 4):
-            fanned = estimate_availability(
-                schedule, 0.12, trials=61, seed=5, jobs=jobs
-            )
-            # AvailabilityEstimate equality excludes elapsed wall time.
-            assert fanned == serial
-
-    def test_jobs_capped_by_trials(self):
-        schedule = schedule_solution1(
-            examples.first_example_problem(failures=1)
-        ).schedule
-        serial = estimate_availability(schedule, 0.3, trials=3, seed=1)
-        fanned = estimate_availability(schedule, 0.3, trials=3, seed=1,
-                                       jobs=8)
-        assert fanned == serial

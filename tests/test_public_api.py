@@ -7,7 +7,11 @@ package and enforce it.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,23 @@ def test_version_string():
 def test_top_level_all_resolves():
     for public in repro.__all__:
         assert hasattr(repro, public)
+
+
+def test_top_level_does_not_shadow_the_lint_subpackage():
+    """``repro.lint`` stays the subpackage, so a dotted import through
+    it works in a fresh interpreter (no test has imported it first)."""
+    code = (
+        "import types\n"
+        "import repro.lint.proof.automaton as automaton\n"
+        "import repro\n"
+        "print(isinstance(repro.lint, types.ModuleType), automaton.__name__)"
+    )
+    src = Path(repro.__file__).resolve().parents[1]
+    printed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert printed.split() == ["True", "repro.lint.proof.automaton"]

@@ -49,22 +49,14 @@ class TestTransientThenSteady:
     def test_without_flag_carry_every_iteration_pays_timeouts(
         self, bus_solution1
     ):
-        scenarios = [
-            FailureScenario.dead_from_start("P2"),
-            FailureScenario.dead_from_start("P2"),
-        ]
-        run = simulate_sequence(
-            bus_solution1.schedule, scenarios, carry_flags=False
-        )
-        assert run.iterations[0].detections
-        assert run.iterations[1].detections  # paid again
+        # Two single iterations, no flags carried from one to the next.
+        dead = FailureScenario.dead_from_start("P2")
+        assert simulate(bus_solution1.schedule, dead).detections
+        assert simulate(bus_solution1.schedule, dead).detections  # paid again
 
-    @pytest.mark.parametrize("carry", [True, False])
-    def test_final_flags_are_mutable_sets(self, bus_solution1, carry):
+    def test_final_flags_are_mutable_sets(self, bus_solution1):
         run = simulate_sequence(
-            bus_solution1.schedule,
-            [FailureScenario.crash("P2", 3.0)],
-            carry_flags=carry,
+            bus_solution1.schedule, [FailureScenario.crash("P2", 3.0)]
         )
         assert any("P2" in flags for flags in run.final_flags.values())
         for proc, flags in run.final_flags.items():
@@ -89,9 +81,7 @@ class TestSequenceSemantics:
             FailureScenario.crash("P2", 3.0),
             FailureScenario.dead_from_start("P2"),
         ]
-        run = simulate_sequence(
-            bus_solution1.schedule, scenarios, propagate_flags=True
-        )
+        run = simulate_sequence(bus_solution1.schedule, scenarios)
         live = [p for p in run.final_flags if p != "P2"]
         for proc in live:
             assert "P2" in run.final_flags[proc]
