@@ -464,7 +464,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
         proof = proof_for(result.schedule)
         print(proof.summary_line())
-        for rule_id in ("FT401", "FT402", "FT403", "FT404"):
+        for rule_id in ("FT401", "FT402", "FT404"):
             lint_report.extend(get_rule(rule_id).findings(result.schedule))
     if not lint_report.ok:
         print(render_text(lint_report))

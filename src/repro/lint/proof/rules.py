@@ -1,6 +1,6 @@
 """The FT4xx proof rule pack: lint findings from the static prover.
 
-All four rules share one prover run per schedule (memoized per object
+All three rules share one prover run per schedule (memoized per object
 identity), so ``lint_schedule`` pays the proof cost once:
 
 * **FT401 unproven-delivery** (error) — the ≤K tolerance claim is
@@ -9,18 +9,12 @@ identity), so ``lint_schedule`` pays the proof cost once:
 * **FT402 ladder-never-rearms** (warning) — a refutation in which the
   per-dependency one-shot observe fired and yet delivery failed: once
   every watcher stood down, no timeout rung ever re-arms.
-* **FT403 stand-down-races-lost-frame** (warning) — registered, never
-  fires: the race it reported (watchers standing down when a takeover
-  frame was *dispatched*, before it was lost mid-transmission) cannot
-  happen, because a watcher stands down only on a *completed* frame.
 * **FT404 realized-tolerance-exceeds-certified-K** (info) — the prover
   additionally verified all (K+1)-subsets: the schedule is better
   than its certificate claims.
 
-FT216 remains as a *fast heuristic* beside FT401: it inspects only
-the static plan (no protocol interpretation) and can fire on a
-schedule FT401 proves safe (a backup with no ladder entry takes over
-unconditionally).
+FT403 (stand-down-races-lost-frame) is retired: a watcher stands down
+only on a *completed* frame, so the race it reported cannot happen.
 """
 
 from __future__ import annotations
@@ -36,17 +30,15 @@ from .verifier import prove_delivery
 
 __all__ = ["proof_for"]
 
-#: One prover run per schedule object: the four FT4xx rules (and
+#: One prover run per schedule object: the three FT4xx rules (and
 #: ``repro certify --prove``) share the result.  Keyed by id() because
 #: Schedule is not hashable; an entry is dropped when its schedule is
 #: collected, so a key always names the live schedule it was made for.
 _CACHE: Dict[int, ProofResult] = {}
 
 
-def proof_for(schedule: Schedule, **kwargs) -> ProofResult:
+def proof_for(schedule: Schedule) -> ProofResult:
     """The (memoized) proof result for ``schedule``."""
-    if kwargs:
-        return prove_delivery(schedule, **kwargs)
     key = id(schedule)
     result = _CACHE.get(key)
     if result is None:
@@ -122,20 +114,6 @@ def check_ladder_never_rearms(schedule: Schedule) -> Iterator[Diagnostic]:
             "takeover",
             entry["dependency"],
         )
-
-
-@rule(
-    "FT403",
-    "stand-down-races-lost-frame",
-    Severity.WARNING,
-    Scope.SCHEDULE,
-    "a takeover dispatch stands armed watchers down before its own frame "
-    "survives transmission",
-)
-def check_stand_down_race(schedule: Schedule) -> Iterator[Diagnostic]:
-    # A watcher stands down only on a completed frame, so the race this
-    # ID names has nothing left to report (the ID stays registered).
-    return ()
 
 
 @rule(

@@ -31,6 +31,15 @@ Two ideas make the proof both *sound* and *finite*:
    the static boundaries cannot see.  The leaves partition the space,
    so ``proof.evaluations`` counts runs.
 
+The sweep is one stream: :func:`sweep_regions` yields every leaf's
+cell with its finished run, and the prover accounts each leaf as it
+is drawn (verdict, refuted class regions, the first counterexample,
+delivery chains, collapsed classes, witness depth, kernel steps).
+One refuted leaf refutes its subset, even when the per-subset budget
+ends the sweep before the last leaf; a subset is *unproven* only when
+the budget is spent with cells left and no leaf refuted.  The K+1
+probe stops drawing at its first refuted leaf.
+
 Subset-lattice pruning is sound because refutation is monotone in the
 crash *set*: if S fails for dates T, then S ∪ {q} fails for T
 extended with q crashing after all activity (identical trajectory).
@@ -50,9 +59,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from typing import (
-    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
+    DefaultDict, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+    Optional, Set, Tuple,
 )
 
 from ...core.schedule import Schedule
@@ -240,22 +251,8 @@ def run_outcome(
 
 
 # ----------------------------------------------------------------------
-# Region sweep over one crash subset
+# Region stream over one crash subset
 # ----------------------------------------------------------------------
-@dataclass
-class _SubsetResult:
-    subset: Tuple[str, ...]
-    status: str  # "safe" | "refuted" | "unproven"
-    evaluations: int = 0  # runs, one per leaf of the decision tree
-    steps: int = 0  # kernel steps the runs executed
-    refuted_cells: List[Tuple[tuple, RunOutcome]] = field(default_factory=list)
-    classes_collapsed: int = 0
-    witness_depth: int = 0
-    chains: Dict[DependencyKey, Dict[Tuple[str, str, int], int]] = field(
-        default_factory=dict
-    )
-
-
 def _cell_windows(boundaries, lo: float, hi: float) -> Tuple[int, int]:
     """Inclusive (first, last) static window index overlapped by [lo, hi)."""
     first = window_index(boundaries, lo)
@@ -265,30 +262,34 @@ def _cell_windows(boundaries, lo: float, hi: float) -> Tuple[int, int]:
     return first, window_index(boundaries, inner)
 
 
-def _sweep_subset(
-    auto: DeliveryAutomaton,
-    subset: Tuple[str, ...],
-    budget: int,
-    until_refuted: bool = False,
-) -> _SubsetResult:
-    result = _SubsetResult(subset=subset, status="safe")
+def sweep_regions(
+    auto: DeliveryAutomaton, subset: Tuple[str, ...], budget: float
+) -> Iterator[Tuple[Optional[tuple], _AbstractRun]]:
+    """Yield ``(cell, run)`` for each leaf of ``subset``'s decision
+    tree, depth first: the leaf's cell (one ``[lo, hi)`` crash interval
+    per processor of ``subset``) and the finished run whose verdict
+    holds on all of it.  The run is one object restored for every
+    leaf, so it is valid until the next leaf is drawn; its
+    ``sim.steps`` counts the kernel steps of all leaves so far.  Once
+    ``budget`` leaves are drawn with cells left, the last item is
+    ``(None, run)``: the sweep is unfinished."""
     axis = {proc: i for i, proc in enumerate(subset)}
     run = _AbstractRun(auto, dict.fromkeys(subset, 0.0))
-    # Depth first over the decision tree.  An entry is a cell (one
-    # ``[lo, hi)`` crash interval per processor), the number ``j`` of
-    # decisions on its path (the cell is the "alive" side of the
-    # ``j``-th) and a checkpoint of a run on that path taken before the
-    # ``j``-th was asked.  Every crash vector in the cell answers those
-    # ``j`` alike, and every later decision is open in it.
+    # An entry is a cell, the number ``j`` of decisions on its path
+    # (the cell is the "alive" side of the ``j``-th) and a checkpoint
+    # of a run on that path taken before the ``j``-th was asked.
+    # Every crash vector in the cell answers those ``j`` alike, and
+    # every later decision is open in it.
     stack: List[tuple] = [
         (tuple((0.0, math.inf) for _ in subset), run.checkpoint(), 0)
     ]
+    drawn = 0
     while stack:
-        if result.evaluations >= budget:
-            result.status = "unproven"
-            break
+        if drawn >= budget:
+            yield None, run
+            return
         cell, checkpoint, j = stack.pop()
-        result.evaluations += 1
+        drawn += 1
         run.restore(checkpoint, {p: lo for p, (lo, _hi) in zip(subset, cell)})
         taken = [(0, checkpoint), *run.execute(checkpoints_from=j)]
         # The lower corner answers "crashed" to each open decision after
@@ -306,30 +307,7 @@ def _sweep_subset(
             cell[i] = (cut, hi)
             stack.append((tuple(cell), taken[latest][1], k))
             cell[i] = (lo, cut)
-        _account_leaf(result, tuple(cell), run)
-        if until_refuted and result.refuted_cells:
-            break
-    result.steps = run.sim.steps
-    return result
-
-
-def _account_leaf(result: _SubsetResult, cell: tuple, run: _AbstractRun) -> None:
-    """Add a finished run's leaf ``cell`` to ``result``: the
-    (processor, window)-classes it decided (beyond the first, collapsed
-    ones), its verdict and its delivery chains."""
-    covered = 1
-    for lo, hi in cell:
-        first, last = _cell_windows(run.auto.boundaries, lo, hi)
-        covered *= last - first + 1
-    result.classes_collapsed += covered - 1
-    if run.missing_outputs:
-        result.status = "refuted"
-        result.refuted_cells.append((cell, run.outcome()))
-    else:
-        result.witness_depth = max(result.witness_depth, run.witness_depth())
-        for (dep, _dest), chain in run.delivery_source.items():
-            per_dep = result.chains.setdefault(dep, {})
-            per_dep[chain] = per_dep.get(chain, 0) + 1
+        yield tuple(cell), run
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +355,8 @@ def prove_delivery(
     verdict is ``SAFE`` (proof artifact with per-dependency witness
     chains), ``UNSAFE`` (with a concrete, campaign-replayable
     counterexample), or ``UNPROVEN`` (the per-subset evaluation budget
-    was exhausted before covering the region space — never claimed as
-    either proof or refutation).
+    was exhausted before covering some subset's region space, with no
+    refuted leaf found — never claimed as either proof or refutation).
     """
     obs = get_instrumentation()
     with obs.span("proof.compile"):
@@ -426,8 +404,9 @@ def _prove(
     sizes: Optional[Tuple[int, ...]] = None,
     until_refuted: bool = False,
 ) -> ProofResult:
-    """Sweep every subset of the given sizes (default ``0..failures``);
-    ``until_refuted`` stops at the first refutation."""
+    """Sweep every subset of the given sizes (default ``0..failures``),
+    accounting each leaf as it is drawn; ``until_refuted`` stops
+    drawing at the first refuted leaf."""
     processors = auto.processors
     reaches = _reaches_output(auto)
     dead_roots: List[frozenset] = []
@@ -441,7 +420,7 @@ def _prove(
     counterexamples: List[Counterexample] = []
     never_rearms: Dict[DependencyKey, dict] = {}
     unproven_subsets: List[Tuple[str, ...]] = []
-    chains: Dict[DependencyKey, Dict[Tuple[str, str, int], int]] = {}
+    chains: DefaultDict[DependencyKey, Counter] = defaultdict(Counter)
 
     all_sizes = sizes if sizes is not None else tuple(range(failures + 1))
     for combo in itertools.chain.from_iterable(
@@ -466,30 +445,43 @@ def _prove(
                 _certificate_counterexample(auto, combo, dead_op)
             )
             continue
-        swept = _sweep_subset(auto, combo, budget, until_refuted)
-        evaluations += swept.evaluations
-        steps += swept.steps
-        classes_collapsed += swept.classes_collapsed
-        witness_depth = max(witness_depth, swept.witness_depth)
-        for dep, per_chain in swept.chains.items():
-            chains.setdefault(dep, {})
-            for chain, count in per_chain.items():
-                chains[dep][chain] = chains[dep].get(chain, 0) + count
-        if swept.status == "unproven":
-            unproven_subsets.append(combo)
-        elif swept.status == "refuted":
-            dead_roots.append(subset)
-            for cell, outcome in swept.refuted_cells:
-                windows = {}
-                for proc, (lo, hi) in zip(combo, cell):
-                    windows[proc] = _cell_windows(auto.boundaries, lo, hi)
-                refuted_regions.append(
-                    ClassRegion(windows=windows, subset=combo)
-                )
+        refuted = False
+        for cell, run in sweep_regions(auto, combo, budget):
+            if cell is None:  # the budget is spent with cells left
+                if not refuted:
+                    unproven_subsets.append(combo)
+                break
+            evaluations += 1
+            windows = {
+                proc: _cell_windows(auto.boundaries, lo, hi)
+                for proc, (lo, hi) in zip(combo, cell)
+            }
+            # The (processor, window)-classes the leaf decides beyond
+            # the first are collapsed ones.
+            classes_collapsed += math.prod(
+                last - first + 1 for first, last in windows.values()
+            ) - 1
+            if run.missing_outputs:
+                # A refuted leaf is a concrete counterexample: it
+                # refutes the subset (and, by monotonicity, its
+                # supersets) even if the budget ends the sweep early.
+                outcome = run.outcome()
+                refuted_regions.append(ClassRegion(windows=windows, subset=combo))
                 _collect_never_rearms(outcome, never_rearms)
-            cell, outcome = swept.refuted_cells[0]
-            crashes = {proc: lo for proc, (lo, _hi) in zip(combo, cell)}
-            counterexamples.append(_counterexample(auto, combo, crashes, outcome))
+                if not refuted:
+                    refuted = True
+                    dead_roots.append(subset)
+                    crashes = {proc: lo for proc, (lo, _hi) in zip(combo, cell)}
+                    counterexamples.append(
+                        _counterexample(auto, combo, crashes, outcome)
+                    )
+                if until_refuted:
+                    break
+            else:
+                witness_depth = max(witness_depth, run.witness_depth())
+                for (dep, _dest), chain in run.delivery_source.items():
+                    chains[dep][chain] += 1
+        steps += run.sim.steps
 
     obs.count("proof.subsets_checked", subsets_checked)
     obs.count("proof.pruned", pruned)

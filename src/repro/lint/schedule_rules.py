@@ -303,89 +303,3 @@ def check_overhead(schedule: Schedule) -> Iterator[Finding]:
             f"try --best-of seed exploration or another heuristic",
             "",
         )
-
-
-@rule(
-    "FT216",
-    "delivery-gap",
-    Severity.WARNING,
-    Scope.SCHEDULE,
-    "fast pre-filter of FT401: a <=K crash subset cuts every scheduled "
-    "sender of a dependency and no surviving replica has a takeover "
-    "ladder for it",
-)
-def check_delivery_gap(schedule: Schedule) -> Iterator[Finding]:
-    """Fast structural pre-filter of the FT401 delivery proof.
-
-    For each inter-processor dependency, consider every crash subset
-    of up to K of its source-replica hosts.  If a subset removes every
-    processor that *statically* sends the data, some surviving
-    consumer replica still needs it, and no surviving source-replica
-    host has a timeout-ladder entry for the dependency (i.e. no
-    takeover communication is scheduled from a survivor), the data has
-    no scheduled way to reach the consumer.
-
-    This rule inspects the static plan only — a cheap heuristic that
-    runs in microseconds, not a proof.  It can flag a schedule that
-    delivers: a backup whose ladder has no entry does not wait at all
-    and takes over as soon as its own replica completes, so the data
-    still flows (FT211 reports the missing entry).  A failure that
-    only shows in the protocol's run (a Solution-1 schedule on
-    point-to-point links can starve a consumer under one crash) is
-    invisible here; the :mod:`repro.lint.proof` automaton
-    interpretation (FT401) finds it.
-    """
-    import itertools
-
-    if schedule.semantics is not ScheduleSemantics.SOLUTION1:
-        return
-    failures = schedule.problem.failures
-    if failures <= 0:
-        return
-    algorithm = schedule.problem.algorithm
-    for op in schedule.operations:
-        for pred in algorithm.predecessors(op):
-            dep = (pred, op)
-            static_senders = {
-                slot.sender for slot in schedule.comms_for_dependency(dep)
-            }
-            if not static_senders:
-                continue  # every consumer holds a local copy
-            source_hosts = set(schedule.processors_of(pred))
-            laddered = {
-                entry.watcher
-                for entry in schedule.timeouts
-                if entry.dependency == dep
-            }
-            found = False
-            for size in range(1, min(failures, len(source_hosts)) + 1):
-                for subset in itertools.combinations(
-                    sorted(source_hosts), size
-                ):
-                    crashed = set(subset)
-                    if not static_senders <= crashed:
-                        continue  # a scheduled sender survives
-                    if any(w not in crashed for w in laddered):
-                        continue  # a survivor watches and can take over
-                    starving = [
-                        r
-                        for r in schedule.replicas(op)
-                        if r.processor not in crashed
-                        and schedule.replica_on(pred, r.processor) is None
-                    ]
-                    if not starving:
-                        continue
-                    victims = ", ".join(
-                        f"{r.op}@{r.processor}" for r in starving
-                    )
-                    yield (
-                        f"crashing {{{', '.join(subset)}}} removes every "
-                        f"scheduled sender of ({pred}, {op}) and no "
-                        f"surviving replica of {pred!r} has a takeover "
-                        f"ladder for it — {victims} would starve",
-                        f"{pred}->{op}",
-                    )
-                    found = True
-                    break
-                if found:
-                    break

@@ -4,7 +4,8 @@ Lint rule IDs are a public contract — suppressions, CI baselines and
 SARIF uploads all refer to them — so this file pins them:
 
 * every ID is unique, well-formed, and *stays* in the frozen set below
-  (extending the set is fine, renumbering or dropping is not);
+  (extending the set is fine, renumbering is not, and an ID is dropped
+  only by retiring it for good);
 * every registered rule appears in the ``docs/lint.md`` reference
   tables with the same severity, and vice versa — the docs can never
   drift from the registry.
@@ -29,6 +30,13 @@ SHIPPED_IDS = {
     "FT301",
     "FT401", "FT402", "FT403", "FT404",
 }
+
+#: Shipped IDs that are no longer registered.  A retired ID is never
+#: reused, and ``--suppress`` still accepts it (unknown IDs are ignored).
+#: FT216 (delivery-gap) was a plan heuristic, not a proof, beside
+#: FT401; FT403 (stand-down-races-lost-frame) could no longer fire
+#: since a watcher stands down only on a completed frame.
+RETIRED_IDS = {"FT216", "FT403"}
 
 
 def _documented_rules():
@@ -56,11 +64,13 @@ class TestRegistry:
             assert rule.scope in (Scope.PROBLEM, Scope.SCHEDULE)
 
     def test_ids_are_stable(self):
-        """No shipped ID may disappear; new IDs must extend the frozen
-        set here (in the same PR that documents them)."""
+        """No shipped ID may disappear unless it is retired; new IDs
+        must extend the frozen set here (in the same change that
+        documents them)."""
+        assert RETIRED_IDS <= SHIPPED_IDS
         registered = {rule.id for rule in all_rules()}
-        assert registered == SHIPPED_IDS, (
-            f"missing: {sorted(SHIPPED_IDS - registered)}; "
+        assert registered == SHIPPED_IDS - RETIRED_IDS, (
+            f"missing: {sorted(SHIPPED_IDS - RETIRED_IDS - registered)}; "
             f"undeclared new: {sorted(registered - SHIPPED_IDS)}"
         )
 

@@ -2,9 +2,9 @@
 
 A proof is sound only if the sweep's leaves cover ``[0, ∞)^S`` of every
 swept crash subset ``S`` exactly once and each leaf's verdict holds at
-every crash vector inside it.  The tests below capture the leaf cells
-the sweep accounts (by wrapping ``verifier._account_leaf``) and check,
-on a seeded battery, that
+every crash vector inside it.  The tests below draw the leaf cells of
+every subset the proof sweeps from the prover's own region stream
+(``verifier.sweep_regions``) and check, on a seeded battery, that
 
 * the leaves of one subset are pairwise disjoint, and
 * every sampled crash vector lies in exactly one leaf, where a fresh
@@ -19,6 +19,7 @@ start) and a random date in every static event window.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from pathlib import Path
@@ -52,20 +53,30 @@ BATTERY = [
 RANDOM_SAMPLES = 40
 
 
-def _leaves(monkeypatch, schedule):
-    """``subset -> [(cell, outcome)]`` for every subset the proof sweeps."""
-    account = verifier._account_leaf
-    leaves = {}
-
-    def captured(result, cell, run):
-        leaves.setdefault(result.subset, []).append((cell, run.outcome()))
-        account(result, cell, run)
-
-    monkeypatch.setattr(verifier, "_account_leaf", captured)
+def _leaves(schedule, auto):
+    """``subset -> [(cell, outcome)]`` for every subset the proof sweeps:
+    each ≤K subset that is neither a superset of a refuted one (pruned)
+    nor dead by certificate (refuted without a run)."""
     # No K+1 probe: it stops at its first refutation, so its sweeps are
     # partial by design.
     proof = prove_delivery(schedule, probe_beyond=False)
     assert proof.verdict in ("SAFE", "UNSAFE")
+    refuted = [set(cx.subset) for cx in proof.counterexamples]
+    reaches = verifier._reaches_output(auto)
+    leaves = {}
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(auto.processors, size)
+        for size in range(proof.failures + 1)
+    ):
+        if any(root < set(subset) for root in refuted):
+            continue
+        if verifier._dead_certificate(auto, subset, reaches) is not None:
+            continue
+        cells = leaves[subset] = []
+        for cell, run in verifier.sweep_regions(auto, subset, math.inf):
+            assert cell is not None, subset
+            # The run is valid until the next leaf is drawn.
+            cells.append((cell, run.outcome()))
     assert sum(len(cells) for cells in leaves.values()) == proof.evaluations
     return leaves
 
@@ -113,10 +124,10 @@ def _samples(cells, boundaries, rng):
 @pytest.mark.parametrize(
     "factory, scheduler", [b[1:] for b in BATTERY], ids=[b[0] for b in BATTERY]
 )
-def test_leaves_partition_every_subset(monkeypatch, factory, scheduler):
+def test_leaves_partition_every_subset(factory, scheduler):
     schedule = scheduler(factory()).schedule
-    leaves = _leaves(monkeypatch, schedule)
     auto = compile_automaton(schedule)
+    leaves = _leaves(schedule, auto)
     rng = random.Random(0)
     checked = 0
     for subset, cells in sorted(leaves.items()):
