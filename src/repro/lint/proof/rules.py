@@ -87,8 +87,8 @@ def check_unproven_delivery(schedule: Schedule) -> Iterator[Diagnostic]:
             yield (
                 "could not prove delivery for crash subset "
                 f"{{{', '.join(subset)}}} within the evaluation budget "
-                f"({result.evaluations} evaluations); raise "
-                "max_evals_per_subset to decide it",
+                f"({result.evaluations} evaluations); run "
+                "`repro prove --max-evals N` with a larger N to decide it",
                 "+".join(subset),
             )
 

@@ -80,7 +80,7 @@ from .model import (
 )
 
 __all__ = ["prove_delivery", "check_scenario", "ScenarioCheck", "RunOutcome",
-           "run_outcome"]
+           "run_outcome", "sweep_regions"]
 
 DependencyKey = Tuple[str, str]
 

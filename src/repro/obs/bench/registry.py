@@ -1,7 +1,7 @@
 """The benchmark scenario registry.
 
 A *scenario* is one named, parameterized experiment — "schedule the
-paper's first example with Solution 1", "Monte-Carlo availability at
+paper's first example with Solution 1", "exact availability at
 p=0.1" — registered once and shared by every runner: the ``repro
 bench`` CLI, the pytest-benchmark shim under ``benchmarks/``, and the
 CI gate all execute the same definition, so the number a dashboard

@@ -5,8 +5,8 @@ reproduce (see EXPERIMENTS.md) and distills it into the metrics worth
 tracking across commits:
 
 * **quality** — the paper's quantities: makespans, overhead vs the
-  recovered SynDEx baseline, simulated responses, Monte-Carlo
-  availability with its Wilson 95% CI.  Deterministic, so their noise
+  recovered SynDEx baseline, simulated responses, exact
+  availability.  Deterministic, so their noise
   threshold is zero: any drift is a real behavior change.
 * **counter** — obs counters (``pressure.evals``, ``sim.frames_sent``,
   ...): exact algorithmic work measures, immune to machine speed.  A
@@ -34,9 +34,8 @@ from ...graphs.generators import layered, random_bus_problem, random_problem
 from ...graphs.io import canonical_problem_json
 from ...paper import examples, expected
 from ...sim import FailureScenario, simulate
-from ...sim.montecarlo import estimate_availability
-from ..ledger import ArtifactRef, LedgerSession, LedgerStore, detect_drift
-from .model import Metric
+from ...sim.availability import exact_availability
+from ..ledger import ArtifactRef, LedgerSession, LedgerStore, Metric, detect_drift
 from .registry import scenario
 
 __all__ = []  # scenarios register themselves; nothing to import
@@ -149,36 +148,25 @@ def fig18_crash(obs, crash_at: float) -> Dict[str, Metric]:
 
 
 @scenario(
-    "montecarlo.fig17.availability",
-    "Monte-Carlo availability of the Figure 17 schedule at p=0.1",
+    "availability.fig17",
+    "Exact availability of the Figure 17 schedule at p=0.1",
     suites=("quick", "full"),
     crash_probability=0.1,
-    trials=120,
-    seed=11,
 )
-def fig17_availability(
-    obs, crash_probability: float, trials: int, seed: int
-) -> Dict[str, Metric]:
+def fig17_availability(obs, crash_probability: float) -> Dict[str, Metric]:
     problem = examples.first_example_problem(failures=1)
-    result = schedule_solution1(problem)
-    estimate = estimate_availability(
-        result.schedule, crash_probability, trials=trials, seed=seed
+    result = exact_availability(
+        schedule_solution1(problem).schedule, crash_probability
     )
-    low, high = estimate.availability_ci95
     return {
-        # Seeded, hence exactly reproducible — tracked as quality with
-        # its CI bounds alongside for the dashboard.
         "availability": Metric(
-            estimate.availability, unit="fraction", direction="exact"
+            result.availability, unit="fraction", direction="exact"
         ),
-        "ci_low": Metric(low, unit="fraction", direction="higher", noise=1.0),
-        "ci_high": Metric(high, unit="fraction", direction="higher", noise=1.0),
         "survival_given_crash": Metric(
-            estimate.conditional_survival, unit="fraction", direction="exact"
+            result.conditional_survival, unit="fraction", direction="exact"
         ),
-        "trials_per_s": Metric(
-            estimate.trials_per_second, unit="1/s",
-            direction="higher", kind="timing", noise=0.6,
+        "runs": Metric(
+            result.runs, unit="runs", direction="exact", kind="counter"
         ),
     }
 

@@ -27,7 +27,7 @@ failure-free leader only moves forward; the prefix's failure-free
 trace is also the diagnosis's nominal run.
 
 ``jobs > 1`` fans the scenario list out over worker processes in
-contiguous blocks (the montecarlo pattern), each with its own prefix:
+contiguous blocks, each with its own prefix:
 every scenario's outcome depends only on the scenario itself, and
 outcomes are re-assembled in enumeration order, so the campaign result
 is bit-identical for any ``jobs`` value.

@@ -11,8 +11,8 @@ Design constraints, in order:
 * **stdlib only** — no prometheus_client, no numpy; quantiles are
   computed by sorting the recorded samples;
 * **thread-safe** — one ``RLock`` per registry; instruments mutate
-  under it (the simulation kernel is single-threaded today, but the
-  Monte-Carlo driver is an obvious candidate for a thread pool);
+  under it, so a library caller that instruments work on several
+  threads gets exact counts (the package itself is single-threaded);
 * **two lifetimes** — a process-wide singleton (:func:`registry`) for
   casual use, and isolated instances (``MetricsRegistry()``) so tests
   and nested profiling sessions never bleed into each other.

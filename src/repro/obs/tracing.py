@@ -13,8 +13,8 @@ whole recording exports as:
 Overhead discipline: a disabled tracer hands out one shared no-op
 context manager, so instrumented code pays a single attribute check
 per ``span()`` call; an enabled tracer records into a bounded ring
-buffer (old spans are dropped, never reallocated), so long Monte-Carlo
-sessions cannot exhaust memory.
+buffer (old spans are dropped, never reallocated), so a long traced
+session (a campaign, a full prover sweep) cannot exhaust memory.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ of the package (the prover imports only :mod:`repro.sim.protocol` and
 
 #: Submodule -> the public names it defines, in ``__all__`` order.
 _EXPORTS = {
+    "availability": ["Availability", "exact_availability"],
     "engine": ["SimulationError", "Simulator"],
     "executive": ["ExecutiveRuntime"],
     "faults": ["Crash", "FailureScenario", "LinkCrash"],
@@ -15,7 +16,6 @@ _EXPORTS = {
         "transient_then_steady",
     ],
     "trace": ["DetectionRecord", "ExecutionRecord", "FrameRecord", "IterationTrace"],
-    "montecarlo": ["AvailabilityEstimate", "estimate_availability"],
     "pipeline": ["PipelineResult", "simulate_pipelined"],
     "values": ["compute_value", "reference_outputs", "sample_input"],
     "verify": ["TraceReport", "TraceViolation", "verify_trace"],

@@ -89,7 +89,7 @@ class TestRegistry:
     def test_builtin_scenarios_registered(self):
         names = {s.name for s in all_scenarios()}
         assert "schedule.fig17.solution1" in names
-        assert "montecarlo.fig17.availability" in names
+        assert "availability.fig17" in names
 
     def test_quick_suite_nonempty_and_subset_of_full(self):
         quick = {s.name for s in scenarios_for_suite("quick")}

@@ -1,6 +1,4 @@
-"""Tests for periodic-execution analysis and Monte-Carlo availability."""
-
-import math
+"""Tests for periodic-execution analysis and exact availability."""
 
 import pytest
 
@@ -12,7 +10,7 @@ from repro.analysis.periodic import (
     worst_degraded_min_period,
 )
 from repro.core.degrade import DegradationError
-from repro.sim.montecarlo import estimate_availability
+from repro.sim.availability import exact_availability
 
 
 class TestPeriodicAnalysis:
@@ -69,103 +67,47 @@ class TestPeriodicAnalysis:
 
 
 class TestMonteCarloAvailability:
-    def test_zero_probability_full_availability(self, bus_solution1):
-        estimate = estimate_availability(
-            bus_solution1.schedule, 0.0, trials=20, seed=1
-        )
-        assert estimate.availability == 1.0
-        assert estimate.disturbed == 0
-        assert estimate.conditional_survival == 1.0
+    """Exact availability, which replaced the Monte-Carlo sampler: the
+    pinned values are those of the paper's first example, Solution 1
+    (Figure 17) against the default-seed SynDEx baseline."""
 
-    def test_reproducible_per_seed(self, bus_solution1):
-        first = estimate_availability(
-            bus_solution1.schedule, 0.2, trials=50, seed=7
-        )
-        second = estimate_availability(
-            bus_solution1.schedule, 0.2, trials=50, seed=7
-        )
-        assert first == second
+    @pytest.mark.parametrize(
+        "fixture, p, expected, runs",
+        [
+            ("bus_solution1", 0.05, 0.99394, 1460),
+            ("bus_solution1", 0.1, 0.97650, 1460),
+            ("bus_solution1", 0.2, 0.91200, 1460),
+            ("bus_baseline", 0.05, 0.88386, 154),
+            ("bus_baseline", 0.1, 0.77685, 154),
+            ("bus_baseline", 0.2, 0.58880, 154),
+        ],
+    )
+    def test_pinned_values(self, fixture, p, expected, runs, request):
+        result = exact_availability(request.getfixturevalue(fixture).schedule, p)
+        assert result.availability == pytest.approx(expected, abs=1e-5)
+        assert result.runs == runs
+
+    def test_zero_probability_full_availability(self, bus_solution1):
+        result = exact_availability(bus_solution1.schedule, 0.0)
+        assert result.availability == 1.0
+        assert result.conditional_survival == 1.0
+        assert result.runs == 1  # only the failure-free run weighs
 
     def test_fault_tolerance_beats_baseline(self, bus_solution1, bus_baseline):
         """The headline quantification: under random crashes, the
         Solution-1 schedule completes (far) more iterations."""
         p = 0.15
-        ft = estimate_availability(bus_solution1.schedule, p, trials=120, seed=3)
-        base = estimate_availability(bus_baseline.schedule, p, trials=120, seed=3)
-        assert ft.availability > base.availability
+        ft = exact_availability(bus_solution1.schedule, p)
+        base = exact_availability(bus_baseline.schedule, p)
+        assert ft.availability == pytest.approx(0.94881, abs=1e-5)
+        assert base.availability == pytest.approx(0.67862, abs=1e-5)
         assert ft.conditional_survival > base.conditional_survival
 
     def test_invalid_probability_rejected(self, bus_solution1):
         with pytest.raises(ValueError):
-            estimate_availability(bus_solution1.schedule, 1.5, trials=1)
+            exact_availability(bus_solution1.schedule, 1.5)
 
     def test_str_mentions_percentages(self, bus_solution1):
-        estimate = estimate_availability(
-            bus_solution1.schedule, 0.1, trials=20, seed=2
-        )
-        assert "availability" in str(estimate)
-
-
-class TestWilsonInterval:
-    """Wilson 95% CI edge cases: the extremes where the naive normal
-    interval degenerates to zero width."""
-
-    @staticmethod
-    def estimate(trials, completed):
-        from repro.sim.montecarlo import AvailabilityEstimate
-
-        return AvailabilityEstimate(
-            trials=trials,
-            completed=completed,
-            crash_probability=0.5,
-            disturbed=trials - completed,
-            disturbed_completed=0,
-        )
-
-    @staticmethod
-    def wilson(successes, n):
-        z = 1.959963984540054
-        p = successes / n
-        denominator = 1.0 + z * z / n
-        center = (p + z * z / (2 * n)) / denominator
-        half = (z / denominator) * math.sqrt(
-            p * (1.0 - p) / n + z * z / (4.0 * n * n)
-        )
-        return max(0.0, center - half), min(1.0, center + half)
-
-    def test_zero_availability_keeps_positive_width(self):
-        low, high = self.estimate(50, 0).availability_ci95
-        assert low == 0.0
-        assert 0.0 < high < 0.15
-        assert (low, high) == pytest.approx(self.wilson(0, 50))
-
-    def test_full_availability_keeps_positive_width(self):
-        low, high = self.estimate(50, 50).availability_ci95
-        assert high == 1.0
-        assert 0.85 < low < 1.0
-        assert (low, high) == pytest.approx(self.wilson(50, 50))
-
-    def test_single_trial_interval_is_wide_but_bounded(self):
-        for completed in (0, 1):
-            low, high = self.estimate(1, completed).availability_ci95
-            assert 0.0 <= low < high <= 1.0
-            assert high - low > 0.5  # one observation proves very little
-            assert (low, high) == pytest.approx(self.wilson(completed, 1))
-
-    def test_zero_trials_interval_is_vacuous(self):
-        low, high = self.estimate(0, 0).availability_ci95
-        assert (low, high) == (0.0, 1.0)
-
-    def test_interval_always_brackets_the_point_estimate(self):
-        for trials, completed in ((1, 0), (1, 1), (7, 3), (100, 99)):
-            estimate = self.estimate(trials, completed)
-            low, high = estimate.availability_ci95
-            assert low <= estimate.availability <= high
-
-    def test_monte_carlo_run_matches_closed_form(self, bus_solution1):
-        estimate = estimate_availability(
-            bus_solution1.schedule, 0.3, trials=40, seed=5
-        )
-        assert estimate.availability_ci95 == pytest.approx(
-            self.wilson(estimate.completed, estimate.trials)
-        )
+        result = exact_availability(bus_solution1.schedule, 0.1)
+        assert "availability 97.65%" in str(result)
+        assert "survival given >=1 crash: 91.33%" in str(result)

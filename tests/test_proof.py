@@ -404,6 +404,22 @@ class TestLintIntegration:
         assert any("crash class" in d.message for d in ft401)
         assert not report.by_rule("FT403")
 
+    def test_ft401_unproven_names_the_cli_budget_option(self, bus_problem):
+        """An UNPROVEN finding names the one budget a user can raise:
+        ``repro prove --max-evals``."""
+        from repro.lint.proof import rules
+
+        schedule = schedule_solution1(bus_problem).schedule
+        proof = prove_delivery(schedule, max_evals_per_subset=2)
+        assert proof.verdict == "UNPROVEN"
+        rules._CACHE[id(schedule)] = proof
+        try:
+            ft401 = lint_schedule(schedule).by_rule("FT401")
+        finally:
+            rules._CACHE.pop(id(schedule))
+        assert sorted(d.subject for d in ft401) == ["P1", "P2", "P3"]
+        assert all("repro prove --max-evals" in d.message for d in ft401)
+
     def test_ft402_reports_a_never_rearming_ladder(self):
         """Solution 1 on point-to-point links: P1's frame of
         (L0N0, L1N0) to P3 completes and fires the one-shot observe,

@@ -139,7 +139,7 @@ def test_importing_the_verifier_loads_no_simulation_module():
         "repro.sim.executive",
         "repro.sim.faults",
         "repro.sim.trace",
-        "repro.sim.montecarlo",
+        "repro.sim.availability",
     ):
         assert repr(module) not in loaded, loaded
     assert "'repro.sim.engine'" in loaded

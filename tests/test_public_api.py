@@ -53,8 +53,6 @@ MODULES = [
     "repro.obs.environment",
     "repro.obs.schema",
     "repro.obs.bench",
-    "repro.obs.bench.model",
-    "repro.obs.bench.compare",
     "repro.obs.bench.registry",
     "repro.obs.bench.scenarios",
     "repro.obs.bench.runner",
@@ -99,7 +97,7 @@ MODULES = [
     "repro.sim.runner",
     "repro.sim.values",
     "repro.sim.verify",
-    "repro.sim.montecarlo",
+    "repro.sim.availability",
     "repro.sim.pipeline",
     "repro.analysis",
     "repro.analysis.metrics",
